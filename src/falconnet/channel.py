@@ -93,10 +93,6 @@ def admissible_kernel_sizes(c_in: int, c_out: int, reduction: int) -> list[int]:
             if c_in % k == 0 and k % reduction == 0 and c_out % (k // reduction) == 0]
 
 
-def _cost(c_in: int, c_out: int, reduction: int, k: int) -> int:
-    return c_in * k // reduction + c_out * c_in // k
-
-
 def choose_kernel_size(c_in: int, c_out: int, reduction: int = 2) -> int:
     """Admissible window length minimizing c_in*K/R + c_out*c_in/K.
 
@@ -111,7 +107,8 @@ def choose_kernel_size(c_in: int, c_out: int, reduction: int = 2) -> int:
             f"no admissible kernel size for c_in={c_in}, c_out={c_out}, "
             f"reduction={reduction}: need K dividing c_in, K a multiple of "
             f"the reduction, and K/reduction dividing c_out")
-    return min(candidates, key=lambda k: (_cost(c_in, c_out, reduction, k), k))
+    return min(candidates,
+               key=lambda k: (sfconv_param_count(SFConvSpec(c_in, c_out, k, reduction)), k))
 
 
 def sfconv_param_count(spec: SFConvSpec) -> int:

@@ -17,13 +17,12 @@ classifier is reported separately and excluded from category totals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .channel import sfconv_param_count
-from .model import (BlockNode, BnNode, ConvNode, LayerGraph, LinearNode, Node,
-                    PoolNode, RefCONode, RepSONode, SFConvNode, fused_structure)
+from .model import (BnNode, ConvNode, LayerGraph, LinearNode, Node, RefCONode, RepSONode,
+                    SFConvNode, _node_entries, _walk_shapes, fused_structure)
 from .ops import ShapeError
-from .spatial import branch_kernel_shape
 
 __all__ = ["LayerCost", "CostReport", "count_params", "count_flops", "cost_report"]
 
@@ -79,68 +78,22 @@ class CostReport:
                 for c in ("spatial", "channel", "other")}
 
 
-def _size(shape) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return n
+# Entry roles that carry multiply-adds, and the normalization roles that
+# count as parameters (running statistics are buffers).
+_WEIGHT_ROLES = ("conv_weight", "linear_weight", "sf_w1", "sf_w2", "bias")
+_NORM_ROLES = ("bn_gamma", "bn_beta")
+_KINDS = {BnNode: ("bn", "other"), LinearNode: ("linear", "head"),
+          RepSONode: ("repso", "spatial"), RefCONode: ("refco", "channel"),
+          SFConvNode: ("sfconv", "channel")}
 
 
-def _node_cost(node: Node):
-    """(kind, category, mac-bearing weight params, normalization params)."""
+def _kind(node: Node):
+    """(kind, category) of a costed layer; None for parameter-free layers."""
     if isinstance(node, ConvNode):
         s = node.spec
-        weights = _size(s.weight_shape()) + (s.out_channels if s.has_bias else 0)
         category = "spatial" if s.kernel_h * s.kernel_w > 1 else "channel"
-        return f"conv{s.kernel_h}x{s.kernel_w}", category, weights, 0
-    if isinstance(node, BnNode):
-        return "bn", "other", 0, 2 * node.channels
-    if isinstance(node, LinearNode):
-        return "linear", "head", node.out_features * (node.in_features + 1), 0
-    if isinstance(node, RepSONode):
-        c = node.cfg.channels
-        weights = 0
-        for kind in node.cfg.branch_kinds():
-            shape = branch_kernel_shape(kind, c)
-            if shape is not None:
-                weights += _size(shape)
-        return "repso", "spatial", weights, 2 * c * node.cfg.branch_count
-    if isinstance(node, RefCONode):
-        s = node.spec
-        w1 = s.hidden_channels * s.windows * s.kernel
-        w2 = s.c_out * s.windows
-        weights = s.windows * w1 + s.kernel * w2
-        norm = s.windows * 2 * s.hidden_channels + s.kernel * 2 * s.c_out
-        return "refco", "channel", weights, norm
-    if isinstance(node, SFConvNode):
-        s = node.spec
-        weights = sfconv_param_count(s)
-        if node.has_bias1:
-            weights += s.hidden_channels * s.windows
-        if node.has_bias2:
-            weights += s.c_out
-        return "sfconv", "channel", weights, 0
-    return None
-
-
-def _walk(nodes, h: int, w: int, rows: list):
-    for node in nodes:
-        if isinstance(node, BlockNode):
-            h, w = _walk(node.body, h, w, rows)
-            continue
-        if isinstance(node, ConvNode):
-            oh, ow = node.spec.out_hw(h, w)
-        elif isinstance(node, PoolNode):
-            oh = ow = 1
-        else:
-            oh, ow = h, w
-        cost = _node_cost(node)
-        if cost is not None:
-            kind, category, weights, norm = cost
-            rows.append(LayerCost(node.name, kind, category,
-                                  weights + norm, oh * ow * weights, oh, ow))
-        h, w = oh, ow
-    return h, w
+        return f"conv{s.kernel_h}x{s.kernel_w}", category
+    return _KINDS.get(type(node))
 
 
 def cost_report(graph: LayerGraph, mode: str = "train",
@@ -152,7 +105,14 @@ def cost_report(graph: LayerGraph, mode: str = "train",
     if res < 1:
         raise ShapeError(f"resolution must be positive, got {res}")
     rows: list = []
-    _walk(g.nodes, res, res, rows)
+    for node, _, (_, oh, ow) in _walk_shapes(g.nodes, (3, res, res)):
+        kind = _kind(node)
+        if kind is None:
+            continue
+        entries = list(_node_entries(node))
+        weights = sum(math.prod(e.shape) for e in entries if e.role in _WEIGHT_ROLES)
+        norm = sum(math.prod(e.shape) for e in entries if e.role in _NORM_ROLES)
+        rows.append(LayerCost(node.name, *kind, weights + norm, oh * ow * weights, oh, ow))
     params = {c: 0 for c in CATEGORIES}
     flops = {c: 0 for c in CATEGORIES}
     for row in rows:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import SFConvSpec, SFConvWeights, _check_refco
 from .ops import BnParams, ShapeError, Tensor, as_f32
-from .spatial import RepSOConfig, RepSOWeights, check_repso_weights
+from .spatial import _KERNEL_HW, RepSOConfig, RepSOWeights, check_repso_weights
 
 __all__ = [
     "FusedDWConv",
@@ -82,10 +82,9 @@ def pad_kernel_to_3x3(kernel, kind: str, channels: int) -> Tensor:
         out = np.zeros((channels, 1, 3, 3), dtype=np.float32)
         out[:, 0, 1, 1] = 1.0
         return out
-    extents = {"3x3": (3, 3), "1x3": (1, 3), "3x1": (3, 1), "1x1": (1, 1)}
-    if kind not in extents:
+    if kind not in _KERNEL_HW:
         raise ShapeError(f"unknown kernel kind '{kind}'")
-    kh, kw = extents[kind]
+    kh, kw = _KERNEL_HW[kind]
     k = as_f32(kernel)
     if k.shape != (channels, 1, kh, kw):
         raise ShapeError(f"kernel shape {k.shape} does not match kind {kind} "
@@ -151,7 +150,8 @@ def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
 def verify_equivalence(reference, candidate, trials: int, input_shape,
                        tolerance: float = 1e-4, seed: int = 0) -> FusionReport:
     """Run both callables on fixed-seed pseudo-random inputs and record the
-    worst absolute output discrepancy."""
+    worst absolute output discrepancy. A non-finite output from either side
+    makes that discrepancy non-finite, and the report fails."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     shape = tuple(int(d) for d in input_shape)
@@ -163,5 +163,7 @@ def verify_equivalence(reference, candidate, trials: int, input_shape,
         b = np.asarray(candidate(x))
         if a.shape != b.shape:
             raise ShapeError(f"model outputs differ in shape: {a.shape} vs {b.shape}")
-        worst = max(worst, float(np.max(np.abs(a - b))) if a.size else 0.0)
+        err = float(np.max(np.abs(a - b))) if a.size else 0.0
+        if err > worst or np.isnan(err):  # max() would drop a NaN
+            worst = err
     return FusionReport(worst, trials, shape, float(tolerance), seed, worst <= tolerance)

@@ -216,10 +216,6 @@ def _spatial_to_json(s: SpatialSlot) -> dict:
     return out
 
 
-def _pop_key(d: dict, key, default, where: str):
-    return d.pop(key, default)
-
-
 def _require_empty(d: dict, where: str):
     if d:
         raise ConfigError(f"unknown key '{next(iter(d))}' in {where}")
@@ -403,12 +399,10 @@ class LayerGraph:
 
 
 def _repso_branch_tags(cfg: RepSOConfig) -> tuple[str, ...]:
-    tags = [f"dw3x3_{i}" for i in range(cfg.n_parallel_3x3)]
-    for flag, tag in ((cfg.include_1x3, "dw1x3"), (cfg.include_3x1, "dw3x1"),
-                      (cfg.include_1x1, "dw1x1"), (cfg.include_identity, "identity")):
-        if flag:
-            tags.append(tag)
-    return tuple(tags)
+    # branch_kinds() lists the parallel 3x3 kernels first, so i numbers them.
+    return tuple("identity" if kind == "identity" else
+                 f"dw3x3_{i}" if kind == "3x3" else f"dw{kind}"
+                 for i, kind in enumerate(cfg.branch_kinds()))
 
 
 # ---------------------------------------------------------------------------
@@ -495,44 +489,47 @@ def build_model(cfg: ModelConfig) -> LayerGraph:
 def trace_shapes(graph: LayerGraph, resolution: int | None = None):
     """Walk the graph, checking channel hand-offs; returns (channels, h, w)."""
     res = graph.config.input_resolution if resolution is None else resolution
-    return _trace(graph.nodes, 3, res, res)
+    shape = (3, res, res)
+    for _, _, shape in _walk_shapes(graph.nodes, shape):
+        pass
+    return shape
 
 
-def _trace(nodes, c: int, h: int, w: int):
+def _leaf_shape(node: Node, c: int, h: int, w: int):
+    """(input channels the leaf requires or None, what it calls them, output shape)."""
+    if isinstance(node, ConvNode):
+        return node.spec.in_channels, "expects {} channels", (
+            node.spec.out_channels, *node.spec.out_hw(h, w))
+    if isinstance(node, BnNode):
+        return node.channels, "normalizes {} channels", (c, h, w)
+    if isinstance(node, RepSONode):
+        return node.cfg.channels, "built for {} channels", (c, h, w)
+    if isinstance(node, (RefCONode, SFConvNode)):
+        return node.spec.c_in, "expects {} channels", (node.spec.c_out, h, w)
+    if isinstance(node, LinearNode):
+        return node.in_features, "expects {} features", (node.out_features, h, w)
+    if isinstance(node, PoolNode):
+        return None, "", (c, 1, 1)
+    return None, "", (c, h, w)
+
+
+def _walk_shapes(nodes, shape: tuple):
+    """Yield (leaf, in_shape, out_shape) in execution order, checking every
+    channel hand-off and residual shortcut; returns the final shape."""
     for node in nodes:
-        if isinstance(node, ConvNode):
-            if node.spec.in_channels != c:
-                raise ShapeError(f"{node.name}: expects {node.spec.in_channels} channels, "
-                                 f"receives {c}")
-            h, w = node.spec.out_hw(h, w)
-            c = node.spec.out_channels
-        elif isinstance(node, BnNode):
-            if node.channels != c:
-                raise ShapeError(f"{node.name}: normalizes {node.channels} channels, "
-                                 f"receives {c}")
-        elif isinstance(node, RepSONode):
-            if node.cfg.channels != c:
-                raise ShapeError(f"{node.name}: built for {node.cfg.channels} channels, "
-                                 f"receives {c}")
-        elif isinstance(node, (RefCONode, SFConvNode)):
-            if node.spec.c_in != c:
-                raise ShapeError(f"{node.name}: expects {node.spec.c_in} channels, "
-                                 f"receives {c}")
-            c = node.spec.c_out
-        elif isinstance(node, PoolNode):
-            h = w = 1
-        elif isinstance(node, LinearNode):
-            if node.in_features != c:
-                raise ShapeError(f"{node.name}: expects {node.in_features} features, "
-                                 f"receives {c}")
-            c = node.out_features
-        elif isinstance(node, BlockNode):
-            c2, h2, w2 = _trace(node.body, c, h, w)
-            if node.residual and (c2, h2, w2) != (c, h, w):
+        if isinstance(node, BlockNode):
+            out = yield from _walk_shapes(node.body, shape)
+            if node.residual and out != shape:
+                (c, h, w), (c2, h2, w2) = shape, out
                 raise ShapeError(f"{node.name}: residual body changes shape "
                                  f"({c}, {h}x{w}) -> ({c2}, {h2}x{w2})")
-            c, h, w = c2, h2, w2
-    return c, h, w
+        else:
+            need, what, out = _leaf_shape(node, *shape)
+            if need is not None and need != shape[0]:
+                raise ShapeError(f"{node.name}: {what.format(need)}, receives {shape[0]}")
+            yield node, shape, out
+        shape = out
+    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +603,8 @@ def iter_param_entries(graph: LayerGraph) -> Iterator[ParamEntry]:
 
 
 def _closing_op_keys(nodes, keys: set) -> None:
-    """Weight keys of the last weight-bearing operator in each residual body.
+    """Output-side weight keys of the last channel-mapping operator (conv,
+    SF-Conv or RefCO; a trailing RepSO is passed over) in each residual body.
 
     Damping these at init keeps activations bounded as residual blocks
     stack; without it the shortcut sum grows the signal without limit and
@@ -618,17 +616,11 @@ def _closing_op_keys(nodes, keys: set) -> None:
         _closing_op_keys(node.body, keys)
         if not node.residual:
             continue
-        for child in reversed(node.body):
-            if isinstance(child, ConvNode):
-                keys.add(f"{child.name}.weight")
-            elif isinstance(child, SFConvNode):
-                keys.add(f"{child.name}.w2")
-            elif isinstance(child, RefCONode):
-                for i in range(child.spec.kernel):
-                    keys.add(f"{child.name}.s2.{i}.weight")
-            else:
-                continue
-            break
+        closing = next((child for child in reversed(node.body)
+                        if isinstance(child, (ConvNode, SFConvNode, RefCONode))), None)
+        if closing is not None:
+            keys.update(e.key for e in _node_entries(closing)
+                        if e.role in ("conv_weight", "sf_w2"))
 
 
 def init_weights(graph: LayerGraph, seed: int = 0, *,
@@ -662,13 +654,7 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # Execution
 # ---------------------------------------------------------------------------
 
-def _bn_params(node: BnNode, store: WeightStore) -> BnParams:
-    return BnParams(store.get(f"{node.name}.gamma"), store.get(f"{node.name}.beta"),
-                    store.get(f"{node.name}.mean"), store.get(f"{node.name}.var"),
-                    node.eps)
-
-
-def _bn_from_prefix(prefix: str, channels: int, store: WeightStore, eps: float = 1e-5) -> BnParams:
+def _bn_params(prefix: str, store: WeightStore, eps: float = 1e-5) -> BnParams:
     return BnParams(store.get(f"{prefix}.gamma"), store.get(f"{prefix}.beta"),
                     store.get(f"{prefix}.mean"), store.get(f"{prefix}.var"), eps)
 
@@ -679,7 +665,7 @@ def _repso_weights(node: RepSONode, store: WeightStore) -> RepSOWeights:
         kernel = None
         if kind != "identity":
             kernel = store.get(f"{node.name}.{tag}.kernel")
-        bn = _bn_from_prefix(f"{node.name}.{tag}", node.cfg.channels, store)
+        bn = _bn_params(f"{node.name}.{tag}", store)
         branches.append(RepSOBranch(kind, kernel, bn))
     return RepSOWeights(tuple(branches))
 
@@ -687,10 +673,10 @@ def _repso_weights(node: RepSONode, store: WeightStore) -> RepSOWeights:
 def _refco_branches(node: RefCONode, store: WeightStore):
     s = node.spec
     b1 = tuple(RefCOBranch(store.get(f"{node.name}.s1.{i}.weight"),
-                           _bn_from_prefix(f"{node.name}.s1.{i}", s.hidden_channels, store))
+                           _bn_params(f"{node.name}.s1.{i}", store))
                for i in range(s.windows))
     b2 = tuple(RefCOBranch(store.get(f"{node.name}.s2.{i}.weight"),
-                           _bn_from_prefix(f"{node.name}.s2.{i}", s.c_out, store))
+                           _bn_params(f"{node.name}.s2.{i}", store))
                for i in range(s.kernel))
     return b1, b2
 
@@ -709,7 +695,7 @@ def _apply(node: Node, store: WeightStore, x: Tensor) -> Tensor:
         bias = store.get(f"{node.name}.bias") if node.spec.has_bias else None
         return conv2d(x, store.get(f"{node.name}.weight"), bias, node.spec)
     if isinstance(node, BnNode):
-        return batch_norm_infer(x, _bn_params(node, store))
+        return batch_norm_infer(x, _bn_params(node.name, store, node.eps))
     if isinstance(node, ReluNode):
         return relu(x)
     if isinstance(node, PoolNode):
@@ -765,35 +751,47 @@ def _copy_entries(node: Node, store: WeightStore, out: WeightStore) -> None:
         out.put(entry.key, store.get(entry.key))
 
 
-def _fuse_seq(nodes, store: WeightStore | None, out: WeightStore | None) -> list:
+def _bn_fold_target(node: Node):
+    """(folded node, weight key, bias key, has a bias already) for an operator
+    that absorbs a following normalization along its outputs, else None."""
+    if isinstance(node, ConvNode):
+        return (ConvNode(node.name, replace(node.spec, has_bias=True)),
+                f"{node.name}.weight", f"{node.name}.bias", node.spec.has_bias)
+    if isinstance(node, SFConvNode):
+        return (replace(node, has_bias2=True),
+                f"{node.name}.w2", f"{node.name}.bias2", node.has_bias2)
+    return None
+
+
+def _fold_bn(target, bn: BnNode, store: WeightStore, out: WeightStore) -> None:
+    fused, wkey, bkey, has_bias = target
+    w, b = fuse_bn_into_linear(store.get(wkey), store.get(bkey) if has_bias else None,
+                               _bn_params(bn.name, store, bn.eps))
+    folded = {wkey: w, bkey: b}
+    for entry in _node_entries(fused):
+        out.put(entry.key, folded[entry.key] if entry.key in folded else store.get(entry.key))
+
+
+def _fuse_seq(nodes, store: WeightStore | None, out: WeightStore | None):
+    """Rewrite a node sequence into inference form; returns (nodes, rewrites).
+
+    Rewrites are the merges and folds applied: each RepSO and RefCO, and each
+    conv or SF-Conv followed by a normalization. With ``store`` None only the
+    topology is produced.
+    """
     result: list = []
+    rewrites = 0
     i = 0
     while i < len(nodes):
         node = nodes[i]
         nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-        if isinstance(node, ConvNode) and isinstance(nxt, BnNode):
-            fused = ConvNode(node.name, replace(node.spec, has_bias=True))
+        target = _bn_fold_target(node) if isinstance(nxt, BnNode) else None
+        if target is not None:
             if store is not None:
-                bias = store.get(f"{node.name}.bias") if node.spec.has_bias else None
-                w, b = fuse_bn_into_linear(store.get(f"{node.name}.weight"), bias,
-                                           _bn_params(nxt, store))
-                out.put(f"{node.name}.weight", w)
-                out.put(f"{node.name}.bias", b)
-            result.append(fused)
-            i += 2
-        elif isinstance(node, SFConvNode) and isinstance(nxt, BnNode):
-            fused = SFConvNode(node.name, node.spec, node.has_bias1, True)
-            if store is not None:
-                s, t = _bn_params(nxt, store).scale_shift()
-                w2 = store.get(f"{node.name}.w2") * s[:, None]
-                b2 = t if not node.has_bias2 else t + store.get(f"{node.name}.bias2") * s
-                out.put(f"{node.name}.w1", store.get(f"{node.name}.w1"))
-                out.put(f"{node.name}.w2", w2)
-                if node.has_bias1:
-                    out.put(f"{node.name}.bias1", store.get(f"{node.name}.bias1"))
-                out.put(f"{node.name}.bias2", b2)
-            result.append(fused)
-            i += 2
+                _fold_bn(target, nxt, store, out)
+            node = target[0]
+            rewrites += 1
+            i += 1  # the normalization is absorbed
         elif isinstance(node, RepSONode):
             c = node.cfg.channels
             spec = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c, has_bias=True)
@@ -801,8 +799,8 @@ def _fuse_seq(nodes, store: WeightStore | None, out: WeightStore | None) -> list
                 fused = merge_repso(_repso_weights(node, store), node.cfg)
                 out.put(f"{node.name}.weight", fused.kernel)
                 out.put(f"{node.name}.bias", fused.bias)
-            result.append(ConvNode(node.name, spec))
-            i += 1
+            node = ConvNode(node.name, spec)
+            rewrites += 1
         elif isinstance(node, RefCONode):
             if store is not None:
                 b1, b2 = _refco_branches(node, store)
@@ -811,18 +809,17 @@ def _fuse_seq(nodes, store: WeightStore | None, out: WeightStore | None) -> list
                 out.put(f"{node.name}.w2", fw.w2)
                 out.put(f"{node.name}.bias1", fw.bias1)
                 out.put(f"{node.name}.bias2", fw.bias2)
-            result.append(SFConvNode(node.name, node.spec, True, True))
-            i += 1
+            node = SFConvNode(node.name, node.spec, True, True)
+            rewrites += 1
         elif isinstance(node, BlockNode):
-            body = tuple(_fuse_seq(node.body, store, out))
-            result.append(BlockNode(node.name, body, node.residual))
-            i += 1
-        else:
-            if store is not None:
-                _copy_entries(node, store, out)
-            result.append(node)
-            i += 1
-    return result
+            body, n = _fuse_seq(node.body, store, out)
+            node = BlockNode(node.name, tuple(body), node.residual)
+            rewrites += n
+        elif store is not None:
+            _copy_entries(node, store, out)
+        result.append(node)
+        i += 1
+    return result, rewrites
 
 
 def fuse_model(graph: LayerGraph, store: WeightStore):
@@ -830,35 +827,15 @@ def fuse_model(graph: LayerGraph, store: WeightStore):
     multi-branch operators merged, normalizations folded into the preceding
     convolution where one exists. Inputs are left untouched."""
     out = WeightStore()
-    nodes = tuple(_fuse_seq(graph.nodes, store, out))
-    return LayerGraph(graph.config, nodes), out
+    nodes, _ = _fuse_seq(graph.nodes, store, out)
+    return LayerGraph(graph.config, tuple(nodes)), out
 
 
 def fused_structure(graph: LayerGraph) -> LayerGraph:
     """Topology of fuse_model without touching any weights."""
-    return LayerGraph(graph.config, tuple(_fuse_seq(graph.nodes, None, None)))
-
-
-def _count_fusible(nodes) -> int:
-    n = 0
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-        if isinstance(node, (ConvNode, SFConvNode)) and isinstance(nxt, BnNode):
-            n += 1
-            i += 2
-        elif isinstance(node, (RepSONode, RefCONode)):
-            n += 1
-            i += 1
-        elif isinstance(node, BlockNode):
-            n += _count_fusible(node.body)
-            i += 1
-        else:
-            i += 1
-    return n
+    return LayerGraph(graph.config, tuple(_fuse_seq(graph.nodes, None, None)[0]))
 
 
 def fusible_count(graph: LayerGraph) -> int:
     """Number of merge or fold opportunities left in the graph."""
-    return _count_fusible(graph.nodes)
+    return _fuse_seq(graph.nodes, None, None)[1]

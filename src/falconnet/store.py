@@ -152,8 +152,8 @@ def _read_ppm_tokens(data: bytes, count: int, pos: int):
     return tokens, pos
 
 
-def read_ppm(path) -> np.ndarray:
-    """Decode an 8-bit PPM (binary P6 or ASCII P3) into (H, W, 3) uint8."""
+def _decode_ppm(path):
+    """(H, W, 3) uint8 samples and the maxval of an 8-bit PPM (P6 or P3)."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:2] not in (b"P6", b"P3"):
@@ -176,8 +176,18 @@ def read_ppm(path) -> np.ndarray:
         pixels = np.frombuffer(data[pos:pos + n], dtype=np.uint8)
     else:
         values, _ = _read_ppm_tokens(data, n, pos)
-        pixels = np.array([int(v) for v in values], dtype=np.uint8)
-    return pixels.reshape(height, width, 3)
+        try:
+            pixels = np.array([int(v) for v in values], dtype=np.int64)
+        except (ValueError, OverflowError):
+            raise StoreError("malformed PPM sample") from None
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise StoreError(f"PPM sample outside 0..{maxval}")
+    return pixels.astype(np.uint8).reshape(height, width, 3), maxval
+
+
+def read_ppm(path) -> np.ndarray:
+    """Decode an 8-bit PPM (binary P6 or ASCII P3) into (H, W, 3) uint8."""
+    return _decode_ppm(path)[0]
 
 
 def _nearest_resize(img: np.ndarray, resolution: int) -> np.ndarray:
@@ -190,14 +200,15 @@ def _nearest_resize(img: np.ndarray, resolution: int) -> np.ndarray:
 def load_input_tensor(path, resolution: int) -> np.ndarray:
     """Load a (1, 3, resolution, resolution) float32 input.
 
-    PPM images are scaled to [0, 1] and resized by nearest neighbor; weight
-    containers must hold a single rank-4 entry named "input" that already
-    matches the target shape.
+    PPM images are scaled to [0, 1] by their maxval and resized by nearest
+    neighbor; weight containers must hold a single rank-4 entry named
+    "input" that already matches the target shape.
     """
     with open(path, "rb") as f:
         head = f.read(2)
     if head in (b"P6", b"P3"):
-        img = read_ppm(path).astype(np.float32) / 255.0
+        pixels, maxval = _decode_ppm(path)
+        img = pixels.astype(np.float32) / maxval
         img = _nearest_resize(img, resolution)
         return np.ascontiguousarray(img.transpose(2, 0, 1)[None])
     store = load_weights(path)

@@ -193,6 +193,16 @@ class TestInfer:
         assert sum(scores) == pytest.approx(1.0, abs=1e-4)
         assert all(0.0 <= s <= 1.0 for s in scores)
 
+    def test_ppm_sample_above_maxval_is_one_error_line(self, workdir, capsys):
+        tmp_path, _, cfg_path, weights_path = workdir
+        ppm = tmp_path / "over.ppm"
+        ppm.write_text("P3\n1 1\n255\n300 0 0\n")
+        code, out, err = run(capsys, "infer", str(ppm), "--config", str(cfg_path),
+                             "--weights", str(weights_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_missing_input_file(self, workdir, capsys):
         tmp_path, _, cfg_path, weights_path = workdir
         code, _, err = run(capsys, "infer", str(tmp_path / "nope.ppm"),

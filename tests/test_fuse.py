@@ -217,3 +217,27 @@ class TestVerifyEquivalence:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             verify_equivalence(lambda x: x, lambda x: x, 0, (1, 1, 1, 1))
+
+    def test_nan_candidate_fails(self):
+        report = verify_equivalence(lambda x: x, lambda x: x * np.nan, 1, (1, 3, 4, 4))
+        assert np.isnan(report.max_abs_error)
+        assert not report.passed
+
+    def test_non_finite_error_survives_later_clean_trials(self):
+        calls = []
+
+        def flaky(x):
+            calls.append(None)
+            return x * np.nan if len(calls) == 1 else x
+
+        report = verify_equivalence(lambda x: x, flaky, 3, (1, 2, 2, 2))
+        assert len(calls) == 3
+        assert not np.isfinite(report.max_abs_error)
+        assert not report.passed
+
+    def test_matching_infinities_fail(self):
+        f = lambda x: x * np.inf
+        with np.errstate(invalid="ignore"):
+            report = verify_equivalence(f, f, 2, (1, 2, 2, 2))
+        assert not np.isfinite(report.max_abs_error)
+        assert not report.passed

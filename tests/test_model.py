@@ -321,3 +321,52 @@ class TestFuseModel:
         assert sorted(fused_keys) == sorted(fused_store.names())
         for e in iter_param_entries(fused_graph):
             assert fused_store.get(e.key).shape == tuple(e.shape)
+
+
+def basic_sf_config(**overrides):
+    """meta_basic blocks with RepSO before and after an SF-Conv sandwich."""
+    block = BlockConfig(form="meta_basic", spatial_first=SpatialSlot("repso"),
+                        spatial_last=SpatialSlot("repso"), channel=ChannelSlot("sf_conv"))
+    return ModelConfig(block=block, **overrides)
+
+
+class TestFusionBookkeeping:
+    @pytest.mark.parametrize("preset", ["falconnet", "lightnet-repso", "lightnet-irb"])
+    def test_preset_fusible_count(self, preset):
+        assert fusible_count(build_model(preset_config(preset))) == 59
+
+    def test_meta_basic_fusible_count(self):
+        graph = build_model(basic_sf_config())
+        assert fusible_count(graph) == 95
+        assert fusible_count(fused_structure(graph)) == 0
+
+    def test_undamped_closing_op_skips_trailing_repso(self):
+        graph = build_model(basic_sf_config(input_resolution=64))
+        store = init_weights(graph, 0, residual_damp=0.0)
+        assert not store.get("s1.b0.reduce.w2").any()
+        assert store.get("s1.b0.post.dw3x3_0.kernel").any()
+
+    def test_sfconv_bn_fold_matches_hand_fold(self):
+        from falconnet import fuse_bn_into_linear
+        from falconnet.model import BnNode, SFConvNode
+        cfg = tiny_config(block=BlockConfig(expansion=Fraction(2), spatial=SpatialSlot("dw_conv"),
+                                            channel=ChannelSlot("sf_conv")))
+        graph = build_model(cfg)
+        store = init_weights(graph, seed=5)
+        _, fused = fuse_model(graph, store)
+        checked = 0
+        for block in graph.nodes:
+            if not isinstance(block, BlockNode):
+                continue
+            for node, nxt in zip(block.body, block.body[1:]):
+                if not (isinstance(node, SFConvNode) and isinstance(nxt, BnNode)):
+                    continue
+                bn = BnParams(*(store.get(f"{nxt.name}.{p}")
+                                for p in ("gamma", "beta", "mean", "var")), nxt.eps)
+                w2, b2 = fuse_bn_into_linear(store.get(f"{node.name}.w2"), None, bn)
+                assert fused.get(f"{node.name}.w2").tobytes() == w2.tobytes()
+                assert fused.get(f"{node.name}.bias2").tobytes() == b2.tobytes()
+                assert fused.get(f"{node.name}.w1").tobytes() == \
+                    store.get(f"{node.name}.w1").tobytes()
+                checked += 1
+        assert checked == 2 * sum(cfg.stage_blocks)

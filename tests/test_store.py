@@ -142,3 +142,34 @@ def test_load_input_container_requires_input_entry(tmp_path):
     save_weights(store, path)
     with pytest.raises(StoreError, match="input"):
         load_input_tensor(path, 4)
+
+
+def test_load_input_scales_by_maxval(tmp_path):
+    path = tmp_path / "max15.ppm"
+    path.write_text("P3\n2 1\n15\n15 15 15 0 5 15\n")
+    x = load_input_tensor(path, 2)
+    np.testing.assert_array_equal(x[0, :, 0, 0], [1.0, 1.0, 1.0])
+    np.testing.assert_allclose(x[0, :, 0, 1], [0.0, 5 / 15, 1.0], atol=1e-7)
+
+
+@pytest.mark.parametrize("text", [
+    "P3\n1 1\n255\n300 0 0\n",
+    "P3\n1 1\n15\n16 0 0\n",
+    "P3\n1 1\n255\n-1 0 0\n",
+    "P3\n1 1\n255\n99999999999999999999999 0 0\n",
+    "P3\n1 1\n255\nx 0 0\n",
+])
+def test_p3_sample_out_of_range_is_store_error(tmp_path, text):
+    path = tmp_path / "bad.ppm"
+    path.write_text(text)
+    with pytest.raises(StoreError):
+        read_ppm(path)
+    with pytest.raises(StoreError):
+        load_input_tensor(path, 2)
+
+
+def test_p6_sample_above_maxval_is_store_error(tmp_path):
+    path = tmp_path / "bad6.ppm"
+    path.write_bytes(b"P6\n1 1\n15\n" + bytes([15, 16, 0]))
+    with pytest.raises(StoreError, match="0..15"):
+        read_ppm(path)
