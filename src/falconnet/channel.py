@@ -17,6 +17,12 @@ Because every hidden channel spans all window positions and the windows
 tile the input, each output channel reaches all C inputs through the
 hidden layer: the receptive range stays full while the weight count drops
 to c_in*K/R + c_out*c_in/K.
+
+Both stages run as stacked BLAS products (``np.matmul``): stage 1 one per
+image and window position, stage 2 one per image and hidden channel. An
+image's result therefore does not depend on the batch it arrives in. The
+summation order inside a product is the BLAS library's, so outputs are
+held to a stated bound against float64 rather than to fixed bits.
 """
 
 from __future__ import annotations
@@ -161,16 +167,20 @@ def _split_windows(x: np.ndarray, spec: SFConvSpec) -> np.ndarray:
 
 
 def _stage1(xw: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    # (hid, win, K) x (N, win, K, H, W) -> (N, hid, win, H, W)
-    return np.einsum("hpt,nptij->nhpij", w1, xw, optimize=True)
+    # (win, hid, K) @ (N, win, K, H*W) -> (N, win, hid, H*W), one BLAS product
+    # per image and window, viewed as (N, hid, win, H, W).
+    n, win, k, h, w = xw.shape
+    y = np.matmul(w1.transpose(1, 0, 2), xw.reshape(n, win, k, h * w))
+    return y.reshape(n, win, -1, h, w).transpose(0, 2, 1, 3, 4)
 
 
 def _stage2(hidden: np.ndarray, w2: np.ndarray, spec: SFConvSpec) -> np.ndarray:
-    # Output channel o reads hidden channel o // width_multiplier at every window.
-    n = hidden.shape[0]
-    w2r = w2.reshape(spec.hidden_channels, spec.width_multiplier, spec.windows)
-    out = np.einsum("hmp,nhpij->nhmij", w2r, hidden, optimize=True)
-    return out.reshape(n, spec.c_out, hidden.shape[3], hidden.shape[4])
+    # Output channel o reads hidden channel o // width_multiplier at every window:
+    # (hid, m, win) @ (N, hid, win, H*W) -> (N, hid, m, H*W).
+    n, hid, win, h, w = hidden.shape
+    w2r = w2.reshape(hid, spec.width_multiplier, win)
+    out = np.matmul(w2r, hidden.reshape(n, hid, win, h * w))
+    return out.reshape(n, spec.c_out, h, w)
 
 
 def sfconv_forward(x: Tensor, spec: SFConvSpec, w: SFConvWeights) -> Tensor:

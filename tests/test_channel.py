@@ -149,6 +149,82 @@ class TestSFConvForward:
             sfconv_forward(np.zeros((1, 6, 2, 2), np.float32), spec, ones_weights(spec))
 
 
+# Both stages run as float32 BLAS products whose summation order is the
+# library's choice, so outputs are held to a stated bound against float64:
+# max |got - ref| <= REL_TOL * max |ref|, 16 float32 ulps of the largest
+# output. Measured worst cases over 300 random specs: 3.7e-7 (SF-Conv) and
+# 5.1e-7 (RefCO).
+REL_TOL = 16 * float(np.finfo(np.float32).eps)
+
+
+def _f64(a):
+    return np.asarray(a, np.float64)
+
+
+def _stage1_f64(xw, w1):
+    return np.einsum("hpt,nptij->nhpij", _f64(w1), xw)
+
+
+def _stage2_f64(hidden, w2, spec):
+    w2r = _f64(w2).reshape(spec.hidden_channels, spec.width_multiplier, spec.windows)
+    n, _, _, h, w = hidden.shape
+    return np.einsum("hmp,nhpij->nhmij", w2r, hidden).reshape(n, spec.c_out, h, w)
+
+
+def _affine_f64(bn):
+    s = _f64(bn.gamma) / np.sqrt(_f64(bn.var) + bn.eps)
+    return s, _f64(bn.beta) - _f64(bn.mean) * s
+
+
+def _random_case(rng):
+    spec = random_valid_spec(rng)
+    n = int(rng.integers(2, 4))
+    h, w = (int(v) for v in rng.integers(1, 6, 2))
+    x = rng.standard_normal((n, spec.c_in, h, w)).astype(np.float32)
+    return spec, x, _f64(x).reshape(n, spec.windows, spec.kernel, h, w)
+
+
+def _assert_within_rel_tol(got, ref):
+    assert got.dtype == np.float32 and got.shape == ref.shape
+    assert np.abs(got - ref).max() <= REL_TOL * np.abs(ref).max()
+
+
+class TestFloat64Reference:
+    def test_sfconv_within_bound(self):
+        rng = np.random.default_rng(12)
+        for i in range(150):
+            spec, x, xw = _random_case(rng)
+            w1 = rng.standard_normal((spec.hidden_channels, spec.windows, spec.kernel))
+            w2 = rng.standard_normal((spec.c_out, spec.windows))
+            b1 = rng.standard_normal((spec.hidden_channels, spec.windows)) if i % 2 else None
+            b2 = rng.standard_normal(spec.c_out) if i % 4 < 2 else None
+            w = SFConvWeights(spec, w1, w2, b1, b2)
+            hidden = _stage1_f64(xw, w.w1)
+            if b1 is not None:
+                hidden += _f64(w.bias1)[None, :, :, None, None]
+            ref = _stage2_f64(hidden, w.w2, spec)
+            if b2 is not None:
+                ref += _f64(w.bias2).reshape(1, -1, 1, 1)
+            _assert_within_rel_tol(sfconv_forward(x, spec, w), ref)
+
+    def test_refco_within_bound(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            spec, x, xw = _random_case(rng)
+            b1, b2 = random_refco_branches(spec, rng)
+            hidden = 0.0
+            for br in b1:
+                s, t = _affine_f64(br.bn)
+                hidden = hidden + (_stage1_f64(xw, br.weight) * s[None, :, None, None, None]
+                                   + t[None, :, None, None, None])
+            ref = 0.0
+            for br in b2:
+                s, t = _affine_f64(br.bn)
+                ref = ref + (_stage2_f64(hidden, br.weight, spec) * s.reshape(1, -1, 1, 1)
+                             + t.reshape(1, -1, 1, 1))
+            _assert_within_rel_tol(refco_forward(x, spec, b1, b2), ref)
+
+
 class TestRefCO:
     def test_degenerate_single_branches_equal_sfconv(self):
         # C/K == K == 1 forces C == 1 and one branch per stage.

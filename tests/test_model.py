@@ -7,7 +7,13 @@ interpreter to match exactly.
 
 import numpy as np
 import pytest
+from dataclasses import replace
 from fractions import Fraction
+
+import falconnet.channel as channel_mod
+import falconnet.model as model_mod
+import falconnet.spatial as spatial_mod
+import reference_kernels as ref
 
 from falconnet import (BlockConfig, BnParams, ChannelSlot, ConfigError, ConvSpec,
                        ModelConfig, ShapeError, SpatialSlot, StoreError, WeightStore,
@@ -370,3 +376,49 @@ class TestFusionBookkeeping:
                     store.get(f"{node.name}.w1").tobytes()
                 checked += 1
         assert checked == 2 * sum(cfg.stage_blocks)
+
+
+def _preset_models(preset, resolution=64):
+    """Train and fused forms of a preset at a reduced input resolution."""
+    graph = build_model(replace(preset_config(preset), input_resolution=resolution))
+    store = init_weights(graph, seed=0)
+    return (graph, store), fuse_model(graph, store)
+
+
+def _use_reference_kernels(monkeypatch):
+    """Route the executor through the plain-arithmetic reference kernels."""
+    monkeypatch.setattr(model_mod, "conv2d", ref.conv2d_per_tap)
+    monkeypatch.setattr(spatial_mod, "conv2d", ref.conv2d_per_tap)
+    monkeypatch.setattr(model_mod, "linear", ref.linear_whole_batch)
+    monkeypatch.setattr(channel_mod, "_stage1", ref.sfconv_stage1_einsum)
+    monkeypatch.setattr(channel_mod, "_stage2", ref.sfconv_stage2_einsum)
+
+
+class TestKernelNumerics:
+    PRESETS = ["falconnet", "lightnet-repso", "lightnet-irb"]
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_fused_forward_is_batch_invariant(self, preset):
+        _, (graph, store) = _preset_models(preset)
+        x = np.random.default_rng(4).standard_normal((4, 3, 64, 64)).astype(np.float32)
+        batched = forward(graph, store, x)
+        single = np.concatenate([forward(graph, store, x[i:i + 1]) for i in range(4)])
+        assert batched.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_logits_against_reference_kernels(self, preset, monkeypatch):
+        # Only the SF-Conv stages change the summation order: the RepSO and
+        # dense-pointwise presets match the reference bit for bit, FalconNet
+        # within 1e-5, and its train and fused forms stay within 1e-5.
+        models = _preset_models(preset)
+        x = np.random.default_rng(5).standard_normal((1, 3, 64, 64)).astype(np.float32)
+        train, fused = (forward(g, s, x) for g, s in models)
+        _use_reference_kernels(monkeypatch)
+        ref_train, ref_fused = (forward(g, s, x) for g, s in models)
+        if preset == "falconnet":
+            assert np.abs(train - ref_train).max() <= 1e-5
+            assert np.abs(fused - ref_fused).max() <= 1e-5
+        else:
+            assert train.tobytes() == ref_train.tobytes()
+            assert fused.tobytes() == ref_fused.tobytes()
+        assert np.abs(train - fused).max() <= 1e-5

@@ -2,14 +2,17 @@
 
 conv2d is checked against an independently coded direct sliding-window
 oracle (plain Python loops, float64 accumulation) over an exhaustive sweep
-of small shapes, plus hand-derived fixed cases.
+of small shapes, plus hand-derived fixed cases. It is also pinned bitwise to
+the tap-by-tap float32 sum of ``reference_kernels.conv2d_per_tap``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falconnet import (BnParams, ConvSpec, ShapeError, add, batch_norm_infer, conv2d,
                        global_avg_pool, linear, relu)
+from reference_kernels import conv2d_per_tap
 
 
 def conv2d_loops(x, w, b, spec):
@@ -102,6 +105,56 @@ def test_grouped_and_biased_match_oracle():
         b = rng.standard_normal(spec.out_channels).astype(np.float32) if spec.has_bias else None
         np.testing.assert_allclose(conv2d(x, wt, b, spec), conv2d_loops(x, wt, b, spec),
                                    atol=1e-5)
+
+
+@st.composite
+def conv_cases(draw):
+    """A conv2d case: mostly groups that read one input channel (depthwise,
+    channel multiplier 2), some with several input channels per group."""
+    if draw(st.integers(0, 4)):
+        groups = draw(st.integers(1, 4))
+        c_in, c_out = groups, groups * draw(st.sampled_from([1, 2]))
+        kh, kw = draw(st.sampled_from([(1, 1), (1, 3), (3, 1), (2, 2), (3, 3)]))
+    else:
+        groups = draw(st.integers(1, 2))
+        c_in = groups * draw(st.integers(2, 3))
+        c_out = groups * draw(st.integers(1, 2))
+        kh, kw = draw(st.sampled_from([(1, 1), (2, 2), (3, 3)]))
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    h = draw(st.integers(max(1, kh - 2 * pad), 9))
+    w = draw(st.integers(max(1, kw - 2 * pad), 9))
+    spec = ConvSpec(c_in, c_out, kh, kw, stride, stride, pad, pad, groups=groups,
+                    has_bias=draw(st.booleans()))
+    return spec, draw(st.integers(1, 3)), h, w, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conv_cases())
+def test_conv2d_bitwise_equals_per_tap_sum(case):
+    spec, n, h, w, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, spec.in_channels, h, w)).astype(np.float32)
+    wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+    b = rng.standard_normal(spec.out_channels).astype(np.float32) if spec.has_bias else None
+    got = conv2d(x, wt, b, spec)
+    ref = conv2d_per_tap(x, wt, b, spec)
+    assert got.dtype == np.float32 and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec, h, w", [
+    (ConvSpec(24, 48, 3, 3, 1, 1, 1, 1, groups=24, has_bias=True), 30, 34),
+    (ConvSpec(96, 96, 3, 3, 1, 1, 1, 1, groups=96), 30, 34),
+    (ConvSpec(72, 144, 2, 2, 2, 2, 0, 0, groups=72), 60, 68),
+])
+def test_conv2d_bitwise_across_row_tiles(spec, h, w):
+    # Large enough that the one-input-channel path walks several row tiles,
+    # the last one partial.
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, spec.in_channels, h, w)).astype(np.float32)
+    wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+    b = rng.standard_normal(spec.out_channels).astype(np.float32) if spec.has_bias else None
+    assert conv2d(x, wt, b, spec).tobytes() == conv2d_per_tap(x, wt, b, spec).tobytes()
 
 
 def test_conv_linearity():
