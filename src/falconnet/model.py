@@ -16,9 +16,11 @@ ReLU, global average pooling, fully connected classifier).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+import re
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Union, get_type_hints
 
 import numpy as np
 
@@ -76,7 +78,7 @@ class SpatialSlot:
 
     def __post_init__(self):
         if self.kind not in SPATIAL_KINDS:
-            raise ConfigError(f"spatial slot kind must be one of {SPATIAL_KINDS}, got '{self.kind}'")
+            raise ConfigError(f"spatial slot kind must be one of {SPATIAL_KINDS}, got {self.kind!r}")
         if self.n_parallel_3x3 < 1:
             raise ConfigError("n_parallel_3x3 must be at least 1")
 
@@ -94,7 +96,7 @@ class ChannelSlot:
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
-            raise ConfigError(f"channel slot kind must be one of {CHANNEL_KINDS}, got '{self.kind}'")
+            raise ConfigError(f"channel slot kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
         if self.reduction < 1:
             raise ConfigError("reduction must be at least 1")
 
@@ -119,7 +121,7 @@ class BlockConfig:
 
     def __post_init__(self):
         if self.form not in ("meta_light", "meta_basic"):
-            raise ConfigError(f"block form must be meta_light or meta_basic, got '{self.form}'")
+            raise ConfigError(f"block form must be meta_light or meta_basic, got {self.form!r}")
         object.__setattr__(self, "expansion", Fraction(self.expansion))
         if self.expansion <= 0:
             raise ConfigError(f"expansion must be positive, got {self.expansion}")
@@ -173,142 +175,91 @@ class ModelConfig:
 # Presets and JSON round trip
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = ("falconnet", "lightnet-repso", "lightnet-irb")
+_PRESETS = {  # name: (spatial slot kind, channel slot kind)
+    "falconnet": ("repso", "refco"),
+    "lightnet-repso": ("repso", "pw_dense"),
+    "lightnet-irb": ("dw_conv", "pw_dense"),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str) -> ModelConfig:
-    if name == "falconnet":
-        block = BlockConfig(spatial=SpatialSlot("repso"), channel=ChannelSlot("refco"))
-    elif name == "lightnet-repso":
-        block = BlockConfig(spatial=SpatialSlot("repso"), channel=ChannelSlot("pw_dense"))
-    elif name == "lightnet-irb":
-        block = BlockConfig(spatial=SpatialSlot("dw_conv"), channel=ChannelSlot("pw_dense"))
-    else:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset '{name}', expected one of {PRESET_NAMES}")
-    return ModelConfig(block=block)
+    spatial, channel = _PRESETS[name]
+    return ModelConfig(block=BlockConfig(spatial=SpatialSlot(spatial),
+                                         channel=ChannelSlot(channel)))
 
 
-def _expansion_to_json(f: Fraction):
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+_OUTER_SLOTS = ("spatial_first", "spatial_last")
+_P_Q = re.compile(r"[+-]?\d+(/\d+)?")
+_TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string",
+               tuple: "a list of integers", Fraction: "a number or a 'p/q' string"}
 
 
-def _expansion_from_json(v) -> Fraction:
-    if isinstance(v, bool):
-        raise ConfigError("expansion must be a number or a 'p/q' string")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
-    if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot parse expansion '{v}'") from None
-    raise ConfigError(f"cannot parse expansion {v!r}")
+def _encode(value):
+    """The JSON value of a config field; config dataclasses become objects."""
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    if isinstance(value, tuple):
+        return list(value)
+    if not is_dataclass(value):
+        return value
+    names = [f.name for f in fields(value)]
+    if isinstance(value, SpatialSlot) and value.kind != "repso":
+        names = ["kind"]  # the other fields are RepSO options
+    elif isinstance(value, BlockConfig) and value.form != "meta_basic":
+        names = [n for n in names if n not in _OUTER_SLOTS]
+    return {n: _encode(getattr(value, n)) for n in names}
 
 
-def _spatial_to_json(s: SpatialSlot) -> dict:
-    out = {"kind": s.kind}
-    if s.kind == "repso":
-        out.update(n_parallel_3x3=s.n_parallel_3x3, include_1x3=s.include_1x3,
-                   include_3x1=s.include_3x1, include_1x1=s.include_1x1,
-                   include_identity=s.include_identity)
-    return out
-
-
-def _require_empty(d: dict, where: str):
-    if d:
-        raise ConfigError(f"unknown key '{next(iter(d))}' in {where}")
-
-
-def _spatial_from_json(d, where: str) -> SpatialSlot:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    d = dict(d)
-    kind = d.pop("kind", "repso")
-    slot = SpatialSlot(kind,
-                       d.pop("n_parallel_3x3", 3),
-                       d.pop("include_1x3", True),
-                       d.pop("include_3x1", True),
-                       d.pop("include_1x1", True),
-                       d.pop("include_identity", True))
-    _require_empty(d, where)
-    return slot
-
-
-def _channel_from_json(d, where: str) -> ChannelSlot:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    d = dict(d)
-    slot = ChannelSlot(d.pop("kind", "refco"), d.pop("reduction", 2))
-    _require_empty(d, where)
-    return slot
-
-
-def _block_from_json(d) -> BlockConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("block must be an object")
-    d = dict(d)
-    form = d.pop("form", "meta_light")
-    expansion = _expansion_from_json(d.pop("expansion", 6))
-    residual = d.pop("residual", True)
-    spatial = _spatial_from_json(d.pop("spatial", {"kind": "repso"}), "block.spatial")
-    channel = _channel_from_json(d.pop("channel", {"kind": "refco"}), "block.channel")
-    first = d.pop("spatial_first", None)
-    last = d.pop("spatial_last", None)
-    _require_empty(d, "block")
-    if form != "meta_basic" and (first is not None or last is not None):
+def _decode(cls, doc: dict, prefix: str):
+    """Build config dataclass `cls` from a JSON object whose keys sit under the
+    dotted `prefix`; absent keys take the dataclass defaults."""
+    hints = get_type_hints(cls)
+    for key in doc:
+        if key not in hints:
+            raise ConfigError(f"unknown key {key!r} in {prefix[:-1] or 'config'}")
+    cfg = cls(**{key: _decode_value(hints[key], v, prefix + key) for key, v in doc.items()})
+    if isinstance(cfg, BlockConfig) and cfg.form != "meta_basic" \
+            and not doc.keys().isdisjoint(_OUTER_SLOTS):
         raise ConfigError("spatial_first/spatial_last are only valid for meta_basic blocks")
-    kwargs = {}
-    if first is not None:
-        kwargs["spatial_first"] = _spatial_from_json(first, "block.spatial_first")
-    if last is not None:
-        kwargs["spatial_last"] = _spatial_from_json(last, "block.spatial_last")
-    return BlockConfig(form, expansion, residual, spatial, channel, **kwargs)
+    return cfg
+
+
+def _decode_value(tp, v, key: str):
+    """The field value of type `tp` that JSON value `v` at dotted `key` encodes."""
+    if is_dataclass(tp) and type(v) is dict:
+        return _decode(tp, v, key + ".")
+    if tp is tuple and type(v) is list:
+        return tuple(_decode_value(int, x, f"{key}[{i}]") for i, x in enumerate(v))
+    if tp is Fraction and type(v) is str:
+        try:
+            if _P_Q.fullmatch(v):
+                return Fraction(v)
+        except (ValueError, ZeroDivisionError):  # q is 0, or p or q has over 4300 digits
+            pass
+        raise ConfigError(f"cannot parse {key} {json.dumps(v)}")
+    if tp is Fraction and (type(v) is int or type(v) is float and math.isfinite(v)):
+        return Fraction(str(v))  # 0.1 reads as 1/10, not as the nearest double
+    if type(v) is tp:
+        return v
+    shown = {list: "a list", dict: "an object"}.get(type(v)) or json.dumps(v)
+    raise ConfigError(f"{key} must be {_TYPE_NAMES.get(tp, 'an object')}, got {shown}")
 
 
 def config_to_json(cfg: ModelConfig) -> str:
-    block = {
-        "form": cfg.block.form,
-        "expansion": _expansion_to_json(cfg.block.expansion),
-        "residual": cfg.block.residual,
-        "spatial": _spatial_to_json(cfg.block.spatial),
-        "channel": {"kind": cfg.block.channel.kind, "reduction": cfg.block.channel.reduction},
-    }
-    if cfg.block.form == "meta_basic":
-        block["spatial_first"] = _spatial_to_json(cfg.block.spatial_first)
-        block["spatial_last"] = _spatial_to_json(cfg.block.spatial_last)
-    doc = {
-        "stem_channels": cfg.stem_channels,
-        "stage_blocks": list(cfg.stage_blocks),
-        "stage_channels": list(cfg.stage_channels),
-        "block": block,
-        "head_width": cfg.head_width,
-        "num_classes": cfg.num_classes,
-        "input_resolution": cfg.input_resolution,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_encode(cfg), indent=2) + "\n"
 
 
 def config_from_json(text: str) -> ModelConfig:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long integers and deep nesting
         raise ConfigError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise ConfigError("config root must be an object")
-    doc = dict(doc)
-    kwargs = {}
-    for key in ("stem_channels", "head_width", "num_classes", "input_resolution"):
-        if key in doc:
-            kwargs[key] = doc.pop(key)
-    for key in ("stage_blocks", "stage_channels"):
-        if key in doc:
-            kwargs[key] = tuple(doc.pop(key))
-    if "block" in doc:
-        kwargs["block"] = _block_from_json(doc.pop("block"))
-    _require_empty(doc, "config")
-    return ModelConfig(**kwargs)
+    return _decode(ModelConfig, doc, "")
 
 
 def load_config(path) -> ModelConfig:
@@ -481,18 +432,10 @@ def build_model(cfg: ModelConfig) -> LayerGraph:
         FlattenNode("head.flatten"),
         LinearNode("head.fc", cfg.head_width, cfg.num_classes),
     ]
-    graph = LayerGraph(cfg, tuple(nodes))
-    trace_shapes(graph)  # validates channel bookkeeping and spatial extents
-    return graph
-
-
-def trace_shapes(graph: LayerGraph, resolution: int | None = None):
-    """Walk the graph, checking channel hand-offs; returns (channels, h, w)."""
-    res = graph.config.input_resolution if resolution is None else resolution
-    shape = (3, res, res)
-    for _, _, shape in _walk_shapes(graph.nodes, shape):
-        pass
-    return shape
+    res = cfg.input_resolution
+    for _ in _walk_shapes(nodes, (3, res, res)):
+        pass  # the walk validates channel bookkeeping and spatial extents
+    return LayerGraph(cfg, tuple(nodes))
 
 
 def _leaf_shape(node: Node, c: int, h: int, w: int):

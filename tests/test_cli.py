@@ -81,6 +81,23 @@ class TestSummarize:
         _, out2, _ = run(capsys, "summarize", "--config", str(cfg_path))
         assert out1 == out2
 
+    @pytest.mark.parametrize("doc", [
+        '{"head_width": "x"}',
+        '{"head_width": null}',
+        '{"stage_blocks": 3}',
+        '{"block": {"spatial": {"n_parallel_3x3": "3"}}}',
+        '{"block": {"residual": "no"}}',
+        '{"block": {"expansion": 1e400}}',
+        "[" * 200000,
+    ], ids=lambda doc: doc[:40])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        code, out, err = run(capsys, "summarize", "--config", str(bad))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_bad_config_reports_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"bogus": true}')

@@ -5,10 +5,13 @@ low-level kernels, pulling weights by name, and requires the graph
 interpreter to match exactly.
 """
 
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 import falconnet.channel as channel_mod
 import falconnet.model as model_mod
@@ -21,7 +24,7 @@ from falconnet import (BlockConfig, BnParams, ChannelSlot, ConfigError, ConvSpec
                        fuse_model, fusible_count, global_avg_pool, init_weights,
                        iter_param_entries, linear, load_weights, preset_config, relu,
                        save_weights, batch_norm_infer, verify_equivalence)
-from falconnet.model import BlockNode, fused_structure
+from falconnet.model import PRESET_NAMES, BlockNode, fused_structure
 
 
 def tiny_config(**overrides):
@@ -103,6 +106,161 @@ class TestConfig:
         cfg = config_from_json(config_to_json(tiny_config()).replace('"expansion": 2',
                                                                      '"expansion": "4/2"'))
         assert cfg.block.expansion == 2
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"block": {"residual": "no"}}', 'block.residual must be true or false, got "no"'),
+        ('{"num_classes": true}', "num_classes must be an integer, got true"),
+        ('{"stage_channels": ["32", "64", "128", "256"]}',
+         'stage_channels[0] must be an integer, got "32"'),
+        ('{"input_resolution": 224.0}', "input_resolution must be an integer, got 224.0"),
+        ('{"head_width": null}', "head_width must be an integer, got null"),
+        ('{"stage_blocks": 3}', "stage_blocks must be a list of integers, got 3"),
+        ('{"block": {"spatial": {"n_parallel_3x3": "3"}}}',
+         'block.spatial.n_parallel_3x3 must be an integer, got "3"'),
+        ('{"block": {"spatial": []}}', "block.spatial must be an object, got a list"),
+        ('{"block": {"expansion": 1e400}}',
+         "block.expansion must be a number or a 'p/q' string, got Infinity"),
+        ('{"block": {"expansion": "1e99999999"}}', 'cannot parse block.expansion "1e99999999"'),
+        ('{"block": {"expansion": "1/0"}}', 'cannot parse block.expansion "1/0"'),
+        ('{"block": {"spatial_first": {"kind": "dw_conv"}}}', "only valid for meta_basic"),
+        ("[" * 200000, "invalid JSON"),
+        ('{"head_width": 1' + "0" * 5000 + "}", "invalid JSON"),
+    ], ids=lambda text: text[:40])
+    def test_mistyped_documents_raise_config_error(self, doc, message):
+        with pytest.raises(ConfigError) as e:
+            config_from_json(doc)
+        assert message in str(e.value)
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        assert config_from_json("{}") == ModelConfig()
+        assert config_from_json('{"block": {"spatial": {}}}') == ModelConfig()
+
+    def test_json_text_is_pinned(self):
+        assert config_to_json(preset_config("lightnet-irb")) == IRB_JSON
+        basic = tiny_config(block=BlockConfig(
+            form="meta_basic", expansion=Fraction(1, 2),
+            spatial=SpatialSlot("dw_conv"), channel=ChannelSlot("pw_dense"),
+            spatial_first=SpatialSlot("dw_conv"),
+            spatial_last=SpatialSlot("repso", 2, include_1x3=False)))
+        assert config_to_json(basic) == BASIC_JSON
+        assert config_from_json(BASIC_JSON) == basic
+
+
+IRB_JSON = """\
+{
+  "stem_channels": 32,
+  "stage_blocks": [
+    3,
+    3,
+    9,
+    3
+  ],
+  "stage_channels": [
+    32,
+    64,
+    128,
+    256
+  ],
+  "block": {
+    "form": "meta_light",
+    "expansion": 6,
+    "residual": true,
+    "spatial": {
+      "kind": "dw_conv"
+    },
+    "channel": {
+      "kind": "pw_dense",
+      "reduction": 2
+    }
+  },
+  "head_width": 1024,
+  "num_classes": 1000,
+  "input_resolution": 224
+}
+"""
+
+BASIC_JSON = """\
+{
+  "stem_channels": 4,
+  "stage_blocks": [
+    1,
+    1,
+    1,
+    1
+  ],
+  "stage_channels": [
+    4,
+    8,
+    16,
+    32
+  ],
+  "block": {
+    "form": "meta_basic",
+    "expansion": "1/2",
+    "residual": true,
+    "spatial": {
+      "kind": "dw_conv"
+    },
+    "channel": {
+      "kind": "pw_dense",
+      "reduction": 2
+    },
+    "spatial_first": {
+      "kind": "dw_conv"
+    },
+    "spatial_last": {
+      "kind": "repso",
+      "n_parallel_3x3": 2,
+      "include_1x3": false,
+      "include_3x1": true,
+      "include_1x1": true,
+      "include_identity": true
+    }
+  },
+  "head_width": 16,
+  "num_classes": 5,
+  "input_resolution": 32
+}
+"""
+
+
+def _leaf_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2 ** 70), st.floats(),
+    st.sampled_from(["3/2", "1/0", "-1", "2.5", "identity", "dw_conv", "repso", "pw_dense",
+                     "sf_conv", "refco", "meta_basic", "meta_light", "a\nb"]),
+    st.text(max_size=6), st.lists(st.integers(0, 300), max_size=5),
+    st.dictionaries(st.sampled_from(["kind", "form", "typo"]), st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(PRESET_NAMES), st.data())
+def test_mutated_preset_documents_decode_or_raise_config_error(preset, data):
+    """Replacing or deleting one leaf of a preset document gives a config
+    that round-trips, or a one-line ConfigError; never another exception."""
+    doc = json.loads(config_to_json(preset_config(preset)))
+    path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+    try:
+        cfg = config_from_json(json.dumps(doc))
+    except ConfigError as e:
+        assert "\n" not in str(e)
+    else:
+        assert config_from_json(config_to_json(cfg)) == cfg
 
 
 class TestBuild:
