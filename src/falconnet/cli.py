@@ -18,8 +18,8 @@ import numpy as np
 from .channel import ChannelPattern, SFConvSpec, choose_kernel_size, receptive_range
 from .costs import cost_report
 from .fuse import verify_equivalence
-from .model import (PRESET_NAMES, build_model, forward, fuse_model, fusible_count,
-                    iter_param_entries, load_config, preset_config, save_config)
+from .model import (PRESET_NAMES, build_model, forward, fuse_model, fused_structure,
+                    fusible_count, iter_param_entries, load_config, preset_config, save_config)
 from .spatial import kernel_magnitude_matrix
 from .store import load_input_tensor, load_weights, save_weights
 
@@ -121,8 +121,6 @@ def _verify_report(cfg, graph, store, trials, tolerance):
 
 
 def _cmd_fuse(args) -> int:
-    from .model import fused_structure
-
     cfg = load_config(args.config)
     graph = build_model(cfg)
     store = load_weights(args.weights)
@@ -160,8 +158,6 @@ def _check_complete(graph, store) -> None:
 
 
 def _cmd_infer(args) -> int:
-    from .model import fused_structure
-
     cfg = load_config(args.config)
     graph = build_model(cfg)
     store = load_weights(args.weights)

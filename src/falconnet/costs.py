@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (BnNode, ConvNode, LayerGraph, LinearNode, Node, RefCONode, RepSONode,
-                    SFConvNode, _node_entries, _walk_shapes, fused_structure)
+from .model import (BnNode, ConvNode, LayerGraph, LinearNode, RefCONode, RepSONode, SFConvNode,
+                    _walk_shapes, fused_structure)
 from .ops import ShapeError
 
 __all__ = ["LayerCost", "CostReport", "count_params", "count_flops", "cost_report"]
@@ -87,7 +87,7 @@ _KINDS = {BnNode: ("bn", "other"), LinearNode: ("linear", "head"),
           SFConvNode: ("sfconv", "channel")}
 
 
-def _kind(node: Node):
+def _kind(node):
     """(kind, category) of a costed layer; None for parameter-free layers."""
     if isinstance(node, ConvNode):
         s = node.spec
@@ -109,7 +109,7 @@ def cost_report(graph: LayerGraph, mode: str = "train",
         kind = _kind(node)
         if kind is None:
             continue
-        entries = list(_node_entries(node))
+        entries = list(node.entries())
         weights = sum(math.prod(e.shape) for e in entries if e.role in _WEIGHT_ROLES)
         norm = sum(math.prod(e.shape) for e in entries if e.role in _NORM_ROLES)
         rows.append(LayerCost(node.name, *kind, weights + norm, oh * ow * weights, oh, ow))

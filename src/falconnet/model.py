@@ -20,7 +20,8 @@ import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Union, get_type_hints
+from itertools import islice
+from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -192,9 +193,20 @@ def preset_config(name: str) -> ModelConfig:
 
 
 _OUTER_SLOTS = ("spatial_first", "spatial_last")
+_ONLY_FOR = {SpatialSlot: "repso spatial slots", BlockConfig: "meta_basic blocks"}
 _P_Q = re.compile(r"[+-]?\d+(/\d+)?")
 _TYPE_NAMES = {int: "an integer", bool: "true or false", str: "a string",
                tuple: "a list of integers", Fraction: "a number or a 'p/q' string"}
+
+
+def _json_names(cfg) -> list:
+    """The fields of config dataclass `cfg` that its JSON object holds."""
+    if isinstance(cfg, SpatialSlot) and cfg.kind != "repso":
+        return ["kind"]  # the other fields are RepSO options
+    names = [f.name for f in fields(cfg)]
+    if isinstance(cfg, BlockConfig) and cfg.form != "meta_basic":
+        return [n for n in names if n not in _OUTER_SLOTS]
+    return names
 
 
 def _encode(value):
@@ -205,12 +217,7 @@ def _encode(value):
         return list(value)
     if not is_dataclass(value):
         return value
-    names = [f.name for f in fields(value)]
-    if isinstance(value, SpatialSlot) and value.kind != "repso":
-        names = ["kind"]  # the other fields are RepSO options
-    elif isinstance(value, BlockConfig) and value.form != "meta_basic":
-        names = [n for n in names if n not in _OUTER_SLOTS]
-    return {n: _encode(getattr(value, n)) for n in names}
+    return {n: _encode(getattr(value, n)) for n in _json_names(value)}
 
 
 def _decode(cls, doc: dict, prefix: str):
@@ -221,9 +228,9 @@ def _decode(cls, doc: dict, prefix: str):
         if key not in hints:
             raise ConfigError(f"unknown key {key!r} in {prefix[:-1] or 'config'}")
     cfg = cls(**{key: _decode_value(hints[key], v, prefix + key) for key, v in doc.items()})
-    if isinstance(cfg, BlockConfig) and cfg.form != "meta_basic" \
-            and not doc.keys().isdisjoint(_OUTER_SLOTS):
-        raise ConfigError("spatial_first/spatial_last are only valid for meta_basic blocks")
+    extra = [key for key in doc if key not in _json_names(cfg)]
+    if extra:
+        raise ConfigError(f"{prefix}{extra[0]} is only valid for {_ONLY_FOR[cls]}")
     return cfg
 
 
@@ -252,7 +259,7 @@ def config_to_json(cfg: ModelConfig) -> str:
     return json.dumps(_encode(cfg), indent=2) + "\n"
 
 
-def config_from_json(text: str) -> ModelConfig:
+def config_from_json(text: str | bytes) -> ModelConfig:
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:  # also over-long integers and deep nesting
@@ -263,7 +270,7 @@ def config_from_json(text: str) -> ModelConfig:
 
 
 def load_config(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:  # json.loads decodes; undecodable bytes are a ValueError
         return config_from_json(f.read())
 
 
@@ -275,60 +282,230 @@ def save_config(cfg: ModelConfig, path) -> None:
 # ---------------------------------------------------------------------------
 # Graph nodes
 # ---------------------------------------------------------------------------
+#
+# Each leaf node owns its rules:
+#   shape(c, h, w)  the input channels it needs (or None), what it calls them,
+#                   and its output shape;
+#   entries()       its weight entries, the only place a weight key is spelled;
+#   apply(x, w)     its output, given the arrays of its entries in that order;
+#   fuse(w, bn)     on Conv, SF-Conv, RepSO and RefCO: the inference-form node
+#                   and its arrays, absorbing `bn`, the normalization that
+#                   follows (its BnParams; its BnNode when `w` is None), if any.
+#                   The arrays are None when `w` is None; the result is None
+#                   when no rewrite applies.
+
+class ParamEntry(NamedTuple):
+    key: str
+    shape: tuple
+    role: str  # conv_weight | sf_w1 | sf_w2 | linear_weight | bias | bn_gamma | bn_beta | bn_mean | bn_var
+    init_fan: int = 1  # effective fan-in for 1/sqrt scaling; branch ensembles
+    #                    fold their branch count in so summed outputs stay unit scale
+
+
+def _bn_entries(prefix: str, channels: int):
+    for part, role in (("gamma", "bn_gamma"), ("beta", "bn_beta"),
+                       ("mean", "bn_mean"), ("var", "bn_var")):
+        yield ParamEntry(f"{prefix}.{part}", (channels,), role)
+
 
 @dataclass(frozen=True)
-class ConvNode:
+class _Leaf:
+    """A weightless leaf that keeps its input's shape."""
     name: str
+
+    def shape(self, c: int, h: int, w: int):
+        return None, "", (c, h, w)
+
+    def entries(self):
+        return ()
+
+
+@dataclass(frozen=True)
+class ConvNode(_Leaf):
     spec: ConvSpec
 
+    def shape(self, c, h, w):
+        return self.spec.in_channels, "expects {} channels", (
+            self.spec.out_channels, *self.spec.out_hw(h, w))
+
+    def entries(self):
+        s = self.spec
+        fan = (s.in_channels // s.groups) * s.kernel_h * s.kernel_w
+        yield ParamEntry(f"{self.name}.weight", s.weight_shape(), "conv_weight", fan)
+        if s.has_bias:
+            yield ParamEntry(f"{self.name}.bias", (s.out_channels,), "bias")
+
+    def apply(self, x, w):
+        return conv2d(x, w[0], w[1] if self.spec.has_bias else None, self.spec)
+
+    def fuse(self, w, bn):
+        if bn is None:
+            return None
+        if w is not None:
+            w = list(fuse_bn_into_linear(w[0], w[1] if self.spec.has_bias else None, bn))
+        return ConvNode(self.name, replace(self.spec, has_bias=True)), w
+
 
 @dataclass(frozen=True)
-class BnNode:
-    name: str
+class BnNode(_Leaf):
     channels: int
     eps: float = 1e-5
 
+    def shape(self, c, h, w):
+        return self.channels, "normalizes {} channels", (c, h, w)
 
-@dataclass(frozen=True)
-class ReluNode:
-    name: str
+    def entries(self):
+        return _bn_entries(self.name, self.channels)
 
+    def params(self, w) -> BnParams:
+        return BnParams(*w, self.eps)
 
-@dataclass(frozen=True)
-class PoolNode:
-    name: str
-
-
-@dataclass(frozen=True)
-class FlattenNode:
-    name: str
+    def apply(self, x, w):
+        return batch_norm_infer(x, self.params(w))
 
 
 @dataclass(frozen=True)
-class LinearNode:
-    name: str
+class ReluNode(_Leaf):
+    def apply(self, x, w):
+        return relu(x)
+
+
+@dataclass(frozen=True)
+class PoolNode(_Leaf):
+    def shape(self, c, h, w):
+        return None, "", (c, 1, 1)
+
+    def apply(self, x, w):
+        return global_avg_pool(x)
+
+
+@dataclass(frozen=True)
+class FlattenNode(_Leaf):
+    def apply(self, x, w):
+        return x.reshape(x.shape[0], -1)
+
+
+@dataclass(frozen=True)
+class LinearNode(_Leaf):
     in_features: int
     out_features: int
 
+    def shape(self, c, h, w):
+        return self.in_features, "expects {} features", (self.out_features, h, w)
+
+    def entries(self):
+        yield ParamEntry(f"{self.name}.weight", (self.out_features, self.in_features),
+                         "linear_weight", self.in_features)
+        yield ParamEntry(f"{self.name}.bias", (self.out_features,), "bias")
+
+    def apply(self, x, w):
+        return linear(x, *w)
+
 
 @dataclass(frozen=True)
-class RepSONode:
-    name: str
+class RepSONode(_Leaf):
     cfg: RepSOConfig
 
+    def shape(self, c, h, w):
+        return self.cfg.channels, "built for {} channels", (c, h, w)
+
+    def entries(self):
+        c, n = self.cfg.channels, self.cfg.branch_count
+        # branch_kinds() lists the parallel 3x3 kernels first, so i numbers them.
+        for i, kind in enumerate(self.cfg.branch_kinds()):
+            tag = kind if kind == "identity" else f"dw3x3_{i}" if kind == "3x3" else f"dw{kind}"
+            shape = branch_kernel_shape(kind, c)
+            if shape is not None:
+                yield ParamEntry(f"{self.name}.{tag}.kernel", shape, "conv_weight",
+                                 shape[2] * shape[3] * n)
+            yield from _bn_entries(f"{self.name}.{tag}", c)
+
+    def _unpack(self, w) -> RepSOWeights:
+        it = iter(w)  # per branch: its kernel (none for identity), then its BN arrays
+        return RepSOWeights(tuple(
+            RepSOBranch(kind, None if kind == "identity" else next(it), BnParams(*islice(it, 4)))
+            for kind in self.cfg.branch_kinds()))
+
+    def apply(self, x, w):
+        return repso_forward(x, self._unpack(w), self.cfg)
+
+    def fuse(self, w, bn):
+        c = self.cfg.channels
+        node = ConvNode(self.name, ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c, has_bias=True))
+        if w is not None:
+            fused = merge_repso(self._unpack(w), self.cfg)
+            w = [fused.kernel, fused.bias]
+        return node.fuse(w, bn) or (node, w)
+
 
 @dataclass(frozen=True)
-class RefCONode:
-    name: str
-    spec: SFConvSpec
-
-
-@dataclass(frozen=True)
-class SFConvNode:
-    name: str
+class SFConvNode(_Leaf):
     spec: SFConvSpec
     has_bias1: bool = False
     has_bias2: bool = False
+
+    def shape(self, c, h, w):
+        return self.spec.c_in, "expects {} channels", (self.spec.c_out, h, w)
+
+    def entries(self):
+        s = self.spec
+        yield ParamEntry(f"{self.name}.w1", (s.hidden_channels, s.windows, s.kernel),
+                         "sf_w1", s.kernel)
+        yield ParamEntry(f"{self.name}.w2", (s.c_out, s.windows), "sf_w2", s.windows)
+        if self.has_bias1:
+            yield ParamEntry(f"{self.name}.bias1", (s.hidden_channels, s.windows), "bias")
+        if self.has_bias2:
+            yield ParamEntry(f"{self.name}.bias2", (s.c_out,), "bias")
+
+    def _unpack(self, w):
+        """(w1, w2, bias1, bias2), None for an absent bias."""
+        it = iter(w[2:])
+        return (w[0], w[1], next(it) if self.has_bias1 else None,
+                next(it) if self.has_bias2 else None)
+
+    def apply(self, x, w):
+        return sfconv_forward(x, self.spec, SFConvWeights(self.spec, *self._unpack(w)))
+
+    def fuse(self, w, bn):
+        if bn is None:
+            return None
+        if w is not None:
+            w1, w2, bias1, bias2 = self._unpack(w)
+            w2, bias2 = fuse_bn_into_linear(w2, bias2, bn)
+            w = [a for a in (w1, w2, bias1, bias2) if a is not None]
+        return replace(self, has_bias2=True), w
+
+
+@dataclass(frozen=True)
+class RefCONode(_Leaf):
+    spec: SFConvSpec
+
+    shape = SFConvNode.shape
+
+    def entries(self):
+        s = self.spec
+        fan = s.kernel * s.windows  # taps times summed branches, both stages
+        stages = (("s1", s.windows, (s.hidden_channels, s.windows, s.kernel), "sf_w1"),
+                  ("s2", s.kernel, (s.c_out, s.windows), "sf_w2"))
+        for stage, n, shape, role in stages:
+            for i in range(n):
+                yield ParamEntry(f"{self.name}.{stage}.{i}.weight", shape, role, fan)
+                yield from _bn_entries(f"{self.name}.{stage}.{i}", shape[0])
+
+    def _unpack(self, w):
+        """Stage-1 and stage-2 branches; each is a weight and its four BN arrays."""
+        b = [RefCOBranch(w[j], BnParams(*w[j + 1:j + 5])) for j in range(0, len(w), 5)]
+        return b[:self.spec.windows], b[self.spec.windows:]
+
+    def apply(self, x, w):
+        return refco_forward(x, self.spec, *self._unpack(w))
+
+    def fuse(self, w, bn):
+        node = SFConvNode(self.name, self.spec, True, True)
+        if w is not None:
+            m = merge_refco(self.spec, *self._unpack(w))
+            w = [m.w1, m.w2, m.bias1, m.bias2]
+        return node.fuse(w, bn) or (node, w)
 
 
 @dataclass(frozen=True)
@@ -339,21 +516,10 @@ class BlockNode:
     residual: bool
 
 
-Node = Union[ConvNode, BnNode, ReluNode, PoolNode, FlattenNode, LinearNode,
-             RepSONode, RefCONode, SFConvNode, BlockNode]
-
-
 @dataclass(frozen=True)
 class LayerGraph:
     config: ModelConfig
     nodes: tuple
-
-
-def _repso_branch_tags(cfg: RepSOConfig) -> tuple[str, ...]:
-    # branch_kinds() lists the parallel 3x3 kernels first, so i numbers them.
-    return tuple("identity" if kind == "identity" else
-                 f"dw3x3_{i}" if kind == "3x3" else f"dw{kind}"
-                 for i, kind in enumerate(cfg.branch_kinds()))
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +604,6 @@ def build_model(cfg: ModelConfig) -> LayerGraph:
     return LayerGraph(cfg, tuple(nodes))
 
 
-def _leaf_shape(node: Node, c: int, h: int, w: int):
-    """(input channels the leaf requires or None, what it calls them, output shape)."""
-    if isinstance(node, ConvNode):
-        return node.spec.in_channels, "expects {} channels", (
-            node.spec.out_channels, *node.spec.out_hw(h, w))
-    if isinstance(node, BnNode):
-        return node.channels, "normalizes {} channels", (c, h, w)
-    if isinstance(node, RepSONode):
-        return node.cfg.channels, "built for {} channels", (c, h, w)
-    if isinstance(node, (RefCONode, SFConvNode)):
-        return node.spec.c_in, "expects {} channels", (node.spec.c_out, h, w)
-    if isinstance(node, LinearNode):
-        return node.in_features, "expects {} features", (node.out_features, h, w)
-    if isinstance(node, PoolNode):
-        return None, "", (c, 1, 1)
-    return None, "", (c, h, w)
-
-
 def _walk_shapes(nodes, shape: tuple):
     """Yield (leaf, in_shape, out_shape) in execution order, checking every
     channel hand-off and residual shortcut; returns the final shape."""
@@ -467,7 +615,7 @@ def _walk_shapes(nodes, shape: tuple):
                 raise ShapeError(f"{node.name}: residual body changes shape "
                                  f"({c}, {h}x{w}) -> ({c2}, {h2}x{w2})")
         else:
-            need, what, out = _leaf_shape(node, *shape)
+            need, what, out = node.shape(*shape)
             if need is not None and need != shape[0]:
                 raise ShapeError(f"{node.name}: {what.format(need)}, receives {shape[0]}")
             yield node, shape, out
@@ -479,70 +627,13 @@ def _walk_shapes(nodes, shape: tuple):
 # Weight entries, initialization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamEntry:
-    key: str
-    shape: tuple
-    role: str  # conv_weight | sf_w1 | sf_w2 | linear_weight | bias | bn_gamma | bn_beta | bn_mean | bn_var
-    init_fan: int = 1  # effective fan-in for 1/sqrt scaling; branch ensembles
-    #                    fold their branch count in so summed outputs stay unit scale
-
-
-def _bn_entries(prefix: str, channels: int):
-    for part, role in (("gamma", "bn_gamma"), ("beta", "bn_beta"),
-                       ("mean", "bn_mean"), ("var", "bn_var")):
-        yield ParamEntry(f"{prefix}.{part}", (channels,), role)
-
-
-def _node_entries(node: Node) -> Iterator[ParamEntry]:
-    if isinstance(node, ConvNode):
-        s = node.spec
-        fan = (s.in_channels // s.groups) * s.kernel_h * s.kernel_w
-        yield ParamEntry(f"{node.name}.weight", s.weight_shape(), "conv_weight", fan)
-        if s.has_bias:
-            yield ParamEntry(f"{node.name}.bias", (s.out_channels,), "bias")
-    elif isinstance(node, BnNode):
-        yield from _bn_entries(node.name, node.channels)
-    elif isinstance(node, LinearNode):
-        yield ParamEntry(f"{node.name}.weight", (node.out_features, node.in_features),
-                         "linear_weight", node.in_features)
-        yield ParamEntry(f"{node.name}.bias", (node.out_features,), "bias")
-    elif isinstance(node, RepSONode):
-        c = node.cfg.channels
-        n_branches = node.cfg.branch_count
-        for kind, tag in zip(node.cfg.branch_kinds(), _repso_branch_tags(node.cfg)):
-            shape = branch_kernel_shape(kind, c)
-            if shape is not None:
-                fan = shape[2] * shape[3] * n_branches
-                yield ParamEntry(f"{node.name}.{tag}.kernel", shape, "conv_weight", fan)
-            yield from _bn_entries(f"{node.name}.{tag}", c)
-    elif isinstance(node, RefCONode):
-        s = node.spec
-        fan = s.kernel * s.windows  # taps times summed branches, both stages
-        for i in range(s.windows):
-            yield ParamEntry(f"{node.name}.s1.{i}.weight",
-                             (s.hidden_channels, s.windows, s.kernel), "sf_w1", fan)
-            yield from _bn_entries(f"{node.name}.s1.{i}", s.hidden_channels)
-        for i in range(s.kernel):
-            yield ParamEntry(f"{node.name}.s2.{i}.weight", (s.c_out, s.windows), "sf_w2", fan)
-            yield from _bn_entries(f"{node.name}.s2.{i}", s.c_out)
-    elif isinstance(node, SFConvNode):
-        s = node.spec
-        yield ParamEntry(f"{node.name}.w1", (s.hidden_channels, s.windows, s.kernel),
-                         "sf_w1", s.kernel)
-        yield ParamEntry(f"{node.name}.w2", (s.c_out, s.windows), "sf_w2", s.windows)
-        if node.has_bias1:
-            yield ParamEntry(f"{node.name}.bias1", (s.hidden_channels, s.windows), "bias")
-        if node.has_bias2:
-            yield ParamEntry(f"{node.name}.bias2", (s.c_out,), "bias")
-    elif isinstance(node, BlockNode):
-        for child in node.body:
-            yield from _node_entries(child)
-
-
 def iter_param_entries(graph: LayerGraph) -> Iterator[ParamEntry]:
-    for node in graph.nodes:
-        yield from _node_entries(node)
+    return _entries(graph.nodes)
+
+
+def _entries(nodes) -> Iterator[ParamEntry]:
+    for node in nodes:
+        yield from _entries(node.body) if isinstance(node, BlockNode) else node.entries()
 
 
 def _closing_op_keys(nodes, keys: set) -> None:
@@ -562,7 +653,7 @@ def _closing_op_keys(nodes, keys: set) -> None:
         closing = next((child for child in reversed(node.body)
                         if isinstance(child, (ConvNode, SFConvNode, RefCONode))), None)
         if closing is not None:
-            keys.update(e.key for e in _node_entries(closing)
+            keys.update(e.key for e in closing.entries()
                         if e.role in ("conv_weight", "sf_w2"))
 
 
@@ -597,76 +688,21 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # Execution
 # ---------------------------------------------------------------------------
 
-def _bn_params(prefix: str, store: WeightStore, eps: float = 1e-5) -> BnParams:
-    return BnParams(store.get(f"{prefix}.gamma"), store.get(f"{prefix}.beta"),
-                    store.get(f"{prefix}.mean"), store.get(f"{prefix}.var"), eps)
-
-
-def _repso_weights(node: RepSONode, store: WeightStore) -> RepSOWeights:
-    branches = []
-    for kind, tag in zip(node.cfg.branch_kinds(), _repso_branch_tags(node.cfg)):
-        kernel = None
-        if kind != "identity":
-            kernel = store.get(f"{node.name}.{tag}.kernel")
-        bn = _bn_params(f"{node.name}.{tag}", store)
-        branches.append(RepSOBranch(kind, kernel, bn))
-    return RepSOWeights(tuple(branches))
-
-
-def _refco_branches(node: RefCONode, store: WeightStore):
-    s = node.spec
-    b1 = tuple(RefCOBranch(store.get(f"{node.name}.s1.{i}.weight"),
-                           _bn_params(f"{node.name}.s1.{i}", store))
-               for i in range(s.windows))
-    b2 = tuple(RefCOBranch(store.get(f"{node.name}.s2.{i}.weight"),
-                           _bn_params(f"{node.name}.s2.{i}", store))
-               for i in range(s.kernel))
-    return b1, b2
-
-
-def _sfconv_weights(node: SFConvNode, store: WeightStore) -> SFConvWeights:
-    return SFConvWeights(
-        node.spec,
-        store.get(f"{node.name}.w1"),
-        store.get(f"{node.name}.w2"),
-        store.get(f"{node.name}.bias1") if node.has_bias1 else None,
-        store.get(f"{node.name}.bias2") if node.has_bias2 else None)
-
-
-def _apply(node: Node, store: WeightStore, x: Tensor) -> Tensor:
-    if isinstance(node, ConvNode):
-        bias = store.get(f"{node.name}.bias") if node.spec.has_bias else None
-        return conv2d(x, store.get(f"{node.name}.weight"), bias, node.spec)
-    if isinstance(node, BnNode):
-        return batch_norm_infer(x, _bn_params(node.name, store, node.eps))
-    if isinstance(node, ReluNode):
-        return relu(x)
-    if isinstance(node, PoolNode):
-        return global_avg_pool(x)
-    if isinstance(node, FlattenNode):
-        return x.reshape(x.shape[0], -1)
-    if isinstance(node, LinearNode):
-        return linear(x, store.get(f"{node.name}.weight"), store.get(f"{node.name}.bias"))
-    if isinstance(node, RepSONode):
-        return repso_forward(x, _repso_weights(node, store), node.cfg)
-    if isinstance(node, RefCONode):
-        b1, b2 = _refco_branches(node, store)
-        return refco_forward(x, node.spec, b1, b2)
-    if isinstance(node, SFConvNode):
-        return sfconv_forward(x, node.spec, _sfconv_weights(node, store))
-    if isinstance(node, BlockNode):
-        y = _run(node.body, store, x)
-        return x + y if node.residual else y
-    raise TypeError(f"unknown node {node!r}")
+def _weights(node, store: WeightStore) -> list:
+    return [store.get(e.key) for e in node.entries()]
 
 
 def _run(nodes, store: WeightStore, x: Tensor) -> Tensor:
     for node in nodes:
         try:
-            x = _apply(node, store, x)
+            if not isinstance(node, BlockNode):
+                x = node.apply(x, _weights(node, store))
+            elif node.residual:  # no local keeps the body's output past the add
+                x = x + _run(node.body, store, x)
+            else:
+                x = _run(node.body, store, x)
         except ShapeError as e:
-            name = getattr(node, "name", type(node).__name__)
-            raise ShapeError(f"{name}: {e}") from None
+            raise ShapeError(f"{node.name}: {e}") from None
     return x
 
 
@@ -689,79 +725,37 @@ def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
 # Whole-model fusion
 # ---------------------------------------------------------------------------
 
-def _copy_entries(node: Node, store: WeightStore, out: WeightStore) -> None:
-    for entry in _node_entries(node):
-        out.put(entry.key, store.get(entry.key))
-
-
-def _bn_fold_target(node: Node):
-    """(folded node, weight key, bias key, has a bias already) for an operator
-    that absorbs a following normalization along its outputs, else None."""
-    if isinstance(node, ConvNode):
-        return (ConvNode(node.name, replace(node.spec, has_bias=True)),
-                f"{node.name}.weight", f"{node.name}.bias", node.spec.has_bias)
-    if isinstance(node, SFConvNode):
-        return (replace(node, has_bias2=True),
-                f"{node.name}.w2", f"{node.name}.bias2", node.has_bias2)
-    return None
-
-
-def _fold_bn(target, bn: BnNode, store: WeightStore, out: WeightStore) -> None:
-    fused, wkey, bkey, has_bias = target
-    w, b = fuse_bn_into_linear(store.get(wkey), store.get(bkey) if has_bias else None,
-                               _bn_params(bn.name, store, bn.eps))
-    folded = {wkey: w, bkey: b}
-    for entry in _node_entries(fused):
-        out.put(entry.key, folded[entry.key] if entry.key in folded else store.get(entry.key))
-
-
 def _fuse_seq(nodes, store: WeightStore | None, out: WeightStore | None):
     """Rewrite a node sequence into inference form; returns (nodes, rewrites).
 
-    Rewrites are the merges and folds applied: each RepSO and RefCO, and each
+    Rewrites are the fuse() calls that apply: each RepSO and RefCO, and each
     conv or SF-Conv followed by a normalization. With ``store`` None only the
     topology is produced.
     """
     result: list = []
-    rewrites = 0
-    i = 0
+    rewrites = i = 0
     while i < len(nodes):
         node = nodes[i]
-        nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-        target = _bn_fold_target(node) if isinstance(nxt, BnNode) else None
-        if target is not None:
-            if store is not None:
-                _fold_bn(target, nxt, store, out)
-            node = target[0]
-            rewrites += 1
-            i += 1  # the normalization is absorbed
-        elif isinstance(node, RepSONode):
-            c = node.cfg.channels
-            spec = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c, has_bias=True)
-            if store is not None:
-                fused = merge_repso(_repso_weights(node, store), node.cfg)
-                out.put(f"{node.name}.weight", fused.kernel)
-                out.put(f"{node.name}.bias", fused.bias)
-            node = ConvNode(node.name, spec)
-            rewrites += 1
-        elif isinstance(node, RefCONode):
-            if store is not None:
-                b1, b2 = _refco_branches(node, store)
-                fw = merge_refco(node.spec, b1, b2)
-                out.put(f"{node.name}.w1", fw.w1)
-                out.put(f"{node.name}.w2", fw.w2)
-                out.put(f"{node.name}.bias1", fw.bias1)
-                out.put(f"{node.name}.bias2", fw.bias2)
-            node = SFConvNode(node.name, node.spec, True, True)
-            rewrites += 1
-        elif isinstance(node, BlockNode):
-            body, n = _fuse_seq(node.body, store, out)
-            node = BlockNode(node.name, tuple(body), node.residual)
-            rewrites += n
-        elif store is not None:
-            _copy_entries(node, store, out)
-        result.append(node)
         i += 1
+        if isinstance(node, BlockNode):
+            body, n = _fuse_seq(node.body, store, out)
+            result.append(BlockNode(node.name, tuple(body), node.residual))
+            rewrites += n
+            continue
+        w = None if store is None else _weights(node, store)
+        if hasattr(node, "fuse"):
+            bn = nodes[i] if i < len(nodes) and isinstance(nodes[i], BnNode) else None
+            if bn is not None and store is not None:
+                bn = bn.params(_weights(bn, store))
+            fused = node.fuse(w, bn)
+            if fused is not None:
+                node, w = fused
+                rewrites += 1
+                i += bn is not None  # the normalization is absorbed
+        if out is not None:
+            for entry, arr in zip(node.entries(), w, strict=True):
+                out.put(entry.key, arr)
+        result.append(node)
     return result, rewrites
 
 

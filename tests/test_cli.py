@@ -105,6 +105,18 @@ class TestSummarize:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("data, message", [
+        (b'{"block": {"spatial": {"kind": "dw_conv", "n_parallel_3x3": 5}}}',
+         "block.spatial.n_parallel_3x3 is only valid for repso spatial slots"),
+        (b"\xff", "invalid JSON"),
+    ], ids=["repso-option-on-dw-conv", "not-utf-8"])
+    def test_rejected_config_file_is_one_error_line(self, tmp_path, capsys, data, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        code, out, err = run(capsys, "summarize", "--config", str(bad))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
 
 class TestFuseAndVerify:
     def test_fuse_writes_passing_weights(self, workdir, capsys):

@@ -135,6 +135,27 @@ class TestConfig:
         assert config_from_json("{}") == ModelConfig()
         assert config_from_json('{"block": {"spatial": {}}}') == ModelConfig()
 
+    @pytest.mark.parametrize("kind", ["identity", "dw_conv"])
+    def test_repso_options_rejected_on_other_spatial_slots(self, kind):
+        # The encoder writes RepSO options only for repso slots, so accepting
+        # them elsewhere would give a config that does not round-trip.
+        middle = {"spatial": {"kind": kind, "n_parallel_3x3": 5}}
+        outer = {"form": "meta_basic", "spatial_last": {"kind": kind, "include_1x3": False}}
+        for doc, key in ((middle, "spatial.n_parallel_3x3"),
+                         (outer, "spatial_last.include_1x3")):
+            with pytest.raises(ConfigError) as e:
+                config_from_json(json.dumps({"block": doc}))
+            assert str(e.value) == f"block.{key} is only valid for repso spatial slots"
+        cfg = config_from_json('{"block": {"spatial": {"kind": "repso", "n_parallel_3x3": 5}}}')
+        assert cfg.block.spatial.n_parallel_3x3 == 5
+        assert config_from_json(config_to_json(cfg)) == cfg
+
+    def test_non_utf8_config_file_raises_config_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            model_mod.load_config(path)
+
     def test_json_text_is_pinned(self):
         assert config_to_json(preset_config("lightnet-irb")) == IRB_JSON
         basic = tiny_config(block=BlockConfig(
@@ -534,6 +555,71 @@ class TestFusionBookkeeping:
                     store.get(f"{node.name}.w1").tobytes()
                 checked += 1
         assert checked == 2 * sum(cfg.stage_blocks)
+
+    def test_normalization_after_a_merge_is_absorbed(self):
+        # build_model never puts a normalization after RepSO or RefCO, but a
+        # hand-built graph may: the merged conv or SF-Conv absorbs it, so one
+        # fusion pass leaves nothing fusible.
+        from falconnet import RepSOConfig, SFConvSpec, choose_kernel_size
+        from falconnet.model import (BnNode, ConvNode, FlattenNode, LayerGraph, PoolNode,
+                                     RefCONode, RepSONode)
+        spec = SFConvSpec(8, 8, choose_kernel_size(8, 8, 2), 2)
+        graph = LayerGraph(tiny_config(), (
+            ConvNode("in", ConvSpec(3, 8)), RepSONode("rep", RepSOConfig(8)),
+            BnNode("rep.bn", 8), RefCONode("ref", spec), BnNode("ref.bn", 8),
+            PoolNode("pool"), FlattenNode("flat")))
+        store = init_weights(graph, seed=2)
+        fused_graph, fused_store = fuse_model(graph, store)
+        assert fusible_count(graph) == 2 and fusible_count(fused_graph) == 0
+        assert not any(isinstance(n, BnNode) for n in fused_graph.nodes)
+        assert fused_store.names() == [e.key for e in iter_param_entries(fused_graph)]
+        report = verify_equivalence(lambda z: forward(graph, store, z),
+                                    lambda z: forward(fused_graph, fused_store, z),
+                                    2, (1, 3, 32, 32), 1e-4)
+        assert report.passed, report
+
+
+class RecordingStore(WeightStore):
+    """A copy of a weight store that records every key read from it."""
+
+    def __init__(self, store):
+        super().__init__(store.items())
+        self.read = []
+
+    def get(self, name):
+        self.read.append(name)
+        return super().get(name)
+
+
+KEY_CONTRACT_CONFIGS = {
+    **{preset: preset_config(preset) for preset in PRESET_NAMES},
+    "meta_basic": basic_sf_config(),
+}
+
+
+class TestKeyContract:
+    """iter_param_entries is the one source of weight keys: execution reads
+    exactly its keys, in its order, and the fused store is laid out in the
+    fused graph's entry order, which is the saved file's layout."""
+
+    @staticmethod
+    def _models(name):
+        graph = build_model(replace(KEY_CONTRACT_CONFIGS[name], input_resolution=32))
+        store = init_weights(graph, seed=1)
+        return (graph, store), fuse_model(graph, store)
+
+    @pytest.mark.parametrize("name", list(KEY_CONTRACT_CONFIGS))
+    def test_forward_reads_exactly_the_entry_keys(self, name):
+        x = np.random.default_rng(6).standard_normal((1, 3, 32, 32)).astype(np.float32)
+        for graph, store in self._models(name):
+            recording = RecordingStore(store)
+            forward(graph, recording, x)
+            assert recording.read == [e.key for e in iter_param_entries(graph)]
+
+    @pytest.mark.parametrize("name", list(KEY_CONTRACT_CONFIGS))
+    def test_fused_store_follows_fused_entry_order(self, name):
+        (graph, _), (_, fused_store) = self._models(name)
+        assert fused_store.names() == [e.key for e in iter_param_entries(fused_structure(graph))]
 
 
 def _preset_models(preset, resolution=64):
