@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BnParams, ShapeError, Tensor, as_f32, batch_norm_infer
+from .ops import BnParams, ShapeError, Tensor, as_f32
 
 __all__ = [
     "SFConvSpec",
@@ -249,19 +249,27 @@ def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
     _check_refco(spec, branches1, branches2)
     xw = _split_windows(x, spec)
 
+    # Each branch's matmul output is fresh: normalize it in place and add it
+    # in place into the running sum, which starts as the first branch.
     hidden = None
     for br in branches1:
-        y = _stage1(xw, as_f32(br.weight))
-        s, t = br.bn.scale_shift()
-        y = y * s[None, :, None, None, None] + t[None, :, None, None, None]
-        hidden = y if hidden is None else hidden + y
-
+        hidden = _add_normalized(hidden, _stage1(xw, as_f32(br.weight)), br.bn, (1, -1, 1, 1, 1))
     out = None
     for br in branches2:
-        y = _stage2(hidden, as_f32(br.weight), spec)
-        y = batch_norm_infer(y, br.bn)
-        out = y if out is None else out + y
+        out = _add_normalized(out, _stage2(hidden, as_f32(br.weight), spec), br.bn, (1, -1, 1, 1))
     return out
+
+
+def _add_normalized(total, y, bn: BnParams, shape) -> np.ndarray:
+    """``total + (y * s + t)`` with the BN's (s, t) viewed as ``shape``, in
+    place on ``y`` and ``total``; ``y`` itself when ``total`` is None."""
+    s, t = bn.scale_shift()
+    y *= s.reshape(shape)
+    y += t.reshape(shape)
+    if total is None:
+        return y
+    total += y
+    return total
 
 
 def random_refco_branches(spec: SFConvSpec, rng: np.random.Generator, *,

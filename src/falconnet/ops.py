@@ -7,7 +7,8 @@ Winograd), which keeps the summation order fixed and the results
 reproducible on a given machine.
 
 Convolutions whose groups read one input channel each (depthwise, channel
-multiplier, the RepSO branches) take a row-contiguous path: at stride 1
+multiplier) take a row-contiguous path, which ``spatial.repso_forward``
+also walks for all its branches in one pass: at stride 1
 each zero-padded (image, channel) plane is stored row after row, so a
 kernel tap is one contiguous slice covering the whole output plane, and
 the planes are walked in tiles of about 256 KiB of accumulator so that it
@@ -208,9 +209,25 @@ def _conv2d_one_input(x, w, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     the accumulator, in the same (i, j) order and float32 arithmetic as a
     per-tap product, so the bits match the plain tap-by-tap sum.
     """
+    n, c = x.shape[:2]
+    og = spec.out_channels // spec.groups
+    taps, aw = _plane_taps(x, spec, oh, ow)
+    wt = _row_weights(w.reshape(c, og, -1), n)
+    out = np.empty((n * c, og, oh, ow), dtype=np.float32)
+    _walk_row_tiles(out, aw, 2, lambda r0, r1, acc, scratch:
+                    _tap_sum(acc, scratch, taps, wt, r0, r1))
+    return out.reshape(n, spec.out_channels, oh, ow)
+
+
+def _plane_taps(x, spec: ConvSpec, oh: int, ow: int):
+    """Pad ``x`` once into N*C planes and view every tap of ``spec``'s kernel.
+
+    Returns ``(taps, aw)``: ``taps[i * kernel_w + j]`` is tap (i, j) as a
+    (N*C, 1, oh, aw) view, where the last ``aw - ow`` columns are not part
+    of the output.
+    """
     n, c, h, width = x.shape
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
-    og = spec.out_channels // spec.groups
     rows = n * c
     # One spare bottom row keeps the last tap's flat slice (below) in bounds.
     xp = np.pad(x.reshape(rows, h, width),
@@ -222,30 +239,42 @@ def _conv2d_one_input(x, w, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
         # run. Columns ow..wp-1 wrap into the next row and are cropped at the
         # end.
         flat = xp.reshape(rows, 1, -1)
-        aw = wp
         taps = [flat[:, :, i * wp + j: i * wp + j + oh * wp].reshape(rows, 1, oh, wp)
                 for i in range(kh) for j in range(kw)]
-    else:
-        aw = ow
-        taps = [xp[:, None, i: i + (oh - 1) * sh + 1: sh, j: j + (ow - 1) * sw + 1: sw]
-                for i in range(kh) for j in range(kw)]
-    # (taps, rows, og, 1, 1): the weights of every (image, channel) row.
-    wt = np.tile(w.reshape(c, og, kh * kw), (n, 1, 1)).transpose(2, 0, 1)
-    wt = np.ascontiguousarray(wt)[..., None, None]
+        return taps, wp
+    taps = [xp[:, None, i: i + (oh - 1) * sh + 1: sh, j: j + (ow - 1) * sw + 1: sw]
+            for i in range(kh) for j in range(kw)]
+    return taps, ow
 
-    out = np.empty((rows, og, oh, ow), dtype=np.float32)
+
+def _row_weights(w: np.ndarray, n: int) -> np.ndarray:
+    """Per-(image, channel) row weights: (C, og, taps) -> (taps, N*C, og, 1, 1)."""
+    wt = np.tile(w, (n, 1, 1)).transpose(2, 0, 1)
+    return np.ascontiguousarray(wt)[..., None, None]
+
+
+def _walk_row_tiles(out: np.ndarray, aw: int, buffers: int, fill) -> None:
+    """Fill ``out`` (rows, og, oh, ow) one tile of rows at a time.
+
+    ``fill(r0, r1, *bufs)`` gets ``buffers`` scratch arrays of shape
+    (r1 - r0, og, oh, aw) and returns the one holding rows r0..r1 of the
+    result, which is cropped to ``ow`` columns into ``out``.
+    """
+    rows, og, oh, ow = out.shape
     tile = max(1, _TILE_FLOATS // (og * oh * aw))
-    acc_buf = np.empty((min(tile, rows), og, oh, aw), dtype=np.float32)
-    scratch_buf = np.empty_like(acc_buf)
+    bufs = [np.empty((min(tile, rows), og, oh, aw), dtype=np.float32) for _ in range(buffers)]
     for r0 in range(0, rows, tile):
         r1 = min(rows, r0 + tile)
-        acc, scratch = acc_buf[:r1 - r0], scratch_buf[:r1 - r0]
-        acc.fill(0)
-        for t, tap in enumerate(taps):
-            np.multiply(tap[r0:r1], wt[t, r0:r1], out=scratch)
-            acc += scratch
-        out[r0:r1] = acc[..., :ow]
-    return out.reshape(n, spec.out_channels, oh, ow)
+        out[r0:r1] = fill(r0, r1, *(b[:r1 - r0] for b in bufs))[..., :ow]
+
+
+def _tap_sum(acc, scratch, taps, wt, r0: int, r1: int) -> np.ndarray:
+    """acc = 0 + tap_0 * w_0 + tap_1 * w_1 + ..., over rows r0..r1, in tap order."""
+    acc.fill(0)
+    for t, tap in enumerate(taps):
+        np.multiply(tap[r0:r1], wt[t, r0:r1], out=scratch)
+        acc += scratch
+    return acc
 
 
 def _conv2d_grouped(x, w, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:

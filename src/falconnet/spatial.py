@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BnParams, ConvSpec, ShapeError, Tensor, add, as_f32, batch_norm_infer, conv2d
+from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _plane_taps, _row_weights, _tap_sum,
+                  _walk_row_tiles, as_f32)
+from .ops import conv2d  # noqa: F401  (kept importable as spatial.conv2d)
 
 __all__ = [
     "RepSOConfig",
@@ -111,6 +113,12 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
 
     Stride is 1 and each branch is padded onto the 3x3 output grid, so the
     output shape equals the input shape.
+
+    One pass: ``x`` is padded once on the 3x3 grid and walked in the row
+    tiles of ``conv2d``'s one-input path. In each tile a branch sums its own
+    taps (read from the 3x3 grid) in its own (i, j) order, applies its BN
+    and is added into the output tile in branch order, so the bits equal
+    those of the per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
     """
     x = as_f32(x)
     if x.ndim != 4 or x.shape[1] != cfg.channels:
@@ -118,20 +126,41 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
             f"repso_forward input has {x.shape[1] if x.ndim == 4 else '?'} channels, "
             f"expected {cfg.channels}")
     check_repso_weights(w, cfg)
-    c = cfg.channels
-    out = None
+    n, c, h, width = x.shape
+    grid = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c)
+    oh, ow = grid.out_hw(h, width)
+    taps, aw = _plane_taps(x, grid, oh, ow)
+    # Per branch: its taps on the 3x3 grid (None for identity), its per-row
+    # weights and its per-row BN scale and shift.
+    plan = []
     for br in w.branches:
+        s, t = (np.tile(v, n).reshape(-1, 1, 1, 1) for v in br.bn.scale_shift())
         if br.kind == "identity":
-            y = batch_norm_infer(x, br.bn)
-        else:
-            kh, kw = _KERNEL_HW[br.kind]
-            ph, pw = _BRANCH_PAD[br.kind]
-            spec = ConvSpec(c, c, kh, kw, 1, 1, ph, pw, groups=c)
-            y = batch_norm_infer(conv2d(x, br.kernel, None, spec), br.bn)
-        if out is not None and y.shape != out.shape:
-            raise ShapeError(f"misaligned branch output {y.shape} vs {out.shape}")
-        out = y if out is None else add(out, y)
-    return out
+            plan.append((None, None, s, t))
+            continue
+        kh, kw = _KERNEL_HW[br.kind]
+        ph, pw = _BRANCH_PAD[br.kind]
+        own = [taps[(i + 1 - ph) * 3 + j + 1 - pw] for i in range(kh) for j in range(kw)]
+        plan.append((own, _row_weights(as_f32(br.kernel).reshape(c, 1, -1), n), s, t))
+    centre = taps[4]
+
+    def fill(r0, r1, total, y, scratch):
+        # The first branch is computed straight into the running sum.
+        for k, (own, wt, s, t) in enumerate(plan):
+            y_k = total if k == 0 else y
+            if own is None:
+                np.multiply(centre[r0:r1], s[r0:r1], out=y_k)
+            else:
+                _tap_sum(y_k, scratch, own, wt, r0, r1)
+                y_k *= s[r0:r1]
+            y_k += t[r0:r1]
+            if k:
+                total += y_k
+        return total
+
+    out = np.empty((n * c, 1, oh, ow), dtype=np.float32)
+    _walk_row_tiles(out, aw, 3, fill)
+    return out.reshape(n, c, oh, ow)
 
 
 def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,

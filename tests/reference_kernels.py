@@ -5,9 +5,16 @@ zero accumulator; ``sfconv_stage1_einsum``/``sfconv_stage2_einsum`` contract
 the SF-Conv stages with ``einsum``; ``linear_whole_batch`` is one matrix
 product over the batch. Tests swap them into the model executor to check
 the library's logits against this arithmetic.
+
+``repso_per_branch`` and ``refco_per_branch`` are the training-form
+operators composed branch by branch, out of place: each branch's output,
+then its normalization, then a running sum in branch order.
 """
 
 import numpy as np
+
+import falconnet.channel as channel
+from falconnet import ConvSpec, batch_norm_infer
 
 
 def conv2d_per_tap(x, w, b, spec):
@@ -52,3 +59,37 @@ def sfconv_stage2_einsum(hidden, w2, spec):
 def linear_whole_batch(x, w, b):
     y = np.asarray(x, np.float32) @ np.asarray(w, np.float32).T
     return y if b is None else y + np.asarray(b, np.float32)
+
+
+def repso_per_branch(x, w, cfg):
+    """Sum in branch order of BN(per-tap depthwise conv(x)); identity adds BN(x)."""
+    c = cfg.channels
+    out = None
+    for br in w.branches:
+        if br.kind == "identity":
+            y = batch_norm_infer(x, br.bn)
+        else:
+            kh, kw = br.kernel.shape[2:]
+            spec = ConvSpec(c, c, kh, kw, 1, 1, kh // 2, kw // 2, groups=c)
+            y = batch_norm_infer(conv2d_per_tap(x, br.kernel, None, spec), br.bn)
+        out = y if out is None else out + y
+    return out
+
+
+def refco_per_branch(x, spec, branches1, branches2):
+    """Per branch the library's SF-Conv stage, then ``y * s + t``, summed
+    out of place in branch order; stage 2 reads the stage-1 sum."""
+    xw = channel._split_windows(np.asarray(x, np.float32), spec)
+    hidden = None
+    for br in branches1:
+        s, t = br.bn.scale_shift()
+        y = channel._stage1(xw, br.weight) * s[None, :, None, None, None] \
+            + t[None, :, None, None, None]
+        hidden = y if hidden is None else hidden + y
+    out = None
+    for br in branches2:
+        s, t = br.bn.scale_shift()
+        y = channel._stage2(hidden, br.weight, spec) * s.reshape(1, -1, 1, 1) \
+            + t.reshape(1, -1, 1, 1)
+        out = y if out is None else out + y
+    return out

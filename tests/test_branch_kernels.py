@@ -1,0 +1,145 @@
+"""Training-form RepSO and RefCO kernels: bits and purity.
+
+``repso_forward`` and ``refco_forward`` normalize each branch and add it
+into the running sum in place, and RepSO walks all branches in one tiled
+pass. These tests pin both bitwise to the out-of-place per-branch
+composition in ``reference_kernels`` and check that no array the caller
+owns is written.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from falconnet import (BnParams, RepSOConfig, SFConvSpec, admissible_kernel_sizes,
+                       build_model, forward, fuse_model, init_weights, preset_config,
+                       random_refco_branches, random_repso_weights, refco_forward,
+                       repso_forward)
+from falconnet.model import PRESET_NAMES
+from reference_kernels import refco_per_branch, repso_per_branch
+
+
+@st.composite
+def repso_cases(draw):
+    cfg = RepSOConfig(draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                      *(draw(st.booleans()) for _ in range(4)))
+    n, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return cfg, n, h, w, draw(st.integers(0, 2**32 - 1))
+
+
+def _repso_inputs(cfg, n, h, w, seed):
+    rng = np.random.default_rng(seed)
+    weights = random_repso_weights(cfg, rng, beta_range=(-3, 3), mean_range=(-3, 3),
+                                   var_range=(0.01, 10.0))
+    x = rng.standard_normal((n, cfg.channels, h, w)).astype(np.float32)
+    return x, weights
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(repso_cases())
+def test_repso_bitwise_equals_per_branch_sum(case):
+    cfg, n, h, w, seed = case
+    x, weights = _repso_inputs(cfg, n, h, w, seed)
+    got = repso_forward(x, weights, cfg)
+    ref = repso_per_branch(x, weights, cfg)
+    assert got.dtype == np.float32 and got.shape == ref.shape == x.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("channels, n, h, w", [(96, 2, 30, 34), (1536, 1, 7, 7)])
+def test_repso_bitwise_across_row_tiles(channels, n, h, w):
+    # Several row tiles, the last one partial.
+    cfg = RepSOConfig(channels)
+    x, weights = _repso_inputs(cfg, n, h, w, 7)
+    assert repso_forward(x, weights, cfg).tobytes() == \
+        repso_per_branch(x, weights, cfg).tobytes()
+
+
+@st.composite
+def refco_cases(draw):
+    """A valid SFConvSpec; about a third of them have one window (K == C)."""
+    while True:
+        c_in = draw(st.integers(1, 32))
+        reduction = draw(st.sampled_from([1, 2, 4]))
+        c_out = c_in * draw(st.sampled_from([1, 2, 3, 6]))
+        sizes = admissible_kernel_sizes(c_in, c_out, reduction)
+        if sizes:
+            break
+    one_window = c_in in sizes and draw(st.integers(0, 2)) == 0
+    kernel = c_in if one_window else draw(st.sampled_from(sizes))
+    spec = SFConvSpec(c_in, c_out, kernel, reduction)
+    n, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return spec, n, h, w, draw(st.integers(0, 2**32 - 1))
+
+
+def _refco_inputs(spec, n, h, w, seed):
+    rng = np.random.default_rng(seed)
+    b1, b2 = random_refco_branches(spec, rng, beta_range=(-3, 3), mean_range=(-3, 3),
+                                   var_range=(0.01, 10.0))
+    x = rng.standard_normal((n, spec.c_in, h, w)).astype(np.float32)
+    return x, b1, b2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(refco_cases())
+def test_refco_bitwise_equals_per_branch_sum(case):
+    spec, n, h, w, seed = case
+    x, b1, b2 = _refco_inputs(spec, n, h, w, seed)
+    got = refco_forward(x, spec, b1, b2)
+    ref = refco_per_branch(x, spec, b1, b2)
+    assert got.dtype == np.float32 and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def _digests(arrays):
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest() for a in arrays]
+
+
+def _bn_arrays(bn: BnParams):
+    return [bn.gamma, bn.beta, bn.mean, bn.var]
+
+
+@pytest.mark.parametrize("cfg", [
+    RepSOConfig(3),
+    RepSOConfig(2, n_parallel_3x3=1, include_1x3=False, include_3x1=False,
+                include_1x1=False, include_identity=False),
+    RepSOConfig(2, n_parallel_3x3=1, include_1x3=False, include_3x1=False,
+                include_1x1=False),
+])
+def test_repso_writes_no_caller_array(cfg):
+    # branch_kinds() always opens with a 3x3 branch, so identity is never the
+    # first branch; the last case has identity as its second and last branch.
+    x, weights = _repso_inputs(cfg, 2, 5, 6, 3)
+    owned = [x] + [a for br in weights.branches
+                   for a in ([] if br.kernel is None else [br.kernel]) + _bn_arrays(br.bn)]
+    before = _digests(owned)
+    out = repso_forward(x, weights, cfg)
+    assert _digests(owned) == before
+    assert not any(np.shares_memory(out, a) for a in owned)
+
+
+@pytest.mark.parametrize("spec", [SFConvSpec(8, 16, 4, 2), SFConvSpec(4, 4, 4, 2),
+                                  SFConvSpec(1, 3, 1, 1)])
+def test_refco_writes_no_caller_array(spec):
+    x, b1, b2 = _refco_inputs(spec, 2, 3, 4, 4)
+    owned = [x] + [a for br in b1 + b2 for a in [br.weight] + _bn_arrays(br.bn)]
+    before = _digests(owned)
+    out = refco_forward(x, spec, b1, b2)
+    assert _digests(owned) == before
+    assert not any(np.shares_memory(out, a) for a in owned)
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_forward_writes_no_input_or_store_array(preset):
+    graph = build_model(replace(preset_config(preset), input_resolution=32))
+    store = init_weights(graph, seed=2)
+    fused = fuse_model(graph, store)
+    x = np.random.default_rng(8).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    for g, s in ((graph, store), fused):
+        owned = [x] + [a for _, a in s.items()]
+        before = _digests(owned)
+        forward(g, s, x)
+        assert _digests(owned) == before
