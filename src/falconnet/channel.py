@@ -195,12 +195,13 @@ def sfconv_forward(x: Tensor, spec: SFConvSpec, w: SFConvWeights) -> Tensor:
     if w.spec != spec:
         raise ShapeError("weights were built for a different SFConvSpec")
     xw = _split_windows(x, spec)
+    # Both stages return fresh matmul outputs, so the biases go in in place.
     hidden = _stage1(xw, w.w1)
     if w.bias1 is not None:
-        hidden = hidden + w.bias1[None, :, :, None, None]
+        hidden += w.bias1[None, :, :, None, None]
     out = _stage2(hidden, w.w2, spec)
     if w.bias2 is not None:
-        out = out + w.bias2.reshape(1, -1, 1, 1)
+        out += w.bias2.reshape(1, -1, 1, 1)
     return out
 
 

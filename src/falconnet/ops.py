@@ -7,16 +7,21 @@ Winograd), which keeps the summation order fixed and the results
 reproducible on a given machine.
 
 Convolutions whose groups read one input channel each (depthwise, channel
-multiplier) take a row-contiguous path, which ``spatial.repso_forward``
-also walks for all its branches in one pass: at stride 1
-each zero-padded (image, channel) plane is stored row after row, so a
-kernel tap is one contiguous slice covering the whole output plane, and
-the planes are walked in tiles of about 256 KiB of accumulator so that it
-and its scratch buffer stay in L2. Every tap is a float32 multiply into
-scratch and an add into the accumulator, in the same order as a plain
-tap-by-tap sum, so the result is bitwise equal to that sum. Groups that
-read several input channels (the stem, dense 1x1) contract per tap with
-``einsum``.
+multiplier) take a tiled path, which ``spatial.repso_forward`` also walks
+for all its branches in one pass. Each call picks the memory layout from
+the input shape. Large planes are padded into NCHW planes stored row after
+row, so at stride 1 a kernel tap is one contiguous slice covering a whole
+output plane. Small stride-1 planes with one output channel per group are
+padded and transposed channels-last, so a tap is one contiguous run over
+whole output rows of all channels, with each tap's weights tiled along the
+padded row. Either way the work is walked in tiles of about 256 KiB of
+accumulator, so that it and its scratch buffer stay in L2, and every tap
+is a float32 multiply into scratch and an add into the accumulator, in the
+same order as a plain tap-by-tap sum: both layouts give the bits of that
+sum. Groups that read several input channels (the stem, dense 1x1)
+contract per tap with ``einsum``; those per-tap bits are numpy's, from the
+same call the test reference makes, and the taps are summed in the layout
+numpy returns and laid out as NCHW once.
 
 Each row of ``linear`` is its own vector-matrix product, so a batched
 forward pass gives every image the bits it gets when run alone.
@@ -25,6 +30,7 @@ forward pass gives every image the bits it gets when run alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,51 +194,98 @@ def conv2d(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
     oh, ow = spec.out_hw(h, width)
 
     if spec.is_depthwise:
-        out = _conv2d_one_input(x, w, spec, oh, ow)
-    else:
-        out = _conv2d_grouped(x, w, spec, oh, ow)
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1)
-    return out
+        return _conv2d_one_input(x, w, bias, spec, oh, ow)
+    return _conv2d_grouped(x, w, bias, spec, oh, ow)
 
 
-# Accumulator floats per row tile of the one-input path: 256 KiB, so the
+# Accumulator floats per tile of the one-input path: 256 KiB, so the
 # accumulator and its scratch stay in L2. A sweep of 16K, 64K and 256K on a
 # 2-core x86 host gave the lowest latency at 64K.
 _TILE_FLOATS = 1 << 16
 
 
-def _conv2d_one_input(x, w, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+def _conv2d_one_input(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     """Groups that read one input channel each (depthwise, channel multiplier).
 
     Each tap is a broadcast multiply into a scratch buffer and an add into
     the accumulator, in the same (i, j) order and float32 arithmetic as a
-    per-tap product, so the bits match the plain tap-by-tap sum.
+    per-tap product, so the bits match the plain tap-by-tap sum; the bias is
+    then added to each tile.
     """
-    n, c = x.shape[:2]
+    c = x.shape[1]
     og = spec.out_channels // spec.groups
-    taps, aw = _plane_taps(x, spec, oh, ow)
-    wt = _row_weights(w.reshape(c, og, -1), n)
-    out = np.empty((n * c, og, oh, ow), dtype=np.float32)
-    _walk_row_tiles(out, aw, 2, lambda r0, r1, acc, scratch:
-                    _tap_sum(acc, scratch, taps, wt, r0, r1))
-    return out.reshape(n, spec.out_channels, oh, ow)
+    planes = _plane_taps(x, spec, oh, ow)
+    wt = _row_weights(planes, w.reshape(c, og, -1))
+    bt = None if bias is None else _row_weights(planes, bias.reshape(c, og, 1))[0]
+
+    def fill(rows, wrows, acc, scratch):
+        _tap_sum(acc, scratch, planes.taps, wt, rows, wrows)
+        if bt is not None:
+            acc += bt[wrows]
+        return acc
+
+    return _walk_row_tiles(planes, og, 2, fill)
 
 
-def _plane_taps(x, spec: ConvSpec, oh: int, ow: int):
-    """Pad ``x`` once into N*C planes and view every tap of ``spec``'s kernel.
+class _Planes(NamedTuple):
+    """A zero-padded input and a view of every kernel tap on it.
 
-    Returns ``(taps, aw)``: ``taps[i * kernel_w + j]`` is tap (i, j) as a
-    (N*C, 1, oh, aw) view, where the last ``aw - ow`` columns are not part
-    of the output.
+    ``taps[i * kernel_w + j]`` is tap (i, j), with ``aw`` columns per output
+    row, of which the last ``aw - ow`` are not part of the output. In the
+    NCHW layout a tap is (N*C, 1, oh, aw), one row per (image, channel)
+    plane. In the channels-last layout it is (N, oh, aw*C), one row per
+    output row of an image, with the channels innermost.
+    """
+
+    taps: list
+    n: int
+    c: int
+    oh: int
+    ow: int
+    aw: int
+    channels_last: bool
+
+
+# Stride-1 planes with one channel per group are walked channels-last when
+# the padded output plane, oh * wp, holds fewer floats than this. In NCHW a
+# tap is one multiply per (image, channel) plane by that plane's weight;
+# channels-last it runs over rows of wp * C floats under one tiled weight
+# row, at the cost of a transposing copy in and out. A sweep of 3x3
+# depthwise convs (7x7 to 112x112 planes, 16 to 1536 channels, batch 1 and
+# 8, numpy 2.4 on a 2-core x86 host) found channels-last faster in 89 of
+# 95 shapes up to 51x51 planes (2703 floats; median speed-up 1.27, at
+# most 2.5) and slower in all 38 from 52x52 (2808) on (median speed-up
+# 0.64), whatever the channel count: below about 2730 floats the NCHW multiply
+# costs about four times as much per float.
+_CL_PLANE_FLOATS = 2750
+
+
+def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
+    """Pad ``x`` once, in the layout its shape favours, and view every tap.
+
+    Channels-last is taken only at stride 1 with one output channel per
+    group; every other spec keeps NCHW planes.
     """
     n, c, h, width = x.shape
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
+    ph, pw = spec.pad_h, spec.pad_w
+    wp = width + 2 * pw
+    if sh == sw == 1 and spec.out_channels == spec.groups \
+            and oh * wp < _CL_PLANE_FLOATS:
+        # One copy pads and transposes. Rows are laid out one after another
+        # with the channels innermost, so tap (i, j) is the flat slice
+        # starting at (i*wp + j)*c and holds every output row of the image;
+        # the spare bottom row keeps the last tap's slice in bounds.
+        xp = np.zeros((n, h + 2 * ph + 1, wp, c), dtype=np.float32)
+        xp[:, ph:ph + h, pw:pw + width] = x.transpose(0, 2, 3, 1)
+        flat = xp.reshape(n, -1)
+        row = wp * c
+        taps = [flat[:, (i * wp + j) * c: (i * wp + j) * c + oh * row].reshape(n, oh, row)
+                for i in range(kh) for j in range(kw)]
+        return _Planes(taps, n, c, oh, ow, wp, True)
     rows = n * c
     # One spare bottom row keeps the last tap's flat slice (below) in bounds.
-    xp = np.pad(x.reshape(rows, h, width),
-                ((0, 0), (spec.pad_h, spec.pad_h + 1), (spec.pad_w, spec.pad_w)))
-    wp = xp.shape[2]
+    xp = np.pad(x.reshape(rows, h, width), ((0, 0), (ph, ph + 1), (pw, pw)))
     if sh == sw == 1:
         # Padded planes laid out row after row: tap (i, j) is then the flat
         # slice starting at i*wp + j, a whole output plane in one contiguous
@@ -241,44 +294,78 @@ def _plane_taps(x, spec: ConvSpec, oh: int, ow: int):
         flat = xp.reshape(rows, 1, -1)
         taps = [flat[:, :, i * wp + j: i * wp + j + oh * wp].reshape(rows, 1, oh, wp)
                 for i in range(kh) for j in range(kw)]
-        return taps, wp
+        return _Planes(taps, n, c, oh, ow, wp, False)
     taps = [xp[:, None, i: i + (oh - 1) * sh + 1: sh, j: j + (ow - 1) * sw + 1: sw]
             for i in range(kh) for j in range(kw)]
-    return taps, ow
+    return _Planes(taps, n, c, oh, ow, ow, False)
 
 
-def _row_weights(w: np.ndarray, n: int) -> np.ndarray:
-    """Per-(image, channel) row weights: (C, og, taps) -> (taps, N*C, og, 1, 1)."""
-    wt = np.tile(w, (n, 1, 1)).transpose(2, 0, 1)
+def _row_weights(planes: _Planes, w: np.ndarray) -> np.ndarray:
+    """Per-tap weights (C, og, taps) laid out to multiply a tile of ``planes``.
+
+    NCHW: (taps, N*C, og, 1, 1), one weight per (image, channel) row.
+    Channels-last (og == 1): (taps, aw*C), the channel weights tiled along
+    the padded row.
+    """
+    if planes.channels_last:
+        return np.tile(w[:, 0, :].T, (1, planes.aw))
+    wt = np.tile(w, (planes.n, 1, 1)).transpose(2, 0, 1)
     return np.ascontiguousarray(wt)[..., None, None]
 
 
-def _walk_row_tiles(out: np.ndarray, aw: int, buffers: int, fill) -> None:
-    """Fill ``out`` (rows, og, oh, ow) one tile of rows at a time.
+def _walk_row_tiles(planes: _Planes, og: int, buffers: int, fill) -> np.ndarray:
+    """Compute the (N, C*og, oh, ow) output one tile of rows at a time.
 
-    ``fill(r0, r1, *bufs)`` gets ``buffers`` scratch arrays of shape
-    (r1 - r0, og, oh, aw) and returns the one holding rows r0..r1 of the
-    result, which is cropped to ``ow`` columns into ``out``.
+    ``fill(rows, wrows, *bufs)`` gets the index of the tile's rows into the
+    taps, the index of their weights into ``_row_weights`` arrays and
+    ``buffers`` scratch arrays shaped like that tile of a tap (times ``og``
+    in NCHW). It returns the buffer holding the tile's result, which is
+    cropped to ``ow`` columns into the output. Channels-last tiles are whole
+    images or rows of one image, transposed into NCHW on the way.
     """
-    rows, og, oh, ow = out.shape
+    n, c, oh, ow, aw = planes.n, planes.c, planes.oh, planes.ow, planes.aw
+    if planes.channels_last:
+        out = np.empty((n, c, oh, ow), dtype=np.float32)
+        row = aw * c
+        imgs = min(n, max(1, _TILE_FLOATS // (oh * row)))
+        ys = oh if imgs > 1 else min(oh, max(1, _TILE_FLOATS // row))
+        bufs = [np.empty((imgs, ys, row), dtype=np.float32) for _ in range(buffers)]
+        for i0 in range(0, n, imgs):
+            i1 = min(n, i0 + imgs)
+            for y0 in range(0, oh, ys):
+                y1 = min(oh, y0 + ys)
+                sel = (slice(i0, i1), slice(y0, y1))
+                acc = fill(sel, ..., *(b[:i1 - i0, :y1 - y0] for b in bufs))
+                out[i0:i1, :, y0:y1] = \
+                    acc.reshape(i1 - i0, y1 - y0, aw, c)[:, :, :ow].transpose(0, 3, 1, 2)
+        return out
+    rows = n * c
+    out = np.empty((rows, og, oh, ow), dtype=np.float32)
     tile = max(1, _TILE_FLOATS // (og * oh * aw))
     bufs = [np.empty((min(tile, rows), og, oh, aw), dtype=np.float32) for _ in range(buffers)]
     for r0 in range(0, rows, tile):
         r1 = min(rows, r0 + tile)
-        out[r0:r1] = fill(r0, r1, *(b[:r1 - r0] for b in bufs))[..., :ow]
+        sel = slice(r0, r1)
+        out[sel] = fill(sel, sel, *(b[:r1 - r0] for b in bufs))[..., :ow]
+    return out.reshape(n, c * og, oh, ow)
 
 
-def _tap_sum(acc, scratch, taps, wt, r0: int, r1: int) -> np.ndarray:
-    """acc = 0 + tap_0 * w_0 + tap_1 * w_1 + ..., over rows r0..r1, in tap order."""
+def _tap_sum(acc, scratch, taps, wt, rows, wrows) -> np.ndarray:
+    """acc = 0 + tap_0 * w_0 + tap_1 * w_1 + ..., over one tile, in tap order."""
     acc.fill(0)
-    for t, tap in enumerate(taps):
-        np.multiply(tap[r0:r1], wt[t, r0:r1], out=scratch)
+    for tap, w in zip(taps, wt):
+        np.multiply(tap[rows], w[wrows], out=scratch)
         acc += scratch
     return acc
 
 
-def _conv2d_grouped(x, w, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Groups that read several input channels: one contraction per tap."""
+def _conv2d_grouped(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    """Groups that read several input channels: one contraction per tap.
+
+    The taps accumulate in the memory layout of the ``einsum`` result
+    (numpy may return it channels-last), so each add is a straight pass;
+    the sum, plus the bias, is laid out as NCHW once at the end.
+    """
     n = x.shape[0]
     if spec.pad_h or spec.pad_w:
         xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h,) * 2, (spec.pad_w,) * 2))
@@ -289,14 +376,26 @@ def _conv2d_grouped(x, w, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     cg = spec.in_channels // g
     wg = w.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
 
-    out = np.zeros((n, g, og, oh, ow), dtype=np.float32)
+    acc = None
     for i in range(spec.kernel_h):
         for j in range(spec.kernel_w):
             tap = xp[:, :,
                      i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
                      j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
             tap = tap.reshape(n, g, cg, oh, ow)
-            out += np.einsum("gok,ngkhw->ngohw", wg[:, :, :, i, j], tap, optimize=True)
+            e = np.einsum("gok,ngkhw->ngohw", wg[:, :, :, i, j], tap, optimize=True)
+            if acc is None:
+                # e is a fresh array; adding 0 gives the bits of 0 + e, the
+                # first tap on a zero accumulator (-0 becomes +0).
+                acc = e
+                acc += np.float32(0)
+            else:
+                acc += e
+    out = np.empty((n, g, og, oh, ow), dtype=np.float32)
+    if bias is None:
+        out[...] = acc
+    else:
+        np.add(acc, bias.reshape(g, og, 1, 1), out=out)
     return out.reshape(n, spec.out_channels, oh, ow)
 
 

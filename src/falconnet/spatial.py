@@ -114,7 +114,8 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     Stride is 1 and each branch is padded onto the 3x3 output grid, so the
     output shape equals the input shape.
 
-    One pass: ``x`` is padded once on the 3x3 grid and walked in the row
+    One pass: ``x`` is padded once on the 3x3 grid, in the layout that
+    ``conv2d`` picks for a depthwise 3x3 of this shape, and walked in the
     tiles of ``conv2d``'s one-input path. In each tile a branch sums its own
     taps (read from the 3x3 grid) in its own (i, j) order, applies its BN
     and is added into the output tile in branch order, so the bits equal
@@ -126,41 +127,39 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
             f"repso_forward input has {x.shape[1] if x.ndim == 4 else '?'} channels, "
             f"expected {cfg.channels}")
     check_repso_weights(w, cfg)
-    n, c, h, width = x.shape
+    c, h, width = x.shape[1:]
     grid = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c)
     oh, ow = grid.out_hw(h, width)
-    taps, aw = _plane_taps(x, grid, oh, ow)
-    # Per branch: its taps on the 3x3 grid (None for identity), its per-row
-    # weights and its per-row BN scale and shift.
+    planes = _plane_taps(x, grid, oh, ow)
+    # Per branch: its taps on the 3x3 grid (None for identity), and its
+    # weights and BN scale and shift laid out like the tiles.
     plan = []
     for br in w.branches:
-        s, t = (np.tile(v, n).reshape(-1, 1, 1, 1) for v in br.bn.scale_shift())
+        s, t = (_row_weights(planes, v.reshape(c, 1, 1))[0] for v in br.bn.scale_shift())
         if br.kind == "identity":
             plan.append((None, None, s, t))
             continue
         kh, kw = _KERNEL_HW[br.kind]
         ph, pw = _BRANCH_PAD[br.kind]
-        own = [taps[(i + 1 - ph) * 3 + j + 1 - pw] for i in range(kh) for j in range(kw)]
-        plan.append((own, _row_weights(as_f32(br.kernel).reshape(c, 1, -1), n), s, t))
-    centre = taps[4]
+        own = [planes.taps[(i + 1 - ph) * 3 + j + 1 - pw] for i in range(kh) for j in range(kw)]
+        plan.append((own, _row_weights(planes, as_f32(br.kernel).reshape(c, 1, -1)), s, t))
+    centre = planes.taps[4]
 
-    def fill(r0, r1, total, y, scratch):
+    def fill(rows, wrows, total, y, scratch):
         # The first branch is computed straight into the running sum.
         for k, (own, wt, s, t) in enumerate(plan):
             y_k = total if k == 0 else y
             if own is None:
-                np.multiply(centre[r0:r1], s[r0:r1], out=y_k)
+                np.multiply(centre[rows], s[wrows], out=y_k)
             else:
-                _tap_sum(y_k, scratch, own, wt, r0, r1)
-                y_k *= s[r0:r1]
-            y_k += t[r0:r1]
+                _tap_sum(y_k, scratch, own, wt, rows, wrows)
+                y_k *= s[wrows]
+            y_k += t[wrows]
             if k:
                 total += y_k
         return total
 
-    out = np.empty((n * c, 1, oh, ow), dtype=np.float32)
-    _walk_row_tiles(out, aw, 3, fill)
-    return out.reshape(n, c, oh, ow)
+    return _walk_row_tiles(planes, 1, 3, fill)
 
 
 def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,

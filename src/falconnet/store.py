@@ -8,6 +8,7 @@ trips are byte exact.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -89,17 +90,21 @@ def save_weights(store: WeightStore, path) -> None:
 
 
 def load_weights(path) -> WeightStore:
+    # Read entry by entry, so that only one entry's bytes are held beside
+    # the arrays already loaded.
     with open(path, "rb") as f:
-        data = f.read()
+        return _read_weights(f, os.fstat(f.fileno()).st_size)
+
+
+def _read_weights(f, size: int) -> WeightStore:
     pos = 0
 
     def take(n: int) -> bytes:
         nonlocal pos
-        if pos + n > len(data):
+        if pos + n > size:
             raise StoreError("truncated weight file")
-        chunk = data[pos:pos + n]
         pos += n
-        return chunk
+        return f.read(n)
 
     magic = take(4)
     if magic != MAGIC:
@@ -120,15 +125,15 @@ def load_weights(path) -> WeightStore:
         if rank > _MAX_RANK:
             raise StoreError(f"entry '{name}' has rank {rank}, maximum is {_MAX_RANK}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = 1
+        numel = 1
         for d in shape:
-            size *= d
-        arr = np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).copy()
+            numel *= d
+        arr = np.frombuffer(take(4 * numel), dtype="<f4").reshape(shape).copy()
         if name in store:
             raise StoreError(f"duplicate entry name '{name}'")
         store.put(name, arr)
-    if pos != len(data):
-        raise StoreError(f"{len(data) - pos} trailing bytes after last entry")
+    if pos != size:
+        raise StoreError(f"{size - pos} trailing bytes after last entry")
     return store
 
 

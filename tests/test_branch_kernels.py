@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falconnet import (BnParams, RepSOConfig, SFConvSpec, admissible_kernel_sizes,
+from falconnet import (BnParams, ConvSpec, RepSOConfig, SFConvSpec, admissible_kernel_sizes,
                        build_model, forward, fuse_model, init_weights, preset_config,
                        random_refco_branches, random_repso_weights, refco_forward,
                        repso_forward)
+from falconnet import ops
 from falconnet.model import PRESET_NAMES
 from reference_kernels import refco_per_branch, repso_per_branch
 
@@ -56,6 +57,27 @@ def test_repso_bitwise_across_row_tiles(channels, n, h, w):
     x, weights = _repso_inputs(cfg, n, h, w, 7)
     assert repso_forward(x, weights, cfg).tobytes() == \
         repso_per_branch(x, weights, cfg).tobytes()
+
+
+@pytest.mark.parametrize("channels, n, h, w, channels_last", [
+    (768, 2, 14, 14, True), (384, 1, 28, 28, True), (24, 2, 52, 54, False)])
+def test_repso_bitwise_in_both_layouts(channels, n, h, w, channels_last):
+    # RepSO walks the layout that conv2d picks for its 3x3 grid.
+    cfg = RepSOConfig(channels)
+    x, weights = _repso_inputs(cfg, n, h, w, 6)
+    grid = ConvSpec(channels, channels, 3, 3, 1, 1, 1, 1, groups=channels)
+    assert ops._plane_taps(x, grid, h, w).channels_last == channels_last
+    assert repso_forward(x, weights, cfg).tobytes() == \
+        repso_per_branch(x, weights, cfg).tobytes()
+
+
+def test_repso_nchw_rows_on_small_planes(monkeypatch):
+    monkeypatch.setattr(ops, "_CL_PLANE_FLOATS", 0)
+    for cfg in (RepSOConfig(3), RepSOConfig(2, 1, False, True, False, True)):
+        for n, h, w in ((1, 1, 1), (2, 4, 7), (3, 6, 3)):
+            x, weights = _repso_inputs(cfg, n, h, w, h * w)
+            assert repso_forward(x, weights, cfg).tobytes() == \
+                repso_per_branch(x, weights, cfg).tobytes()
 
 
 @st.composite

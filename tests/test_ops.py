@@ -6,12 +6,15 @@ of small shapes, plus hand-derived fixed cases. It is also pinned bitwise to
 the tap-by-tap float32 sum of ``reference_kernels.conv2d_per_tap``.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from falconnet import (BnParams, ConvSpec, ShapeError, add, batch_norm_infer, conv2d,
                        global_avg_pool, linear, relu)
+from falconnet import ops
 from reference_kernels import conv2d_per_tap
 
 
@@ -155,6 +158,73 @@ def test_conv2d_bitwise_across_row_tiles(spec, h, w):
     wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
     b = rng.standard_normal(spec.out_channels).astype(np.float32) if spec.has_bias else None
     assert conv2d(x, wt, b, spec).tobytes() == conv2d_per_tap(x, wt, b, spec).tobytes()
+
+
+def _case(spec, n, h, w, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, spec.in_channels, h, w)).astype(np.float32)
+    wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+    b = rng.standard_normal(spec.out_channels).astype(np.float32) if spec.has_bias else None
+    return x, wt, b
+
+
+def _assert_nchw_bits(spec, n, h, w, seed):
+    x, wt, b = _case(spec, n, h, w, seed)
+    got = conv2d(x, wt, b, spec)
+    ref = conv2d_per_tap(x, wt, b, spec)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert got.shape == ref.shape == (n, spec.out_channels) + spec.out_hw(h, w)
+    assert got.tobytes() == ref.tobytes()
+
+
+def _dw(c, bias=False):
+    return ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c, has_bias=bias)
+
+
+def _takes_channels_last(spec, h, w):
+    x = np.zeros((1, spec.in_channels, h, w), np.float32)
+    return ops._plane_taps(x, spec, *spec.out_hw(h, w)).channels_last
+
+
+@pytest.mark.parametrize("spec, n, h, w, channels_last", [
+    (_dw(1536, bias=True), 2, 7, 7, True),
+    (_dw(768, bias=True), 2, 14, 14, True),
+    (_dw(384), 1, 28, 28, True),            # several row tiles of one image
+    (_dw(96, bias=True), 3, 9, 23, True),   # non-square, several images per tile
+    (_dw(64, bias=True), 1, 56, 60, False),  # large plane: NCHW row tiles
+])
+def test_conv2d_layout_bits(spec, n, h, w, channels_last):
+    # The layout follows the plane size; both give the per-tap bits.
+    assert _takes_channels_last(spec, h, w) == channels_last
+    _assert_nchw_bits(spec, n, h, w, 9)
+
+
+def test_conv2d_bitwise_on_both_sides_of_the_layout_crossover():
+    # The largest square plane walked channels-last, and the next size up.
+    h = max(k for k in range(1, 200) if k * (k + 2) < ops._CL_PLANE_FLOATS)
+    spec = _dw(6, bias=True)
+    assert _takes_channels_last(spec, h, h) and not _takes_channels_last(spec, h + 1, h + 1)
+    for size in (h, h + 1):
+        _assert_nchw_bits(spec, 2, size, size, size)
+
+
+def test_conv2d_nchw_rows_on_small_planes(monkeypatch):
+    # Small planes normally go channels-last; with the crossover at zero the
+    # same stride-1 depthwise shapes are walked as NCHW rows.
+    monkeypatch.setattr(ops, "_CL_PLANE_FLOATS", 0)
+    for (kh, kw), pad, (h, w), bias in itertools.product(
+            [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3)], [0, 1], [(3, 4), (6, 5)], [False, True]):
+        spec = ConvSpec(3, 3, kh, kw, 1, 1, pad, pad, groups=3, has_bias=bias)
+        assert not _takes_channels_last(spec, h, w)
+        _assert_nchw_bits(spec, 2, h, w, kh * 10 + kw + pad)
+
+
+@pytest.mark.parametrize("spec, n, h, w", [
+    (ConvSpec(3, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 2, 64, 64),   # the stem
+    (ConvSpec(32, 192, 1, 1, has_bias=True), 2, 28, 28),             # dense 1x1
+])
+def test_conv2d_grouped_bits_at_model_size(spec, n, h, w):
+    _assert_nchw_bits(spec, n, h, w, 4)
 
 
 def test_conv_linearity():

@@ -1,6 +1,7 @@
 """Weight container and input-loading tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,24 @@ def test_round_trip_is_bitwise(tmp_path):
     path2 = tmp_path / "w2.falc"
     save_weights(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_holds_one_entry_beside_the_loaded_arrays(tmp_path):
+    # Sixteen 256 KiB entries: reading the whole file before parsing it would
+    # hold the file's bytes and the arrays at once, twice the arrays' size.
+    store = WeightStore()
+    for i in range(16):
+        store.put(f"w{i}", np.full(1 << 16, i, np.float32))
+    path = tmp_path / "w.falc"
+    save_weights(store, path)
+    tracemalloc.start()
+    try:
+        loaded = load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.equals_bitwise(store)
+    assert peak < 1.5 * 16 * (1 << 18)
 
 
 def test_empty_store_round_trip(tmp_path):
