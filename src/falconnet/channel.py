@@ -75,10 +75,6 @@ class SFConvSpec:
                 f"hidden width {self.kernel}/{self.reduction} does not divide c_out={self.c_out}")
 
     @property
-    def stride(self) -> int:
-        return self.kernel
-
-    @property
     def hidden_channels(self) -> int:
         """Hidden values per window position (K/R)."""
         return self.kernel // self.reduction
@@ -171,7 +167,7 @@ def _stage1(xw: np.ndarray, w1: np.ndarray) -> np.ndarray:
     # per image and window, viewed as (N, hid, win, H, W).
     n, win, k, h, w = xw.shape
     y = np.matmul(w1.transpose(1, 0, 2), xw.reshape(n, win, k, h * w))
-    return y.reshape(n, win, -1, h, w).transpose(0, 2, 1, 3, 4)
+    return y.reshape(n, win, w1.shape[0], h, w).transpose(0, 2, 1, 3, 4)
 
 
 def _stage2(hidden: np.ndarray, w2: np.ndarray, spec: SFConvSpec) -> np.ndarray:

@@ -19,7 +19,7 @@ from .channel import ChannelPattern, SFConvSpec, choose_kernel_size, receptive_r
 from .costs import cost_report
 from .fuse import verify_equivalence
 from .model import (PRESET_NAMES, build_model, forward, fuse_model, fused_structure,
-                    fusible_count, iter_param_entries, load_config, preset_config, save_config)
+                    iter_param_entries, load_config, preset_config, save_config)
 from .spatial import kernel_magnitude_matrix
 from .store import load_input_tensor, load_weights, save_weights
 
@@ -120,15 +120,27 @@ def _verify_report(cfg, graph, store, trials, tolerance):
     return fused_graph, fused_store, report
 
 
-def _cmd_fuse(args) -> int:
+def _load_model(args, train_form: bool):
+    """The config, graph and weights of ``args``. The graph is in train form
+    when the weights hold its every entry, else in inference form; with
+    ``train_form``, inference-form weights are an error."""
     cfg = load_config(args.config)
     graph = build_model(cfg)
     store = load_weights(args.weights)
-    if fusible_count(graph) == 0:
-        raise ValueError("no fusible slots in this model")
-    if _missing(graph, store) and not _missing(fused_structure(graph), store):
-        raise ValueError("no fusible slots: weights are already in inference form")
-    _check_complete(graph, store)
+    missing = [e.key for e in iter_param_entries(graph) if e.key not in store]
+    if missing:
+        fused = fused_structure(graph)
+        if any(e.key not in store for e in iter_param_entries(fused)):
+            raise ValueError(f"weights incomplete for model: missing '{missing[0]}' "
+                             f"and {len(missing) - 1} more")
+        if train_form:
+            raise ValueError("no fusible slots: weights are already in inference form")
+        graph = fused
+    return cfg, graph, store
+
+
+def _cmd_fuse(args) -> int:
+    cfg, graph, store = _load_model(args, train_form=True)
     _, fused_store, report = _verify_report(cfg, graph, store, args.trials, args.tolerance)
     save_weights(fused_store, args.out)
     print(_report_line(report))
@@ -137,36 +149,14 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    graph = build_model(cfg)
-    store = load_weights(args.weights)
-    _check_complete(graph, store)
+    cfg, graph, store = _load_model(args, train_form=True)
     _, _, report = _verify_report(cfg, graph, store, args.trials, args.tolerance)
     print(_report_line(report))
     return 0 if report.passed else 1
 
 
-def _missing(graph, store) -> list:
-    return [e.key for e in iter_param_entries(graph) if e.key not in store]
-
-
-def _check_complete(graph, store) -> None:
-    missing = _missing(graph, store)
-    if missing:
-        raise ValueError(f"weights incomplete for model: missing '{missing[0]}' "
-                         f"and {len(missing) - 1} more")
-
-
 def _cmd_infer(args) -> int:
-    cfg = load_config(args.config)
-    graph = build_model(cfg)
-    store = load_weights(args.weights)
-    # Accept either training-form or fused weight files.
-    if _missing(graph, store):
-        fused = fused_structure(graph)
-        if _missing(fused, store):
-            _check_complete(graph, store)  # raises, naming a train-form key
-        graph = fused
+    cfg, graph, store = _load_model(args, train_form=False)
     x = load_input_tensor(args.input, cfg.input_resolution)
     logits = forward(graph, store, x)[0]
     scores = logits

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (BnNode, ConvNode, LayerGraph, LinearNode, RefCONode, RepSONode, SFConvNode,
-                    _walk_shapes, fused_structure)
+from .model import LayerGraph, _walk_shapes, fused_structure
 from .ops import ShapeError
 
 __all__ = ["LayerCost", "CostReport", "count_params", "count_flops", "cost_report"]
@@ -82,20 +81,6 @@ class CostReport:
 # count as parameters (running statistics are buffers).
 _WEIGHT_ROLES = ("conv_weight", "linear_weight", "sf_w1", "sf_w2", "bias")
 _NORM_ROLES = ("bn_gamma", "bn_beta")
-_KINDS = {BnNode: ("bn", "other"), LinearNode: ("linear", "head"),
-          RepSONode: ("repso", "spatial"), RefCONode: ("refco", "channel"),
-          SFConvNode: ("sfconv", "channel")}
-
-
-def _kind(node):
-    """(kind, category) of a costed layer; None for parameter-free layers."""
-    if isinstance(node, ConvNode):
-        s = node.spec
-        category = "spatial" if s.kernel_h * s.kernel_w > 1 else "channel"
-        return f"conv{s.kernel_h}x{s.kernel_w}", category
-    return _KINDS.get(type(node))
-
-
 def cost_report(graph: LayerGraph, mode: str = "train",
                 resolution: int | None = None) -> CostReport:
     if mode not in ("train", "inference"):
@@ -106,7 +91,7 @@ def cost_report(graph: LayerGraph, mode: str = "train",
         raise ShapeError(f"resolution must be positive, got {res}")
     rows: list = []
     for node, _, (_, oh, ow) in _walk_shapes(g.nodes, (3, res, res)):
-        kind = _kind(node)
+        kind = node.cost
         if kind is None:
             continue
         entries = list(node.entries())

@@ -292,7 +292,9 @@ def save_config(cfg: ModelConfig, path) -> None:
 #                   and its arrays, absorbing `bn`, the normalization that
 #                   follows (its BnParams; its BnNode when `w` is None), if any.
 #                   The arrays are None when `w` is None; the result is None
-#                   when no rewrite applies.
+#                   when no rewrite applies;
+#   cost            the (kind, category) it is priced under in costs.py, or
+#                   None for a parameter-free layer.
 
 class ParamEntry(NamedTuple):
     key: str
@@ -312,6 +314,7 @@ def _bn_entries(prefix: str, channels: int):
 class _Leaf:
     """A weightless leaf that keeps its input's shape."""
     name: str
+    cost = None
 
     def shape(self, c: int, h: int, w: int):
         return None, "", (c, h, w)
@@ -323,6 +326,11 @@ class _Leaf:
 @dataclass(frozen=True)
 class ConvNode(_Leaf):
     spec: ConvSpec
+
+    @property
+    def cost(self):
+        s = self.spec
+        return f"conv{s.kernel_h}x{s.kernel_w}", "spatial" if s.kernel_h * s.kernel_w > 1 else "channel"
 
     def shape(self, c, h, w):
         return self.spec.in_channels, "expects {} channels", (
@@ -350,6 +358,7 @@ class ConvNode(_Leaf):
 class BnNode(_Leaf):
     channels: int
     eps: float = 1e-5
+    cost = ("bn", "other")
 
     def shape(self, c, h, w):
         return self.channels, "normalizes {} channels", (c, h, w)
@@ -382,13 +391,14 @@ class PoolNode(_Leaf):
 @dataclass(frozen=True)
 class FlattenNode(_Leaf):
     def apply(self, x, w):
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
 @dataclass(frozen=True)
 class LinearNode(_Leaf):
     in_features: int
     out_features: int
+    cost = ("linear", "head")
 
     def shape(self, c, h, w):
         return self.in_features, "expects {} features", (self.out_features, h, w)
@@ -405,6 +415,7 @@ class LinearNode(_Leaf):
 @dataclass(frozen=True)
 class RepSONode(_Leaf):
     cfg: RepSOConfig
+    cost = ("repso", "spatial")
 
     def shape(self, c, h, w):
         return self.cfg.channels, "built for {} channels", (c, h, w)
@@ -443,6 +454,7 @@ class SFConvNode(_Leaf):
     spec: SFConvSpec
     has_bias1: bool = False
     has_bias2: bool = False
+    cost = ("sfconv", "channel")
 
     def shape(self, c, h, w):
         return self.spec.c_in, "expects {} channels", (self.spec.c_out, h, w)
@@ -479,6 +491,7 @@ class SFConvNode(_Leaf):
 @dataclass(frozen=True)
 class RefCONode(_Leaf):
     spec: SFConvSpec
+    cost = ("refco", "channel")
 
     shape = SFConvNode.shape
 

@@ -7,21 +7,24 @@ Winograd), which keeps the summation order fixed and the results
 reproducible on a given machine.
 
 Convolutions whose groups read one input channel each (depthwise, channel
-multiplier) take a tiled path, which ``spatial.repso_forward`` also walks
-for all its branches in one pass. Each call picks the memory layout from
-the input shape. Large planes are padded into NCHW planes stored row after
-row, so at stride 1 a kernel tap is one contiguous slice covering a whole
-output plane. Small stride-1 planes with one output channel per group are
-padded and transposed channels-last, so a tap is one contiguous run over
-whole output rows of all channels, with each tap's weights tiled along the
-padded row. Either way the work is walked in tiles of about 256 KiB of
-accumulator, so that it and its scratch buffer stay in L2, and every tap
-is a float32 multiply into scratch and an add into the accumulator, in the
-same order as a plain tap-by-tap sum: both layouts give the bits of that
-sum. Groups that read several input channels (the stem, dense 1x1)
-contract per tap with ``einsum``; those per-tap bits are numpy's, from the
-same call the test reference makes, and the taps are summed in the layout
-numpy returns and laid out as NCHW once.
+multiplier) run on one branch-sum kernel: the sum over branches of a
+branch's tap sum times a scale plus a shift. Depthwise ``conv2d`` is its
+one-branch case (every tap, the bias as the shift); ``spatial.repso_forward``
+runs all its branches through it in one pass. The kernel picks the memory
+layout from the input shape, and only it knows the layout and tiling. Large
+planes are padded into NCHW planes stored row after row, so at stride 1 a
+kernel tap is one contiguous slice covering a whole output plane. Small
+stride-1 planes with one output channel per group are padded and
+transposed channels-last, so a tap is one contiguous run over whole output
+rows of all channels, with each tap's weights tiled along the padded row.
+Either way the work is walked in tiles of about 256 KiB of accumulator, so
+that it and its scratch buffer stay in L2, and every tap is a float32
+multiply into scratch and an add into the accumulator, in the same order as
+a plain tap-by-tap sum: both layouts give the bits of that sum. Groups that
+read several input channels (the stem, dense 1x1) contract per tap with
+``einsum``; those per-tap bits are numpy's, from the same call the test
+reference makes, and the taps are summed in the layout numpy returns and
+laid out as NCHW once.
 
 Each row of ``linear`` is its own vector-matrix product, so a batched
 forward pass gives every image the bits it gets when run alone.
@@ -193,38 +196,38 @@ def conv2d(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
             raise ShapeError(f"conv2d bias has length {bias.shape[0]}, expected {spec.out_channels}")
     oh, ow = spec.out_hw(h, width)
 
-    if spec.is_depthwise:
-        return _conv2d_one_input(x, w, bias, spec, oh, ow)
+    if spec.is_depthwise:  # one branch: every tap, with the bias as its shift
+        taps = range(spec.kernel_h * spec.kernel_w)
+        return _branch_sum(x, spec, oh, ow, [(taps, w, None, bias)])
     return _conv2d_grouped(x, w, bias, spec, oh, ow)
 
 
-# Accumulator floats per tile of the one-input path: 256 KiB, so the
+# Accumulator floats per tile of the branch sum: 256 KiB, so the
 # accumulator and its scratch stay in L2. A sweep of 16K, 64K and 256K on a
 # 2-core x86 host gave the lowest latency at 64K.
 _TILE_FLOATS = 1 << 16
 
 
-def _conv2d_one_input(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Groups that read one input channel each (depthwise, channel multiplier).
+def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
+    """Sum over ``branches`` of ``tap_sum * scale + shift``, in one tiled pass.
 
-    Each tap is a broadcast multiply into a scratch buffer and an add into
-    the accumulator, in the same (i, j) order and float32 arithmetic as a
-    per-tap product, so the bits match the plain tap-by-tap sum; the bias is
-    then added to each tile.
+    For groups that read one input channel each. A branch is ``(taps, w,
+    scale, shift)``: ``taps`` index ``spec``'s kernel grid, tap (i, j) being
+    ``i * kernel_w + j``; ``w``, reshapable to (C, og, len(taps)), holds
+    their weights, or is None for one bare tap, which then needs a scale;
+    ``scale`` and ``shift``, reshapable to (C, og), may be None. A branch
+    sums its taps' products from zero in the given order, and the branches
+    are added in order into the first one's sum, so the bits are those of
+    that plain per-tap, per-branch arithmetic.
     """
-    c = x.shape[1]
-    og = spec.out_channels // spec.groups
     planes = _plane_taps(x, spec, oh, ow)
-    wt = _row_weights(planes, w.reshape(c, og, -1))
-    bt = None if bias is None else _row_weights(planes, bias.reshape(c, og, 1))[0]
-
-    def fill(rows, wrows, acc, scratch):
-        _tap_sum(acc, scratch, planes.taps, wt, rows, wrows)
-        if bt is not None:
-            acc += bt[wrows]
-        return acc
-
-    return _walk_row_tiles(planes, og, 2, fill)
+    c, og = planes.c, spec.out_channels // spec.groups
+    plan = [([planes.taps[k] for k in taps],
+             None if w is None else _row_weights(planes, as_f32(w).reshape(c, og, -1)),
+             *(None if v is None else _row_weights(planes, as_f32(v).reshape(c, og, 1))[0]
+               for v in (scale, shift)))
+            for taps, w, scale, shift in branches]
+    return _walk_row_tiles(planes, og, plan)
 
 
 class _Planes(NamedTuple):
@@ -278,8 +281,8 @@ def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
         # the spare bottom row keeps the last tap's slice in bounds.
         xp = np.zeros((n, h + 2 * ph + 1, wp, c), dtype=np.float32)
         xp[:, ph:ph + h, pw:pw + width] = x.transpose(0, 2, 3, 1)
-        flat = xp.reshape(n, -1)
         row = wp * c
+        flat = xp.reshape(n, (h + 2 * ph + 1) * row)
         taps = [flat[:, (i * wp + j) * c: (i * wp + j) * c + oh * row].reshape(n, oh, row)
                 for i in range(kh) for j in range(kw)]
         return _Planes(taps, n, c, oh, ow, wp, True)
@@ -291,7 +294,7 @@ def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
         # slice starting at i*wp + j, a whole output plane in one contiguous
         # run. Columns ow..wp-1 wrap into the next row and are cropped at the
         # end.
-        flat = xp.reshape(rows, 1, -1)
+        flat = xp.reshape(rows, 1, (h + 2 * ph + 1) * wp)
         taps = [flat[:, :, i * wp + j: i * wp + j + oh * wp].reshape(rows, 1, oh, wp)
                 for i in range(kh) for j in range(kw)]
         return _Planes(taps, n, c, oh, ow, wp, False)
@@ -313,21 +316,21 @@ def _row_weights(planes: _Planes, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(wt)[..., None, None]
 
 
-def _walk_row_tiles(planes: _Planes, og: int, buffers: int, fill) -> np.ndarray:
-    """Compute the (N, C*og, oh, ow) output one tile of rows at a time.
+def _walk_row_tiles(planes: _Planes, og: int, plan) -> np.ndarray:
+    """Compute the (N, C*og, oh, ow) branch sum one tile of rows at a time.
 
-    ``fill(rows, wrows, *bufs)`` gets the index of the tile's rows into the
-    taps, the index of their weights into ``_row_weights`` arrays and
-    ``buffers`` scratch arrays shaped like that tile of a tap (times ``og``
-    in NCHW). It returns the buffer holding the tile's result, which is
-    cropped to ``ow`` columns into the output. Channels-last tiles are whole
-    images or rows of one image, transposed into NCHW on the way.
+    ``plan`` holds per branch its taps, and its weights, scale and shift
+    laid out by ``_row_weights``. Each tile's sum is cropped to ``ow``
+    columns into the output. Channels-last tiles are whole images or rows
+    of one image, transposed into NCHW on the way.
     """
     n, c, oh, ow, aw = planes.n, planes.c, planes.oh, planes.ow, planes.aw
+    # The running sum and a scratch buffer; later branches need a third.
+    buffers = 2 if len(plan) == 1 else 3
     if planes.channels_last:
         out = np.empty((n, c, oh, ow), dtype=np.float32)
         row = aw * c
-        imgs = min(n, max(1, _TILE_FLOATS // (oh * row)))
+        imgs = max(1, min(n, _TILE_FLOATS // (oh * row)))
         ys = oh if imgs > 1 else min(oh, max(1, _TILE_FLOATS // row))
         bufs = [np.empty((imgs, ys, row), dtype=np.float32) for _ in range(buffers)]
         for i0 in range(0, n, imgs):
@@ -335,7 +338,7 @@ def _walk_row_tiles(planes: _Planes, og: int, buffers: int, fill) -> np.ndarray:
             for y0 in range(0, oh, ys):
                 y1 = min(oh, y0 + ys)
                 sel = (slice(i0, i1), slice(y0, y1))
-                acc = fill(sel, ..., *(b[:i1 - i0, :y1 - y0] for b in bufs))
+                acc = _tile_sum(plan, sel, ..., *(b[:i1 - i0, :y1 - y0] for b in bufs))
                 out[i0:i1, :, y0:y1] = \
                     acc.reshape(i1 - i0, y1 - y0, aw, c)[:, :, :ow].transpose(0, 3, 1, 2)
         return out
@@ -346,17 +349,30 @@ def _walk_row_tiles(planes: _Planes, og: int, buffers: int, fill) -> np.ndarray:
     for r0 in range(0, rows, tile):
         r1 = min(rows, r0 + tile)
         sel = slice(r0, r1)
-        out[sel] = fill(sel, sel, *(b[:r1 - r0] for b in bufs))[..., :ow]
+        out[sel] = _tile_sum(plan, sel, sel, *(b[:r1 - r0] for b in bufs))[..., :ow]
     return out.reshape(n, c * og, oh, ow)
 
 
-def _tap_sum(acc, scratch, taps, wt, rows, wrows) -> np.ndarray:
-    """acc = 0 + tap_0 * w_0 + tap_1 * w_1 + ..., over one tile, in tap order."""
-    acc.fill(0)
-    for tap, w in zip(taps, wt):
-        np.multiply(tap[rows], w[wrows], out=scratch)
-        acc += scratch
-    return acc
+def _tile_sum(plan, rows, wrows, total, scratch, y=None) -> np.ndarray:
+    """The branch sum over one tile: ``rows`` indexes the taps, ``wrows`` the
+    weights. The first branch is computed straight into ``total``, the
+    others into ``y`` and then added."""
+    for k, (taps, wt, s, t) in enumerate(plan):
+        y_k = y if k else total
+        if wt is None:
+            np.multiply(taps[0][rows], s[wrows], out=y_k)
+        else:
+            y_k.fill(0)
+            for tap, w in zip(taps, wt):
+                np.multiply(tap[rows], w[wrows], out=scratch)
+                y_k += scratch
+            if s is not None:
+                y_k *= s[wrows]
+        if t is not None:
+            y_k += t[wrows]
+        if k:
+            total += y_k
+    return total
 
 
 def _conv2d_grouped(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _plane_taps, _row_weights, _tap_sum,
-                  _walk_row_tiles, as_f32)
-from .ops import conv2d  # noqa: F401  (kept importable as spatial.conv2d)
+from .ops import BnParams, ConvSpec, ShapeError, Tensor, _branch_sum, as_f32
 
 __all__ = [
     "RepSOConfig",
@@ -28,9 +26,8 @@ __all__ = [
     "random_repso_weights",
 ]
 
-# Branch kind -> (kernel extent, padding that aligns it with the 3x3 grid).
+# Branch kind -> kernel extent; each kernel sits centred on the 3x3 grid.
 _KERNEL_HW = {"3x3": (3, 3), "1x3": (1, 3), "3x1": (3, 1), "1x1": (1, 1)}
-_BRANCH_PAD = {"3x3": (1, 1), "1x3": (0, 1), "3x1": (1, 0), "1x1": (0, 0)}
 
 
 @dataclass(frozen=True)
@@ -114,12 +111,13 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     Stride is 1 and each branch is padded onto the 3x3 output grid, so the
     output shape equals the input shape.
 
-    One pass: ``x`` is padded once on the 3x3 grid, in the layout that
-    ``conv2d`` picks for a depthwise 3x3 of this shape, and walked in the
-    tiles of ``conv2d``'s one-input path. In each tile a branch sums its own
-    taps (read from the 3x3 grid) in its own (i, j) order, applies its BN
-    and is added into the output tile in branch order, so the bits equal
-    those of the per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
+    One pass of ``ops._branch_sum`` on the 3x3 depthwise grid, the kernel
+    that depthwise ``conv2d`` runs as its one-branch case. A branch reads
+    the grid taps its kernel covers when centred, as in
+    ``pad_kernel_to_3x3``; identity is the bare centre tap. Each branch sums
+    its taps in (i, j) order, applies its BN as a scale and shift and is
+    added into the output in branch order, so the bits equal those of the
+    per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
     """
     x = as_f32(x)
     if x.ndim != 4 or x.shape[1] != cfg.channels:
@@ -129,37 +127,13 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     check_repso_weights(w, cfg)
     c, h, width = x.shape[1:]
     grid = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c)
-    oh, ow = grid.out_hw(h, width)
-    planes = _plane_taps(x, grid, oh, ow)
-    # Per branch: its taps on the 3x3 grid (None for identity), and its
-    # weights and BN scale and shift laid out like the tiles.
-    plan = []
-    for br in w.branches:
-        s, t = (_row_weights(planes, v.reshape(c, 1, 1))[0] for v in br.bn.scale_shift())
-        if br.kind == "identity":
-            plan.append((None, None, s, t))
-            continue
-        kh, kw = _KERNEL_HW[br.kind]
-        ph, pw = _BRANCH_PAD[br.kind]
-        own = [planes.taps[(i + 1 - ph) * 3 + j + 1 - pw] for i in range(kh) for j in range(kw)]
-        plan.append((own, _row_weights(planes, as_f32(br.kernel).reshape(c, 1, -1)), s, t))
-    centre = planes.taps[4]
-
-    def fill(rows, wrows, total, y, scratch):
-        # The first branch is computed straight into the running sum.
-        for k, (own, wt, s, t) in enumerate(plan):
-            y_k = total if k == 0 else y
-            if own is None:
-                np.multiply(centre[rows], s[wrows], out=y_k)
-            else:
-                _tap_sum(y_k, scratch, own, wt, rows, wrows)
-                y_k *= s[wrows]
-            y_k += t[wrows]
-            if k:
-                total += y_k
-        return total
-
-    return _walk_row_tiles(planes, 1, 3, fill)
+    branches = []
+    for br in w.branches:  # identity, the one kind not in _KERNEL_HW, is the centre tap
+        kh, kw = _KERNEL_HW.get(br.kind, (1, 1))
+        r0, c0 = (3 - kh) // 2, (3 - kw) // 2
+        taps = [(r0 + i) * 3 + c0 + j for i in range(kh) for j in range(kw)]
+        branches.append((taps, br.kernel, *br.bn.scale_shift()))
+    return _branch_sum(x, grid, *grid.out_hw(h, width), branches)
 
 
 def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,

@@ -129,8 +129,6 @@ def _read_weights(f, size: int) -> WeightStore:
         for d in shape:
             numel *= d
         arr = np.frombuffer(take(4 * numel), dtype="<f4").reshape(shape).copy()
-        if name in store:
-            raise StoreError(f"duplicate entry name '{name}'")
         store.put(name, arr)
     if pos != size:
         raise StoreError(f"{size - pos} trailing bytes after last entry")

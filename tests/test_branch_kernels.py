@@ -80,6 +80,15 @@ def test_repso_nchw_rows_on_small_planes(monkeypatch):
                 repso_per_branch(x, weights, cfg).tobytes()
 
 
+@pytest.mark.parametrize("h, w", [(7, 7), (52, 54)])
+def test_repso_empty_batch(h, w):
+    cfg = RepSOConfig(4)
+    x, weights = _repso_inputs(cfg, 0, h, w, 2)
+    got = repso_forward(x, weights, cfg)
+    assert got.shape == x.shape
+    assert got.tobytes() == repso_per_branch(x, weights, cfg).tobytes()
+
+
 @st.composite
 def refco_cases(draw):
     """A valid SFConvSpec; about a third of them have one window (K == C)."""
@@ -114,6 +123,14 @@ def test_refco_bitwise_equals_per_branch_sum(case):
     ref = refco_per_branch(x, spec, b1, b2)
     assert got.dtype == np.float32 and got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
+
+
+def test_refco_empty_batch():
+    spec = SFConvSpec(8, 16, 4, 2)
+    x, b1, b2 = _refco_inputs(spec, 0, 5, 5, 3)
+    got = refco_forward(x, spec, b1, b2)
+    assert got.shape == (0, 16, 5, 5)
+    assert got.tobytes() == refco_per_branch(x, spec, b1, b2).tobytes()
 
 
 def _digests(arrays):

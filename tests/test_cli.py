@@ -136,6 +136,22 @@ class TestFuseAndVerify:
         assert code == 1
         assert "no fusible slots" in err
 
+    def test_verify_and_fuse_reject_fused_weights_alike(self, workdir, capsys):
+        tmp_path, _, cfg_path, weights_path = workdir
+        fused_path = tmp_path / "fused.falc"
+        assert main(["fuse", "--config", str(cfg_path), "--weights", str(weights_path),
+                     "--out", str(fused_path), "--trials", "2", "--tolerance", "1e-3"]) == 0
+        capsys.readouterr()
+        errs = []
+        for argv in (["verify"], ["fuse", "--out", str(tmp_path / "again.falc")]):
+            code, out, err = run(capsys, *argv, "--config", str(cfg_path),
+                                 "--weights", str(fused_path))
+            assert (code, out) == (1, "")
+            errs.append(err)
+        assert errs[0] == errs[1]
+        assert len(errs[0].splitlines()) == 1 and errs[0].startswith("error: ")
+        assert "inference form" in errs[0]
+
     def test_fuse_rejects_corrupted_weights(self, workdir, capsys):
         tmp_path, _, cfg_path, weights_path = workdir
         corrupted = tmp_path / "corrupt.falc"

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 import falconnet.channel as channel_mod
 import falconnet.model as model_mod
-import falconnet.spatial as spatial_mod
 import reference_kernels as ref
 
 from falconnet import (BlockConfig, BnParams, ChannelSlot, ConfigError, ConvSpec,
@@ -632,7 +631,6 @@ def _preset_models(preset, resolution=64):
 def _use_reference_kernels(monkeypatch):
     """Route the executor through the plain-arithmetic reference kernels."""
     monkeypatch.setattr(model_mod, "conv2d", ref.conv2d_per_tap)
-    monkeypatch.setattr(spatial_mod, "conv2d", ref.conv2d_per_tap)
     monkeypatch.setattr(model_mod, "linear", ref.linear_whole_batch)
     monkeypatch.setattr(channel_mod, "_stage1", ref.sfconv_stage1_einsum)
     monkeypatch.setattr(channel_mod, "_stage2", ref.sfconv_stage2_einsum)
@@ -648,6 +646,14 @@ class TestKernelNumerics:
         batched = forward(graph, store, x)
         single = np.concatenate([forward(graph, store, x[i:i + 1]) for i in range(4)])
         assert batched.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_empty_batch_gives_empty_logits(self, preset):
+        x = np.zeros((0, 3, 64, 64), np.float32)
+        for graph, store in _preset_models(preset):
+            logits = forward(graph, store, x)
+            assert logits.shape == (0, graph.config.num_classes)
+            assert logits.dtype == np.float32
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_logits_against_reference_kernels(self, preset, monkeypatch):

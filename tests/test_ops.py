@@ -219,6 +219,17 @@ def test_conv2d_nchw_rows_on_small_planes(monkeypatch):
         _assert_nchw_bits(spec, 2, h, w, kh * 10 + kw + pad)
 
 
+@pytest.mark.parametrize("spec, h, w", [
+    (_dw(8, bias=True), 7, 7),                          # channels-last
+    (_dw(4, bias=True), 60, 60),                        # NCHW rows
+    (ConvSpec(4, 8, 2, 2, 2, 2, 0, 0, groups=4), 8, 8),  # strided, channel multiplier
+    (ConvSpec(3, 8, 3, 3, 2, 2, 1, 1, has_bias=True), 9, 9),  # grouped
+])
+def test_conv2d_empty_batch(spec, h, w):
+    # An empty batch gives an empty output of the right shape on every path.
+    _assert_nchw_bits(spec, 0, h, w, 1)
+
+
 @pytest.mark.parametrize("spec, n, h, w", [
     (ConvSpec(3, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 2, 64, 64),   # the stem
     (ConvSpec(32, 192, 1, 1, has_bias=True), 2, 28, 28),             # dense 1x1
