@@ -21,10 +21,10 @@ Either way the work is walked in tiles of about 256 KiB of accumulator, so
 that it and its scratch buffer stay in L2, and every tap is a float32
 multiply into scratch and an add into the accumulator, in the same order as
 a plain tap-by-tap sum: both layouts give the bits of that sum. Groups that
-read several input channels (the stem, dense 1x1) contract per tap with
-``einsum``; those per-tap bits are numpy's, from the same call the test
-reference makes, and the taps are summed in the layout numpy returns and
-laid out as NCHW once.
+read several input channels (the stem, dense 1x1) take one ``matmul`` per
+tap, one product per image and group, written straight into the NCHW
+output; those per-tap bits are numpy's, from the same call the test
+reference makes.
 
 Each row of ``linear`` is its own vector-matrix product, so a batched
 forward pass gives every image the bits it gets when run alone.
@@ -376,42 +376,35 @@ def _tile_sum(plan, rows, wrows, total, scratch, y=None) -> np.ndarray:
 
 
 def _conv2d_grouped(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Groups that read several input channels: one contraction per tap.
+    """Groups that read several input channels: one ``matmul`` per tap.
 
-    The taps accumulate in the memory layout of the ``einsum`` result
-    (numpy may return it channels-last), so each add is a straight pass;
-    the sum, plus the bias, is laid out as NCHW once at the end.
+    Tap (i, j)'s (g, og, cg) weights multiply the tap viewed as (N, g, cg,
+    oh*ow), one product per image and group, whose result is already NCHW.
+    The first tap is written into the output and later ones are added from
+    one scratch buffer, in (i, j) order; the bias is added in place last.
     """
     n = x.shape[0]
     if spec.pad_h or spec.pad_w:
-        xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h,) * 2, (spec.pad_w,) * 2))
-    else:
-        xp = x
+        x = np.pad(x, ((0, 0), (0, 0), (spec.pad_h,) * 2, (spec.pad_w,) * 2))
     g = spec.groups
     og = spec.out_channels // g
     cg = spec.in_channels // g
-    wg = w.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
-
-    acc = None
-    for i in range(spec.kernel_h):
-        for j in range(spec.kernel_w):
-            tap = xp[:, :,
-                     i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
-                     j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
-            tap = tap.reshape(n, g, cg, oh, ow)
-            e = np.einsum("gok,ngkhw->ngohw", wg[:, :, :, i, j], tap, optimize=True)
-            if acc is None:
-                # e is a fresh array; adding 0 gives the bits of 0 + e, the
-                # first tap on a zero accumulator (-0 becomes +0).
-                acc = e
-                acc += np.float32(0)
-            else:
-                acc += e
-    out = np.empty((n, g, og, oh, ow), dtype=np.float32)
-    if bias is None:
-        out[...] = acc
-    else:
-        np.add(acc, bias.reshape(g, og, 1, 1), out=out)
+    # Per-tap weights, each a contiguous (g, og, cg) block as BLAS takes it.
+    wt = np.ascontiguousarray(w.reshape(g, og, cg, -1).transpose(3, 0, 1, 2))
+    out = np.empty((n, g, og, oh * ow), dtype=np.float32)
+    scratch = np.empty_like(out) if len(wt) > 1 else None
+    for k, w_k in enumerate(wt):
+        i, j = divmod(k, spec.kernel_w)
+        tap = x[:, :,
+                i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
+                j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
+        np.matmul(w_k, tap.reshape(n, g, cg, oh * ow), out=scratch if k else out)
+        if k:
+            out += scratch
+    # A sum begun on a zero accumulator, (0 + tap 0) + ... + bias, differs
+    # from tap 0 + ... only where every tap is -0: it gives +0 there. Adding
+    # 0, or bias + 0, gives its bits in one pass.
+    out += np.float32(0) if bias is None else (bias + np.float32(0)).reshape(g, og, 1)
     return out.reshape(n, spec.out_channels, oh, ow)
 
 

@@ -19,7 +19,8 @@ from falconnet import ConvSpec, batch_norm_infer
 
 def conv2d_per_tap(x, w, b, spec):
     """Grouped conv2d, one product per tap. A group reading one input channel
-    takes a broadcast product; wider groups contract with ``einsum``."""
+    takes a broadcast product; wider groups take one ``matmul`` per image and
+    group, of the tap's (g, og, cg) weights and its (N, g, cg, oh*ow) view."""
     x = np.asarray(x, np.float32)
     w = np.asarray(w, np.float32)
     n = x.shape[0]
@@ -38,7 +39,8 @@ def conv2d_per_tap(x, w, b, spec):
             if cg == 1:
                 out += wg[None, :, :, 0, i, j, None, None] * tap
             else:
-                out += np.einsum("gok,ngkhw->ngohw", wg[:, :, :, i, j], tap, optimize=True)
+                out += np.matmul(np.ascontiguousarray(wg[:, :, :, i, j]),
+                                 tap.reshape(n, g, cg, oh * ow)).reshape(out.shape)
     out = out.reshape(n, spec.out_channels, oh, ow)
     if b is not None:
         out = out + np.asarray(b, np.float32).reshape(1, -1, 1, 1)

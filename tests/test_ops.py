@@ -6,6 +6,7 @@ of small shapes, plus hand-derived fixed cases. It is also pinned bitwise to
 the tap-by-tap float32 sum of ``reference_kernels.conv2d_per_tap``.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -236,6 +237,81 @@ def test_conv2d_empty_batch(spec, h, w):
 ])
 def test_conv2d_grouped_bits_at_model_size(spec, n, h, w):
     _assert_nchw_bits(spec, n, h, w, 4)
+
+
+def _conv2d_einsum(x, w, b, spec):
+    """Grouped conv2d as one ``einsum`` per tap, summed on a zero accumulator
+    in (i, j) order, then the bias: the arithmetic the grouped path had
+    before it took one ``matmul`` per tap."""
+    n = x.shape[0]
+    oh, ow = spec.out_hw(x.shape[2], x.shape[3])
+    xp = np.pad(x, ((0, 0), (0, 0), (spec.pad_h,) * 2, (spec.pad_w,) * 2))
+    g = spec.groups
+    og, cg = spec.out_channels // g, spec.in_channels // g
+    wg = w.reshape(g, og, cg, spec.kernel_h, spec.kernel_w)
+    out = np.zeros((n, g, og, oh, ow), np.float32)
+    for i in range(spec.kernel_h):
+        for j in range(spec.kernel_w):
+            tap = xp[:, :, i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
+                     j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
+            out += np.einsum("gok,ngkhw->ngohw", wg[:, :, :, i, j],
+                             tap.reshape(n, g, cg, oh, ow), optimize=True)
+    out = out.reshape(n, spec.out_channels, oh, ow)
+    return out if b is None else out + b.reshape(1, -1, 1, 1)
+
+
+try:
+    from numpy._core import einsumfunc as _einsumfunc
+except ImportError:  # numpy < 2
+    _einsumfunc = None
+
+def _pw(c_in, c_out):
+    return ConvSpec(c_in, c_out, has_bias=True)
+
+
+@pytest.mark.skipif(not hasattr(_einsumfunc, "bmm_einsum"),
+                    reason="numpy < 2.3 runs einsum as c_einsum, which no BLAS product matches")
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("spec, h", [
+    (ConvSpec(3, 32, 3, 3, 2, 2, 1, 1), 224),                 # stem, train form
+    (ConvSpec(3, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 224),  # stem, fused
+    (_pw(32, 32), 112),                                       # stem.pw
+    (_pw(32, 192), 56), (_pw(192, 32), 56),                   # lightnet expand/reduce
+    (_pw(64, 384), 28), (_pw(384, 64), 28),
+    (_pw(128, 768), 14), (_pw(768, 128), 14),
+    (_pw(256, 1536), 7), (_pw(1536, 256), 7),
+    (_pw(256, 1024), 7),                                      # head.mix
+])
+def test_conv2d_grouped_equals_einsum_at_model_shapes(spec, h, n):
+    # At the presets' 224 px shapes the per-image matmul gives the bits of
+    # the batched-matmul einsum, which computes the transposed product over
+    # the whole batch. At other shapes (few channels, small planes) BLAS may
+    # pick another kernel for one of the two and the last bit can differ.
+    x, wt, b = _case(spec, n, h, h, 6)
+    assert conv2d(x, wt, b, spec).tobytes() == _conv2d_einsum(x, wt, b, spec).tobytes()
+
+
+def _sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec, h, w", [
+    (ConvSpec(3, 32, 3, 3, 2, 2, 1, 1, has_bias=True), 30, 32),  # stem-shaped: strided taps
+    # Unpadded 1x1, x viewed as is; one product over the whole batch gives
+    # other bits than per-image products at this shape.
+    (ConvSpec(32, 16, has_bias=True), 7, 7),
+])
+def test_conv2d_grouped_is_pure_unaliased_and_batch_invariant(spec, h, w):
+    x, wt, b = _case(spec, 3, h, w, 8)
+    before = [_sha(a) for a in (x, wt, b)]
+    y = conv2d(x, wt, b, spec)
+    assert [_sha(a) for a in (x, wt, b)] == before
+    assert y.dtype == np.float32 and y.flags.c_contiguous
+    assert not np.shares_memory(y, x)
+    # Each image is its own product, so a batch gives every image the bits
+    # it gets alone.
+    for r in range(len(x)):
+        assert y[r].tobytes() == conv2d(x[r:r + 1], wt, b, spec)[0].tobytes()
 
 
 def test_conv_linearity():
