@@ -162,20 +162,22 @@ def _split_windows(x: np.ndarray, spec: SFConvSpec) -> np.ndarray:
     return x.reshape(n, spec.windows, spec.kernel, h, w)
 
 
-def _stage1(xw: np.ndarray, w1: np.ndarray) -> np.ndarray:
+def _stage1(xw: np.ndarray, w1: np.ndarray, out=None) -> np.ndarray:
     # (win, hid, K) @ (N, win, K, H*W) -> (N, win, hid, H*W), one BLAS product
-    # per image and window, viewed as (N, hid, win, H, W).
+    # per image and window, viewed as (N, hid, win, H, W). ``out``, if given,
+    # is a (N, win, hid, H*W) buffer the products may be written into.
     n, win, k, h, w = xw.shape
-    y = np.matmul(w1.transpose(1, 0, 2), xw.reshape(n, win, k, h * w))
+    y = np.matmul(w1.transpose(1, 0, 2), xw.reshape(n, win, k, h * w), out=out)
     return y.reshape(n, win, w1.shape[0], h, w).transpose(0, 2, 1, 3, 4)
 
 
-def _stage2(hidden: np.ndarray, w2: np.ndarray, spec: SFConvSpec) -> np.ndarray:
+def _stage2(hidden: np.ndarray, w2: np.ndarray, spec: SFConvSpec, out=None) -> np.ndarray:
     # Output channel o reads hidden channel o // width_multiplier at every window:
-    # (hid, m, win) @ (N, hid, win, H*W) -> (N, hid, m, H*W).
+    # (hid, m, win) @ (N, hid, win, H*W) -> (N, hid, m, H*W). ``out``, if
+    # given, is a (N, hid, m, H*W) buffer the products may be written into.
     n, hid, win, h, w = hidden.shape
     w2r = w2.reshape(hid, spec.width_multiplier, win)
-    out = np.matmul(w2r, hidden.reshape(n, hid, win, h * w))
+    out = np.matmul(w2r, hidden.reshape(n, hid, win, h * w), out=out)
     return out.reshape(n, spec.c_out, h, w)
 
 
@@ -238,34 +240,53 @@ def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
     Stage-1 normalization runs over the K/R hidden channels (shared across
     window positions); stage-2 normalization runs over c_out.
     """
-    x = as_f32(x)
-    if x.ndim != 4:
-        raise ShapeError(f"refco_forward expects a rank-4 input, got rank {x.ndim}")
+    return _refco(x, spec, *_refco_terms(spec, branches1, branches2))
+
+
+def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
+    """The checked branches of both stages as ``_normalized_sum`` terms: per
+    branch its weight and its BN's scale and shift, shaped to scale the
+    stage's output along its channel axis."""
     branches1 = tuple(branches1)
     branches2 = tuple(branches2)
     _check_refco(spec, branches1, branches2)
+
+    def terms(branches, shape):
+        return tuple((as_f32(br.weight), *(v.reshape(shape) for v in br.bn.scale_shift()))
+                     for br in branches)
+
+    return terms(branches1, (1, -1, 1, 1, 1)), terms(branches2, (1, -1, 1, 1))
+
+
+def _refco(x, spec: SFConvSpec, terms1, terms2) -> np.ndarray:
+    """RefCO of ``x`` given its branches as ``_refco_terms``."""
+    x = as_f32(x)
+    if x.ndim != 4:
+        raise ShapeError(f"refco_forward expects a rank-4 input, got rank {x.ndim}")
     xw = _split_windows(x, spec)
-
-    # Each branch's matmul output is fresh: normalize it in place and add it
-    # in place into the running sum, which starts as the first branch.
-    hidden = None
-    for br in branches1:
-        hidden = _add_normalized(hidden, _stage1(xw, as_f32(br.weight)), br.bn, (1, -1, 1, 1, 1))
-    out = None
-    for br in branches2:
-        out = _add_normalized(out, _stage2(hidden, as_f32(br.weight), spec), br.bn, (1, -1, 1, 1))
-    return out
+    n, hw = x.shape[0], x.shape[2] * x.shape[3]
+    hid, win = spec.hidden_channels, spec.windows
+    hidden = _normalized_sum(lambda w, out: _stage1(xw, w, out), terms1, (n, win, hid, hw))
+    return _normalized_sum(lambda w, out: _stage2(hidden, w, spec, out), terms2,
+                           (n, hid, spec.width_multiplier, hw))
 
 
-def _add_normalized(total, y, bn: BnParams, shape) -> np.ndarray:
-    """``total + (y * s + t)`` with the BN's (s, t) viewed as ``shape``, in
-    place on ``y`` and ``total``; ``y`` itself when ``total`` is None."""
-    s, t = bn.scale_shift()
-    y *= s.reshape(shape)
-    y += t.reshape(shape)
-    if total is None:
-        return y
-    total += y
+def _normalized_sum(product, terms, scratch_shape) -> np.ndarray:
+    """The sum over ``terms`` (w, s, t) of ``product(w, out) * s + t``, in
+    order. The first product is fresh and becomes the running sum; the others
+    go through one scratch buffer of ``scratch_shape``, the layout ``product``
+    writes into. Every step is in place, so the bits are those of the plain
+    per-branch arithmetic."""
+    total = None
+    scratch = np.empty(scratch_shape, np.float32) if len(terms) > 1 else None
+    for w, s, t in terms:
+        y = product(w, None if total is None else scratch)
+        y *= s
+        y += t
+        if total is None:
+            total = y
+        else:
+            total += y
     return total
 
 

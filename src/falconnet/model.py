@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -25,12 +26,13 @@ from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .channel import (RefCOBranch, SFConvSpec, SFConvWeights, choose_kernel_size,
-                      refco_forward, sfconv_forward)
+from .channel import (RefCOBranch, SFConvSpec, SFConvWeights, _refco, _refco_terms,
+                      choose_kernel_size, sfconv_forward)
 from .fuse import fuse_bn_into_linear, merge_refco, merge_repso
-from .ops import (BnParams, ConvSpec, ShapeError, Tensor, as_f32, batch_norm_infer,
-                  conv2d, global_avg_pool, linear, relu)
-from .spatial import RepSOBranch, RepSOConfig, RepSOWeights, branch_kernel_shape, repso_forward
+from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _channel_affine, _relu_in_place,
+                  as_f32, conv2d, global_avg_pool, linear, relu)
+from .spatial import (RepSOBranch, RepSOConfig, RepSOWeights, _repso, _repso_terms,
+                      branch_kernel_shape)
 from .store import WeightStore
 
 __all__ = [
@@ -287,7 +289,13 @@ def save_config(cfg: ModelConfig, path) -> None:
 #   shape(c, h, w)  the input channels it needs (or None), what it calls them,
 #                   and its output shape;
 #   entries()       its weight entries, the only place a weight key is spelled;
-#   apply(x, w)     its output, given the arrays of its entries in that order;
+#   bind(w, owned)  its step: the function of its input that gives its
+#                   output, with the arrays of its entries, in that order,
+#                   resolved once into what the kernel takes. With `owned`
+#                   the input is an array of the same run that nothing else
+#                   reads, and the step may write over it;
+#   view            whether its output may be its input, viewed (it is
+#                   otherwise an array no one else holds);
 #   fuse(w, bn)     on Conv, SF-Conv, RepSO and RefCO: the inference-form node
 #                   and its arrays, absorbing `bn`, the normalization that
 #                   follows (its BnParams; its BnNode when `w` is None), if any.
@@ -315,6 +323,7 @@ class _Leaf:
     """A weightless leaf that keeps its input's shape."""
     name: str
     cost = None
+    view = False
 
     def shape(self, c: int, h: int, w: int):
         return None, "", (c, h, w)
@@ -343,8 +352,9 @@ class ConvNode(_Leaf):
         if s.has_bias:
             yield ParamEntry(f"{self.name}.bias", (s.out_channels,), "bias")
 
-    def apply(self, x, w):
-        return conv2d(x, w[0], w[1] if self.spec.has_bias else None, self.spec)
+    def bind(self, w, owned):
+        bias = w[1] if self.spec.has_bias else None
+        return lambda x: conv2d(x, w[0], bias, self.spec)
 
     def fuse(self, w, bn):
         if bn is None:
@@ -369,14 +379,15 @@ class BnNode(_Leaf):
     def params(self, w) -> BnParams:
         return BnParams(*w, self.eps)
 
-    def apply(self, x, w):
-        return batch_norm_infer(x, self.params(w))
+    def bind(self, w, owned):
+        s, t = self.params(w).scale_shift()
+        return lambda x: _channel_affine(x, s, t, owned)
 
 
 @dataclass(frozen=True)
 class ReluNode(_Leaf):
-    def apply(self, x, w):
-        return relu(x)
+    def bind(self, w, owned):
+        return _relu_in_place if owned else relu
 
 
 @dataclass(frozen=True)
@@ -384,14 +395,16 @@ class PoolNode(_Leaf):
     def shape(self, c, h, w):
         return None, "", (c, 1, 1)
 
-    def apply(self, x, w):
-        return global_avg_pool(x)
+    def bind(self, w, owned):
+        return global_avg_pool
 
 
 @dataclass(frozen=True)
 class FlattenNode(_Leaf):
-    def apply(self, x, w):
-        return x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    view = True
+
+    def bind(self, w, owned):
+        return lambda x: x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
 @dataclass(frozen=True)
@@ -408,8 +421,8 @@ class LinearNode(_Leaf):
                          "linear_weight", self.in_features)
         yield ParamEntry(f"{self.name}.bias", (self.out_features,), "bias")
 
-    def apply(self, x, w):
-        return linear(x, *w)
+    def bind(self, w, owned):
+        return lambda x: linear(x, *w)
 
 
 @dataclass(frozen=True)
@@ -437,8 +450,9 @@ class RepSONode(_Leaf):
             RepSOBranch(kind, None if kind == "identity" else next(it), BnParams(*islice(it, 4)))
             for kind in self.cfg.branch_kinds()))
 
-    def apply(self, x, w):
-        return repso_forward(x, self._unpack(w), self.cfg)
+    def bind(self, w, owned):
+        terms = _repso_terms(self._unpack(w), self.cfg)
+        return lambda x: _repso(x, self.cfg, terms)
 
     def fuse(self, w, bn):
         c = self.cfg.channels
@@ -475,8 +489,9 @@ class SFConvNode(_Leaf):
         return (w[0], w[1], next(it) if self.has_bias1 else None,
                 next(it) if self.has_bias2 else None)
 
-    def apply(self, x, w):
-        return sfconv_forward(x, self.spec, SFConvWeights(self.spec, *self._unpack(w)))
+    def bind(self, w, owned):
+        weights = SFConvWeights(self.spec, *self._unpack(w))
+        return lambda x: sfconv_forward(x, self.spec, weights)
 
     def fuse(self, w, bn):
         if bn is None:
@@ -510,8 +525,9 @@ class RefCONode(_Leaf):
         b = [RefCOBranch(w[j], BnParams(*w[j + 1:j + 5])) for j in range(0, len(w), 5)]
         return b[:self.spec.windows], b[self.spec.windows:]
 
-    def apply(self, x, w):
-        return refco_forward(x, self.spec, *self._unpack(w))
+    def bind(self, w, owned):
+        terms = _refco_terms(self.spec, *self._unpack(w))
+        return lambda x: _refco(x, self.spec, *terms)
 
     def fuse(self, w, bn):
         node = SFConvNode(self.name, self.spec, True, True)
@@ -693,37 +709,116 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
             arr = rng.uniform(-0.3, 0.3, entry.shape)
         else:  # bn_var
             arr = rng.uniform(0.5, 2.0, entry.shape)
-        store.put(entry.key, arr.astype(np.float32))
+        store.put(entry.key, arr)  # put rounds to float32
     return store
 
 
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
+#
+# `forward` runs a plan: the graph compiled against one weight store into a
+# flat list of steps. Compiling reads every weight entry once, in entry
+# order, and each leaf binds its arrays into the form its kernel takes (BN
+# statistics become a scale and shift), so a run only calls kernels. A step
+# looks its kernel up by name when it runs, so a kernel swapped into the
+# module afterwards is the one called. Steps write in place only into arrays
+# of the same run that nothing else reads (see `_emit`); a plan holds no
+# activation, so runs are reentrant. `forward` keeps one plan per (graph,
+# store) pair.
 
 def _weights(node, store: WeightStore) -> list:
     return [store.get(e.key) for e in node.entries()]
 
 
-def _run(nodes, store: WeightStore, x: Tensor) -> Tensor:
-    for node in nodes:
+# What a step does with the running activation x: replace it by fn(x);
+# save it for a residual shortcut; or replace it by fn(saved, x), the
+# shortcut sum, popping the saved one.
+_CALL, _SAVE, _ADD = range(3)
+
+
+class _Step(NamedTuple):
+    where: str  # the node's name, after those of its enclosing blocks
+    op: int
+    fn: object
+
+
+def _execute(plan: tuple, x: Tensor) -> Tensor:
+    saved = []
+    for where, op, fn in plan:
         try:
-            if not isinstance(node, BlockNode):
-                x = node.apply(x, _weights(node, store))
-            elif node.residual:  # no local keeps the body's output past the add
-                x = x + _run(node.body, store, x)
+            if op == _CALL:
+                x = fn(x)
+            elif op == _SAVE:
+                saved.append(x)
             else:
-                x = _run(node.body, store, x)
+                x = fn(saved.pop(), x)
         except ShapeError as e:
-            raise ShapeError(f"{node.name}: {e}") from None
+            raise ShapeError(f"{where}: {e}") from None
     return x
+
+
+def _compile(nodes, store: WeightStore) -> tuple:
+    """The plan of a node sequence against ``store``: its steps, in order."""
+    steps: list = []
+    _emit(nodes, store, "", False, steps)
+    return tuple(steps)
+
+
+def _emit(nodes, store: WeightStore, where: str, owned: bool, steps: list) -> bool:
+    """Append the steps of ``nodes``, reading their entries from ``store`` in
+    entry order. ``owned`` tells whether the input is an array of the same
+    run that nothing else reads; returns that of the output. A residual
+    body's input is read again by its shortcut, so the body starts unowned."""
+    for node in nodes:
+        at = where + node.name
+        if isinstance(node, BlockNode) and not node.residual:
+            owned = _emit(node.body, store, at + ": ", owned, steps)
+        elif isinstance(node, BlockNode):
+            steps.append(_Step(at, _SAVE, None))
+            body_owned = _emit(node.body, store, at + ": ", False, steps)
+            steps.append(_Step(at, _ADD, _add_into_second if body_owned else np.add))
+            owned = True
+        else:
+            try:
+                fn = node.bind(_weights(node, store), owned)
+            except ShapeError as e:
+                raise ShapeError(f"{at}: {e}") from None
+            steps.append(_Step(at, _CALL, fn))
+            owned = owned or not node.view
+    return owned
+
+
+def _add_into_second(x: Tensor, y: Tensor) -> Tensor:
+    return np.add(x, y, out=y)
+
+
+def _run(nodes, store: WeightStore, x: Tensor) -> Tensor:
+    return _execute(_compile(nodes, store), x)
+
+
+# store -> {id(graph): (graph, plan)}, weakly keyed, so that plans live as
+# long as their store and no longer. A plan cannot go stale: a store only
+# gains entries, and its arrays are read-only copies. Holding the graph keeps
+# its id from being reused while its plan is cached.
+_PLANS = weakref.WeakKeyDictionary()
+
+
+def _plan(graph: LayerGraph, store: WeightStore) -> tuple:
+    plans = _PLANS.setdefault(store, {})
+    cached = plans.get(id(graph))
+    if cached is None:  # threads that miss together each compile; any plan serves
+        cached = plans[id(graph)] = (graph, _compile(graph.nodes, store))
+    return cached[1]
 
 
 def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
     """Run the graph on a (N, 3, R, R) input; returns (N, num_classes) logits.
 
     Purely functional over immutable inputs: the same input and weights
-    produce bitwise-identical logits on a given machine.
+    produce bitwise-identical logits on a given machine. The first call on a
+    (graph, store) pair compiles a plan that later calls reuse; ``x`` is
+    never written, and calls may run concurrently.
     """
     x = as_f32(x)
     res = graph.config.input_resolution
@@ -731,7 +826,7 @@ def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
         raise ShapeError(f"model input must be (N, 3, {res}, {res}), got {x.shape}")
     if x.shape[2] != res or x.shape[3] != res:
         raise ShapeError(f"model input is {x.shape[2]}x{x.shape[3]}, expected {res}x{res}")
-    return _run(graph.nodes, store, x)
+    return _execute(_plan(graph, store), x)
 
 
 # ---------------------------------------------------------------------------
@@ -765,9 +860,9 @@ def _fuse_seq(nodes, store: WeightStore | None, out: WeightStore | None):
                 node, w = fused
                 rewrites += 1
                 i += bn is not None  # the normalization is absorbed
-        if out is not None:
+        if out is not None:  # `w` holds new arrays and read-only ones of `store`
             for entry, arr in zip(node.entries(), w, strict=True):
-                out.put(entry.key, arr)
+                out._adopt(entry.key, arr)
         result.append(node)
     return result, rewrites
 

@@ -138,7 +138,8 @@ class BnParams:
                 raise ShapeError(
                     f"BnParams.{name} has length {getattr(self, name).shape[0]}, "
                     f"expected {c}")
-        bad = np.nonzero(self.var + np.float32(self.eps) <= 0)[0]
+        # Written as `not > 0` so that a NaN variance is rejected too.
+        bad = np.nonzero(~(self.var + np.float32(self.eps) > 0))[0]
         if bad.size:
             raise ValueError(f"var + eps must be positive, violated at channel {bad[0]}")
 
@@ -410,16 +411,27 @@ def _conv2d_grouped(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
 
 def batch_norm_infer(x: Tensor, p: BnParams) -> Tensor:
     """Apply the per-channel affine map y = s * x + t derived from ``p``."""
+    return _channel_affine(x, *p.scale_shift())
+
+
+def _channel_affine(x, s: np.ndarray, t: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """``x * s + t`` with length-C vectors ``s`` and ``t``, the product rounded
+    before the sum; written over ``x`` when ``in_place``."""
     x = _check_input(x, "batch_norm_infer")
-    if x.shape[1] != p.channels:
+    if x.shape[1] != s.shape[0]:
         raise ShapeError(
-            f"batch_norm_infer input has {x.shape[1]} channels, params have {p.channels}")
-    s, t = p.scale_shift()
-    return x * s.reshape(1, -1, 1, 1) + t.reshape(1, -1, 1, 1)
+            f"batch_norm_infer input has {x.shape[1]} channels, params have {s.shape[0]}")
+    y = np.multiply(x, s.reshape(1, -1, 1, 1), out=x if in_place else None)
+    y += t.reshape(1, -1, 1, 1)
+    return y
 
 
 def relu(x: Tensor) -> Tensor:
     return np.maximum(as_f32(x), np.float32(0))
+
+
+def _relu_in_place(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, np.float32(0), out=x)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -119,21 +119,32 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     added into the output in branch order, so the bits equal those of the
     per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
     """
+    return _repso(x, cfg, _repso_terms(w, cfg))
+
+
+def _repso_terms(w: RepSOWeights, cfg: RepSOConfig) -> list:
+    """The checked branches of ``w`` as ``_branch_sum`` terms: per branch its
+    grid taps, its kernel and its BN's scale and shift."""
+    check_repso_weights(w, cfg)
+    terms = []
+    for br in w.branches:  # identity, the one kind not in _KERNEL_HW, is the centre tap
+        kh, kw = _KERNEL_HW.get(br.kind, (1, 1))
+        r0, c0 = (3 - kh) // 2, (3 - kw) // 2
+        taps = [(r0 + i) * 3 + c0 + j for i in range(kh) for j in range(kw)]
+        terms.append((taps, br.kernel, *br.bn.scale_shift()))
+    return terms
+
+
+def _repso(x, cfg: RepSOConfig, terms: list) -> np.ndarray:
+    """RepSO of ``x`` given its weights as ``_repso_terms``."""
     x = as_f32(x)
     if x.ndim != 4 or x.shape[1] != cfg.channels:
         raise ShapeError(
             f"repso_forward input has {x.shape[1] if x.ndim == 4 else '?'} channels, "
             f"expected {cfg.channels}")
-    check_repso_weights(w, cfg)
     c, h, width = x.shape[1:]
     grid = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c)
-    branches = []
-    for br in w.branches:  # identity, the one kind not in _KERNEL_HW, is the centre tap
-        kh, kw = _KERNEL_HW.get(br.kind, (1, 1))
-        r0, c0 = (3 - kh) // 2, (3 - kw) // 2
-        taps = [(r0 + i) * 3 + c0 + j for i in range(kh) for j in range(kw)]
-        branches.append((taps, br.kernel, *br.bn.scale_shift()))
-    return _branch_sum(x, grid, *grid.out_hw(h, width), branches)
+    return _branch_sum(x, grid, *grid.out_hw(h, width), terms)
 
 
 def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,

@@ -8,12 +8,11 @@ trips are byte exact.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
 import numpy as np
-
-from .ops import as_f32
 
 __all__ = [
     "StoreError",
@@ -34,7 +33,12 @@ class StoreError(ValueError):
 
 
 class WeightStore:
-    """Ordered mapping of dotted names to float32 arrays."""
+    """Ordered mapping of dotted names to float32 arrays.
+
+    Entries are only ever added. Each holds a private, read-only, C-contiguous
+    copy of the array put, so neither the caller's array nor one handed out by
+    ``get`` can change it.
+    """
 
     def __init__(self, entries=None):
         self._entries: dict[str, np.ndarray] = {}
@@ -43,11 +47,17 @@ class WeightStore:
                 self.put(name, arr)
 
     def put(self, name: str, array) -> None:
+        self._adopt(name, np.array(array, dtype=np.float32, order="C"))  # a private copy
+
+    def _adopt(self, name: str, array) -> None:
+        """Add ``array`` as entry ``name``, copied only to make it C-contiguous
+        float32: for an array that no one writes afterwards."""
         if name in self._entries:
             raise StoreError(f"duplicate entry name '{name}'")
-        arr = np.ascontiguousarray(as_f32(array))
+        arr = np.asarray(array, dtype=np.float32, order="C")
         if arr.ndim > _MAX_RANK:
             raise StoreError(f"entry '{name}' has rank {arr.ndim}, maximum is {_MAX_RANK}")
+        arr.setflags(write=False)
         self._entries[name] = arr
 
     def get(self, name: str) -> np.ndarray:
@@ -106,6 +116,18 @@ def _read_weights(f, size: int) -> WeightStore:
         pos += n
         return f.read(n)
 
+    def take_array(shape: tuple) -> np.ndarray:
+        """The next entry's data, read straight into a new array."""
+        nonlocal pos
+        n = 4 * math.prod(shape)
+        if pos + n > size:  # checked before allocating what the header claims
+            raise StoreError("truncated weight file")
+        arr = np.empty(shape, dtype="<f4")
+        if f.readinto(arr.reshape(-1).view(np.uint8)) != n:
+            raise StoreError("truncated weight file")
+        pos += n
+        return arr
+
     magic = take(4)
     if magic != MAGIC:
         raise StoreError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -125,11 +147,7 @@ def _read_weights(f, size: int) -> WeightStore:
         if rank > _MAX_RANK:
             raise StoreError(f"entry '{name}' has rank {rank}, maximum is {_MAX_RANK}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        numel = 1
-        for d in shape:
-            numel *= d
-        arr = np.frombuffer(take(4 * numel), dtype="<f4").reshape(shape).copy()
-        store.put(name, arr)
+        store._adopt(name, take_array(shape))
     if pos != size:
         raise StoreError(f"{size - pos} trailing bytes after last entry")
     return store
@@ -224,4 +242,4 @@ def load_input_tensor(path, resolution: int) -> np.ndarray:
         raise StoreError(
             f'"input" entry is {x.shape[2]}x{x.shape[3]}, model expects '
             f"{resolution}x{resolution}")
-    return x
+    return x.copy()  # writable, as from a PPM; the store's array is read-only

@@ -4,7 +4,9 @@
 zero accumulator; ``sfconv_stage1_einsum``/``sfconv_stage2_einsum`` contract
 the SF-Conv stages with ``einsum``; ``linear_whole_batch`` is one matrix
 product over the batch. Tests swap them into the model executor to check
-the library's logits against this arithmetic.
+the library's logits against this arithmetic. The stage references take the
+library stages' optional ``out`` buffer and leave it unused: a stage returns
+its result, which need not live in ``out``.
 
 ``repso_per_branch`` and ``refco_per_branch`` are the training-form
 operators composed branch by branch, out of place: each branch's output,
@@ -47,15 +49,15 @@ def conv2d_per_tap(x, w, b, spec):
     return out
 
 
-def sfconv_stage1_einsum(xw, w1):
+def sfconv_stage1_einsum(xw, w1, out=None):
     return np.einsum("hpt,nptij->nhpij", w1, xw, optimize=True)
 
 
-def sfconv_stage2_einsum(hidden, w2, spec):
+def sfconv_stage2_einsum(hidden, w2, spec, out=None):
     n = hidden.shape[0]
     w2r = w2.reshape(spec.hidden_channels, spec.width_multiplier, spec.windows)
-    out = np.einsum("hmp,nhpij->nhmij", w2r, hidden, optimize=True)
-    return out.reshape(n, spec.c_out, hidden.shape[3], hidden.shape[4])
+    y = np.einsum("hmp,nhpij->nhmij", w2r, hidden, optimize=True)
+    return y.reshape(n, spec.c_out, hidden.shape[3], hidden.shape[4])
 
 
 def linear_whole_batch(x, w, b):

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from falconnet import (BlockConfig, ChannelSlot, ModelConfig, SpatialSlot, WeightStore,
                        build_model, count_flops, count_params, init_weights,
-                       iter_param_entries, load_config, save_config, save_weights)
+                       iter_param_entries, load_config, load_weights, save_config,
+                       save_weights)
 from falconnet.cli import main
 
 
@@ -160,6 +161,19 @@ class TestFuseAndVerify:
                            "--weights", str(corrupted), "--out", str(tmp_path / "o.falc"))
         assert code == 1
         assert err.startswith("error: ")
+
+    def test_nan_bn_variance_is_one_error_line(self, workdir, capsys):
+        tmp_path, cfg, cfg_path, weights_path = workdir
+        store = load_weights(weights_path)
+        key = next(e.key for e in iter_param_entries(build_model(cfg)) if e.role == "bn_var")
+        poisoned = tmp_path / "nan.falc"
+        save_weights(WeightStore({k: np.full_like(v, np.nan) if k == key else v
+                                  for k, v in store.items()}), poisoned)
+        code, out, err = run(capsys, "verify", "--config", str(cfg_path),
+                             "--weights", str(poisoned), "--trials", "1")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "var + eps must be positive" in err
 
     def test_verify_reports_and_exits_zero(self, workdir, capsys):
         _, _, cfg_path, weights_path = workdir

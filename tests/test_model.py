@@ -6,6 +6,7 @@ interpreter to match exactly.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -628,12 +629,23 @@ def _preset_models(preset, resolution=64):
     return (graph, store), fuse_model(graph, store)
 
 
-def _use_reference_kernels(monkeypatch):
-    """Route the executor through the plain-arithmetic reference kernels."""
-    monkeypatch.setattr(model_mod, "conv2d", ref.conv2d_per_tap)
-    monkeypatch.setattr(model_mod, "linear", ref.linear_whole_batch)
-    monkeypatch.setattr(channel_mod, "_stage1", ref.sfconv_stage1_einsum)
-    monkeypatch.setattr(channel_mod, "_stage2", ref.sfconv_stage2_einsum)
+def _use_reference_kernels(monkeypatch) -> Counter:
+    """Route the executor through the plain-arithmetic reference kernels;
+    returns the count of calls each patched name takes from then on."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name, fn in ((model_mod, "conv2d", ref.conv2d_per_tap),
+                             (model_mod, "linear", ref.linear_whole_batch),
+                             (channel_mod, "_stage1", ref.sfconv_stage1_einsum),
+                             (channel_mod, "_stage2", ref.sfconv_stage2_einsum)):
+        monkeypatch.setattr(module, name, counted(name, fn))
+    return calls
 
 
 class TestKernelNumerics:
@@ -660,11 +672,21 @@ class TestKernelNumerics:
         # Only the SF-Conv stages change the summation order: the RepSO and
         # dense-pointwise presets match the reference bit for bit, FalconNet
         # within 1e-5, and its train and fused forms stay within 1e-5.
+        # The library runs first, so its plans are compiled and cached before
+        # the patch: each form must still call every patched reference kernel
+        # it uses (the SF-Conv stages only in FalconNet, through RefCO in the
+        # train form and SF-Conv in the fused one).
         models = _preset_models(preset)
         x = np.random.default_rng(5).standard_normal((1, 3, 64, 64)).astype(np.float32)
         train, fused = (forward(g, s, x) for g, s in models)
-        _use_reference_kernels(monkeypatch)
-        ref_train, ref_fused = (forward(g, s, x) for g, s in models)
+        calls = _use_reference_kernels(monkeypatch)
+        used = {"conv2d", "linear"} | ({"_stage1", "_stage2"} if preset == "falconnet" else set())
+        ref_logits = []
+        for g, s in models:
+            calls.clear()
+            ref_logits.append(forward(g, s, x))
+            assert set(calls) == used
+        ref_train, ref_fused = ref_logits
         if preset == "falconnet":
             assert np.abs(train - ref_train).max() <= 1e-5
             assert np.abs(fused - ref_fused).max() <= 1e-5

@@ -393,6 +393,14 @@ class TestBatchNorm:
         with pytest.raises(ShapeError, match="length"):
             BnParams([1.0, 1.0], [0.0], [0.0], [1.0])
 
+    def test_nan_variance_is_rejected(self):
+        # `var + eps <= 0` is False for NaN, so only `not var + eps > 0`
+        # catches it; a NaN variance would turn every later value NaN.
+        with pytest.raises(ValueError, match="channel 0"):
+            BnParams([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [np.nan, 1.0])
+        with pytest.raises(ValueError, match="channel 1"):
+            BnParams([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, np.nan])
+
 
 def test_relu_cases():
     x = np.array([-1.0, 0.0, 2.5], np.float32)

@@ -2,11 +2,13 @@
 
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from falconnet import StoreError, WeightStore, load_weights, save_weights
+from falconnet import (StoreError, WeightStore, build_model, fuse_model, init_weights,
+                       load_weights, preset_config, save_weights)
 from falconnet.store import MAGIC, load_input_tensor, read_ppm
 
 
@@ -49,6 +51,29 @@ def test_load_holds_one_entry_beside_the_loaded_arrays(tmp_path):
         tracemalloc.stop()
     assert loaded.equals_bitwise(store)
     assert peak < 1.5 * 16 * (1 << 18)
+
+
+def test_store_keeps_read_only_copies():
+    a = np.arange(4, dtype=np.float32)
+    store = WeightStore()
+    store.put("a", a)
+    a[0] = 7  # the caller's array stays the caller's, writable as before
+    assert a.flags.writeable
+    np.testing.assert_array_equal(store.get("a"), [0, 1, 2, 3])
+    with pytest.raises(ValueError):
+        store.get("a")[1] = 5
+    np.testing.assert_array_equal(store.get("a"), [0, 1, 2, 3])
+    got = store.get("a")
+    assert got.flags.c_contiguous and got.dtype == np.float32 and not got.flags.writeable
+
+
+def test_loaded_and_fused_stores_are_read_only(tmp_path):
+    path = tmp_path / "w.falc"
+    save_weights(random_store(np.random.default_rng(1)), path)
+    graph = build_model(replace(preset_config("falconnet"), input_resolution=32))
+    _, fused = fuse_model(graph, init_weights(graph))
+    for store in (load_weights(path), fused):
+        assert not any(arr.flags.writeable for _, arr in store.items())
 
 
 def test_empty_store_round_trip(tmp_path):
@@ -149,7 +174,9 @@ def test_load_input_from_container(tmp_path):
     store.put("input", x)
     path = tmp_path / "in.falc"
     save_weights(store, path)
-    np.testing.assert_array_equal(load_input_tensor(path, 8), x)
+    loaded = load_input_tensor(path, 8)
+    np.testing.assert_array_equal(loaded, x)
+    assert loaded.flags.writeable
     with pytest.raises(StoreError, match="8x8"):
         load_input_tensor(path, 16)
 
