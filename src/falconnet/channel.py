@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BnParams, ShapeError, Tensor, as_f32
+from .ops import BnParams, ShapeError, Tensor, _check_variance, _scale_shift, as_f32
 
 __all__ = [
     "SFConvSpec",
@@ -218,19 +218,64 @@ def _check_refco(spec: SFConvSpec, branches1, branches2):
         raise ShapeError(
             f"stage 2 needs exactly {spec.kernel} branches (K), got {len(branches2)}")
     for i, br in enumerate(branches1):
-        if br.weight.shape != (spec.hidden_channels, spec.windows, spec.kernel):
-            raise ShapeError(f"stage-1 branch {i} weight shape {br.weight.shape}")
-        if br.bn.channels != spec.hidden_channels:
+        if br[0].shape != (spec.hidden_channels, spec.windows, spec.kernel):
+            raise ShapeError(f"stage-1 branch {i} weight shape {br[0].shape}")
+        if np.size(br[1]) != spec.hidden_channels:
             raise ShapeError(
-                f"stage-1 branch {i} normalization over {br.bn.channels} channels, "
+                f"stage-1 branch {i} normalization over {np.size(br[1])} channels, "
                 f"expected {spec.hidden_channels}")
     for i, br in enumerate(branches2):
-        if br.weight.shape != (spec.c_out, spec.windows):
-            raise ShapeError(f"stage-2 branch {i} weight shape {br.weight.shape}")
-        if br.bn.channels != spec.c_out:
+        if br[0].shape != (spec.c_out, spec.windows):
+            raise ShapeError(f"stage-2 branch {i} weight shape {br[0].shape}")
+        if np.size(br[1]) != spec.c_out:
             raise ShapeError(
-                f"stage-2 branch {i} normalization over {br.bn.channels} channels, "
+                f"stage-2 branch {i} normalization over {np.size(br[1])} channels, "
                 f"expected {spec.c_out}")
+
+
+def _branch_rows(branches) -> tuple:
+    """``RefCOBranch``es as the ``(weight, gamma, beta, mean, var, eps)``
+    rows that ``_refco_stages`` takes."""
+    return tuple((br.weight, br.bn.gamma, br.bn.beta, br.bn.mean, br.bn.var, br.bn.eps)
+                 for br in branches)
+
+
+def _stacked_stats(branches):
+    """One stage's BN statistics (gamma, beta, mean, var) stacked as (B, C)
+    float32 rows, and a (B, 1) column of eps; None when the branches differ
+    in channel count, which ``_check_refco`` reports.
+
+    Raises, for the first failing branch, what ``BnParams`` raises for it.
+    """
+    try:
+        stats = [np.array([br[k].reshape(-1) for br in branches], np.float32)
+                 for k in range(1, 5)]
+    except ValueError:  # ragged
+        stats = []
+    if len({a.shape for a in stats}) != 1 or stats[0].ndim != 2:
+        for br in branches:
+            BnParams(*br[1:])
+        return None
+    eps = np.array([br[5] for br in branches], np.float32)[:, None]
+    _check_variance(stats[3], eps)
+    return (*stats, eps)
+
+
+def _refco_stages(spec: SFConvSpec, branches1, branches2) -> tuple:
+    """Both stages' branches, checked, as ``(weights, s, t)`` per stage: the
+    weights in branch order, and row b of the (B, C) arrays ``s`` and ``t``
+    the scale and shift of branch b's BN.
+
+    A branch is ``(weight, gamma, beta, mean, var, eps)``. The BN statistics
+    are checked as ``BnParams`` checks them, stage 1's branches before stage
+    2's, and then as ``_check_refco`` checks the stages. Each stage's scales
+    and shifts are computed once, over its stacked statistics, with the
+    float32 arithmetic of ``BnParams.scale_shift``.
+    """
+    stats = [_stacked_stats(branches) for branches in (branches1, branches2)]
+    _check_refco(spec, branches1, branches2)
+    return tuple((tuple(as_f32(br[0]) for br in branches), *_scale_shift(*st))
+                 for branches, st in zip((branches1, branches2), stats))
 
 
 def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
@@ -240,22 +285,16 @@ def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
     Stage-1 normalization runs over the K/R hidden channels (shared across
     window positions); stage-2 normalization runs over c_out.
     """
-    return _refco(x, spec, *_refco_terms(spec, branches1, branches2))
+    stages = _refco_stages(spec, _branch_rows(branches1), _branch_rows(branches2))
+    return _refco(x, spec, *_refco_terms(stages))
 
 
-def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
-    """The checked branches of both stages as ``_normalized_sum`` terms: per
-    branch its weight and its BN's scale and shift, shaped to scale the
-    stage's output along its channel axis."""
-    branches1 = tuple(branches1)
-    branches2 = tuple(branches2)
-    _check_refco(spec, branches1, branches2)
-
-    def terms(branches, shape):
-        return tuple((as_f32(br.weight), *(v.reshape(shape) for v in br.bn.scale_shift()))
-                     for br in branches)
-
-    return terms(branches1, (1, -1, 1, 1, 1)), terms(branches2, (1, -1, 1, 1))
+def _refco_terms(stages) -> tuple:
+    """``_refco_stages`` as ``_normalized_sum`` terms: per branch its weight
+    and its BN's scale and shift, shaped to scale the stage's output along
+    its channel axis."""
+    return tuple(tuple(zip(weights, s.reshape(len(s), *shape), t.reshape(len(t), *shape)))
+                 for (weights, s, t), shape in zip(stages, ((1, -1, 1, 1, 1), (1, -1, 1, 1))))
 
 
 def _refco(x, spec: SFConvSpec, terms1, terms2) -> np.ndarray:

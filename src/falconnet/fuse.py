@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SFConvSpec, SFConvWeights, _check_refco
+from .channel import SFConvSpec, SFConvWeights, _branch_rows, _refco_stages
 from .ops import BnParams, ShapeError, Tensor, as_f32
 from .spatial import _KERNEL_HW, RepSOConfig, RepSOWeights, check_repso_weights
 
@@ -127,23 +127,24 @@ def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
     bias. Stage-1 normalization is per hidden channel, so its shift
     broadcasts across window positions.
     """
-    branches1 = tuple(branches1)
-    branches2 = tuple(branches2)
-    _check_refco(spec, branches1, branches2)
+    return _merge_refco(spec, _refco_stages(spec, _branch_rows(branches1),
+                                            _branch_rows(branches2)))
 
+
+def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
+    """``merge_refco`` of the stages as ``_refco_stages`` gives them."""
+    (w1s, s1, t1), (w2s, s2, t2) = stages
     w1 = np.zeros((spec.hidden_channels, spec.windows, spec.kernel), dtype=np.float32)
     b1 = np.zeros((spec.hidden_channels, spec.windows), dtype=np.float32)
-    for br in branches1:
-        s, t = br.bn.scale_shift()
-        w1 = w1 + as_f32(br.weight) * s[:, None, None]
-        b1 = b1 + t[:, None]
+    for w, s, t in zip(w1s, s1, t1):
+        w1 += w * s[:, None, None]
+        b1 += t[:, None]
 
     w2 = np.zeros((spec.c_out, spec.windows), dtype=np.float32)
     b2 = np.zeros(spec.c_out, dtype=np.float32)
-    for br in branches2:
-        s, t = br.bn.scale_shift()
-        w2 = w2 + as_f32(br.weight) * s[:, None]
-        b2 = b2 + t
+    for w, s, t in zip(w2s, s2, t2):
+        w2 += w * s[:, None]
+        b2 += t
     return SFConvWeights(spec, w1, w2, b1, b2)
 
 

@@ -26,9 +26,9 @@ from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .channel import (RefCOBranch, SFConvSpec, SFConvWeights, _refco, _refco_terms,
+from .channel import (SFConvSpec, SFConvWeights, _refco, _refco_stages, _refco_terms,
                       choose_kernel_size, sfconv_forward)
-from .fuse import fuse_bn_into_linear, merge_refco, merge_repso
+from .fuse import _merge_refco, fuse_bn_into_linear, merge_repso
 from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _channel_affine, _relu_in_place,
                   as_f32, conv2d, global_avg_pool, linear, relu)
 from .spatial import (RepSOBranch, RepSOConfig, RepSOWeights, _repso, _repso_terms,
@@ -520,19 +520,20 @@ class RefCONode(_Leaf):
                 yield ParamEntry(f"{self.name}.{stage}.{i}.weight", shape, role, fan)
                 yield from _bn_entries(f"{self.name}.{stage}.{i}", shape[0])
 
-    def _unpack(self, w):
-        """Stage-1 and stage-2 branches; each is a weight and its four BN arrays."""
-        b = [RefCOBranch(w[j], BnParams(*w[j + 1:j + 5])) for j in range(0, len(w), 5)]
-        return b[:self.spec.windows], b[self.spec.windows:]
+    def _stages(self, w):
+        """Both stages' branches, checked, with their BNs' scales and shifts
+        stacked; each branch is a weight and its four BN arrays."""
+        b = [(*w[j:j + 5], BnParams.eps) for j in range(0, len(w), 5)]
+        return _refco_stages(self.spec, b[:self.spec.windows], b[self.spec.windows:])
 
     def bind(self, w, owned):
-        terms = _refco_terms(self.spec, *self._unpack(w))
+        terms = _refco_terms(self._stages(w))
         return lambda x: _refco(x, self.spec, *terms)
 
     def fuse(self, w, bn):
         node = SFConvNode(self.name, self.spec, True, True)
         if w is not None:
-            m = merge_refco(self.spec, *self._unpack(w))
+            m = _merge_refco(self.spec, self._stages(w))
             w = [m.w1, m.w2, m.bias1, m.bias2]
         return node.fuse(w, bn) or (node, w)
 

@@ -6,6 +6,12 @@ computed tap by tap with plain array arithmetic (no im2col buffers, no
 Winograd), which keeps the summation order fixed and the results
 reproducible on a given machine.
 
+Both convolution kernels walk a batch one image at a time and write each
+image's result straight into the batch output. A call zeroes one image's
+padded buffer once, rewrites its interior for each image, and lays out its
+weights once, so its temporaries are one image's whatever the batch size.
+An image's arithmetic is the same whatever batch it arrives in.
+
 Convolutions whose groups read one input channel each (depthwise, channel
 multiplier) run on one branch-sum kernel: the sum over branches of a
 branch's tap sum times a scale plus a shift. Depthwise ``conv2d`` is its
@@ -17,12 +23,12 @@ kernel tap is one contiguous slice covering a whole output plane. Small
 stride-1 planes with one output channel per group are padded and
 transposed channels-last, so a tap is one contiguous run over whole output
 rows of all channels, with each tap's weights tiled along the padded row.
-Either way the work is walked in tiles of about 256 KiB of accumulator, so
+Either way an image is walked in tiles of about 256 KiB of accumulator, so
 that it and its scratch buffer stay in L2, and every tap is a float32
 multiply into scratch and an add into the accumulator, in the same order as
 a plain tap-by-tap sum: both layouts give the bits of that sum. Groups that
 read several input channels (the stem, dense 1x1) take one ``matmul`` per
-tap, one product per image and group, written straight into the NCHW
+tap, one product per group, written straight into the image's NCHW
 output; those per-tap bits are numpy's, from the same call the test
 reference makes.
 
@@ -138,10 +144,7 @@ class BnParams:
                 raise ShapeError(
                     f"BnParams.{name} has length {getattr(self, name).shape[0]}, "
                     f"expected {c}")
-        # Written as `not > 0` so that a NaN variance is rejected too.
-        bad = np.nonzero(~(self.var + np.float32(self.eps) > 0))[0]
-        if bad.size:
-            raise ValueError(f"var + eps must be positive, violated at channel {bad[0]}")
+        _check_variance(self.var, np.float32(self.eps))
 
     @property
     def channels(self) -> int:
@@ -149,8 +152,7 @@ class BnParams:
 
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """The (s, t) of the equivalent map y = s * x + t."""
-        s = self.gamma / np.sqrt(self.var + np.float32(self.eps))
-        t = self.beta - self.mean * s
+        s, t = _scale_shift(self.gamma, self.beta, self.mean, self.var, np.float32(self.eps))
         return s.astype(np.float32), t.astype(np.float32)
 
     @classmethod
@@ -166,6 +168,22 @@ class BnParams:
         u = rng.uniform
         return cls(u(*gamma_range, channels), u(*beta_range, channels),
                    u(*mean_range, channels), u(*var_range, channels), eps)
+
+
+def _check_variance(var: np.ndarray, eps) -> None:
+    """Reject a channel whose ``var + eps`` is not positive, the first one in
+    row-major order; ``var`` may stack several BNs' variances as rows."""
+    # Written as `not > 0` so that a NaN variance is rejected too.
+    bad = np.argwhere(~(var + eps > 0))
+    if len(bad):
+        raise ValueError(f"var + eps must be positive, violated at channel {bad[0, -1]}")
+
+
+def _scale_shift(gamma, beta, mean, var, eps) -> tuple[np.ndarray, np.ndarray]:
+    """BN's (s, t) elementwise, in float32: s = gamma / sqrt(var + eps) and
+    t = beta - mean * s. The statistics may stack several BNs as rows."""
+    s = gamma / np.sqrt(var + eps)
+    return s, beta - mean * s
 
 
 def _check_input(x: np.ndarray, who: str) -> np.ndarray:
@@ -228,21 +246,23 @@ def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
              *(None if v is None else _row_weights(planes, as_f32(v).reshape(c, og, 1))[0]
                for v in (scale, shift)))
             for taps, w, scale, shift in branches]
-    return _walk_row_tiles(planes, og, plan)
+    return _walk_row_tiles(x, planes, og, plan)
 
 
 class _Planes(NamedTuple):
-    """A zero-padded input and a view of every kernel tap on it.
+    """One image's zero-padded input and a view of every kernel tap on it.
 
-    ``taps[i * kernel_w + j]`` is tap (i, j), with ``aw`` columns per output
-    row, of which the last ``aw - ow`` are not part of the output. In the
-    NCHW layout a tap is (N*C, 1, oh, aw), one row per (image, channel)
-    plane. In the channels-last layout it is (N, oh, aw*C), one row per
-    output row of an image, with the channels innermost.
+    ``image`` is the (C, H, W) interior of the padded buffer, viewed in
+    channel-first order whatever the buffer's layout: writing an image there
+    pads it, since the border stays zero. ``taps[i * kernel_w + j]`` is tap
+    (i, j), with ``aw`` columns per output row, of which the last ``aw -
+    ow`` are not part of the output. In the NCHW layout a tap is (C, 1, oh,
+    aw), one row per channel plane. In the channels-last layout it is (oh,
+    aw*C), one row per output row, with the channels innermost.
     """
 
+    image: np.ndarray
     taps: list
-    n: int
     c: int
     oh: int
     ow: int
@@ -252,7 +272,7 @@ class _Planes(NamedTuple):
 
 # Stride-1 planes with one channel per group are walked channels-last when
 # the padded output plane, oh * wp, holds fewer floats than this. In NCHW a
-# tap is one multiply per (image, channel) plane by that plane's weight;
+# tap is one multiply per channel plane by that plane's weight;
 # channels-last it runs over rows of wp * C floats under one tiled weight
 # row, at the cost of a transposing copy in and out. A sweep of 3x3
 # depthwise convs (7x7 to 112x112 planes, 16 to 1536 channels, batch 1 and
@@ -265,92 +285,89 @@ _CL_PLANE_FLOATS = 2750
 
 
 def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
-    """Pad ``x`` once, in the layout its shape favours, and view every tap.
+    """Zero one image's padded buffer for ``x``'s images, in the layout their
+    shape favours, and view every tap on it.
 
     Channels-last is taken only at stride 1 with one output channel per
-    group; every other spec keeps NCHW planes.
+    group; every other spec keeps NCHW planes. One spare bottom row keeps
+    the last tap's flat slice (below) in bounds.
     """
-    n, c, h, width = x.shape
+    _, c, h, width = x.shape
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
     ph, pw = spec.pad_h, spec.pad_w
     wp = width + 2 * pw
     if sh == sw == 1 and spec.out_channels == spec.groups \
             and oh * wp < _CL_PLANE_FLOATS:
-        # One copy pads and transposes. Rows are laid out one after another
-        # with the channels innermost, so tap (i, j) is the flat slice
-        # starting at (i*wp + j)*c and holds every output row of the image;
-        # the spare bottom row keeps the last tap's slice in bounds.
-        xp = np.zeros((n, h + 2 * ph + 1, wp, c), dtype=np.float32)
-        xp[:, ph:ph + h, pw:pw + width] = x.transpose(0, 2, 3, 1)
+        # Rows are laid out one after another with the channels innermost,
+        # so tap (i, j) is the flat slice starting at (i*wp + j)*c and holds
+        # every output row of the image.
+        xp = np.zeros((h + 2 * ph + 1, wp, c), dtype=np.float32)
         row = wp * c
-        flat = xp.reshape(n, (h + 2 * ph + 1) * row)
-        taps = [flat[:, (i * wp + j) * c: (i * wp + j) * c + oh * row].reshape(n, oh, row)
+        flat = xp.reshape(-1)
+        taps = [flat[(i * wp + j) * c: (i * wp + j) * c + oh * row].reshape(oh, row)
                 for i in range(kh) for j in range(kw)]
-        return _Planes(taps, n, c, oh, ow, wp, True)
-    rows = n * c
-    # One spare bottom row keeps the last tap's flat slice (below) in bounds.
-    xp = np.pad(x.reshape(rows, h, width), ((0, 0), (ph, ph + 1), (pw, pw)))
+        image = xp[ph:ph + h, pw:pw + width].transpose(2, 0, 1)
+        return _Planes(image, taps, c, oh, ow, wp, True)
+    xp = np.zeros((c, h + 2 * ph + 1, wp), dtype=np.float32)
+    image = xp[:, ph:ph + h, pw:pw + width]
     if sh == sw == 1:
         # Padded planes laid out row after row: tap (i, j) is then the flat
         # slice starting at i*wp + j, a whole output plane in one contiguous
         # run. Columns ow..wp-1 wrap into the next row and are cropped at the
         # end.
-        flat = xp.reshape(rows, 1, (h + 2 * ph + 1) * wp)
-        taps = [flat[:, :, i * wp + j: i * wp + j + oh * wp].reshape(rows, 1, oh, wp)
+        flat = xp.reshape(c, 1, -1)
+        taps = [flat[:, :, i * wp + j: i * wp + j + oh * wp].reshape(c, 1, oh, wp)
                 for i in range(kh) for j in range(kw)]
-        return _Planes(taps, n, c, oh, ow, wp, False)
+        return _Planes(image, taps, c, oh, ow, wp, False)
     taps = [xp[:, None, i: i + (oh - 1) * sh + 1: sh, j: j + (ow - 1) * sw + 1: sw]
             for i in range(kh) for j in range(kw)]
-    return _Planes(taps, n, c, oh, ow, ow, False)
+    return _Planes(image, taps, c, oh, ow, ow, False)
 
 
 def _row_weights(planes: _Planes, w: np.ndarray) -> np.ndarray:
     """Per-tap weights (C, og, taps) laid out to multiply a tile of ``planes``.
 
-    NCHW: (taps, N*C, og, 1, 1), one weight per (image, channel) row.
+    NCHW: (taps, C, og, 1, 1), one weight per channel row.
     Channels-last (og == 1): (taps, aw*C), the channel weights tiled along
     the padded row.
     """
     if planes.channels_last:
         return np.tile(w[:, 0, :].T, (1, planes.aw))
-    wt = np.tile(w, (planes.n, 1, 1)).transpose(2, 0, 1)
-    return np.ascontiguousarray(wt)[..., None, None]
+    return np.ascontiguousarray(w.transpose(2, 0, 1))[..., None, None]
 
 
-def _walk_row_tiles(planes: _Planes, og: int, plan) -> np.ndarray:
-    """Compute the (N, C*og, oh, ow) branch sum one tile of rows at a time.
+def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
+    """Compute the (N, C*og, oh, ow) branch sum of ``x``, one image at a time.
 
-    ``plan`` holds per branch its taps, and its weights, scale and shift
-    laid out by ``_row_weights``. Each tile's sum is cropped to ``ow``
-    columns into the output. Channels-last tiles are whole images or rows
-    of one image, transposed into NCHW on the way.
+    Each image is written into the padded buffer of ``planes`` and walked
+    one tile of rows at a time. ``plan`` holds per branch its taps, and its
+    weights, scale and shift laid out by ``_row_weights``. Each tile's sum
+    is cropped to ``ow`` columns into the image's output; channels-last
+    tiles are transposed into NCHW on the way.
     """
-    n, c, oh, ow, aw = planes.n, planes.c, planes.oh, planes.ow, planes.aw
+    n, c, oh, ow, aw = len(x), planes.c, planes.oh, planes.ow, planes.aw
     # The running sum and a scratch buffer; later branches need a third.
     buffers = 2 if len(plan) == 1 else 3
     if planes.channels_last:
         out = np.empty((n, c, oh, ow), dtype=np.float32)
         row = aw * c
-        imgs = max(1, min(n, _TILE_FLOATS // (oh * row)))
-        ys = oh if imgs > 1 else min(oh, max(1, _TILE_FLOATS // row))
-        bufs = [np.empty((imgs, ys, row), dtype=np.float32) for _ in range(buffers)]
-        for i0 in range(0, n, imgs):
-            i1 = min(n, i0 + imgs)
+        ys = min(oh, max(1, _TILE_FLOATS // row))
+        bufs = [np.empty((ys, row), dtype=np.float32) for _ in range(buffers)]
+        for image, y in zip(x, out):
+            planes.image[...] = image
             for y0 in range(0, oh, ys):
                 y1 = min(oh, y0 + ys)
-                sel = (slice(i0, i1), slice(y0, y1))
-                acc = _tile_sum(plan, sel, ..., *(b[:i1 - i0, :y1 - y0] for b in bufs))
-                out[i0:i1, :, y0:y1] = \
-                    acc.reshape(i1 - i0, y1 - y0, aw, c)[:, :, :ow].transpose(0, 3, 1, 2)
+                acc = _tile_sum(plan, slice(y0, y1), ..., *(b[:y1 - y0] for b in bufs))
+                y[:, y0:y1] = acc.reshape(y1 - y0, aw, c)[:, :ow].transpose(2, 0, 1)
         return out
-    rows = n * c
-    out = np.empty((rows, og, oh, ow), dtype=np.float32)
+    out = np.empty((n, c, og, oh, ow), dtype=np.float32)
     tile = max(1, _TILE_FLOATS // (og * oh * aw))
-    bufs = [np.empty((min(tile, rows), og, oh, aw), dtype=np.float32) for _ in range(buffers)]
-    for r0 in range(0, rows, tile):
-        r1 = min(rows, r0 + tile)
-        sel = slice(r0, r1)
-        out[sel] = _tile_sum(plan, sel, sel, *(b[:r1 - r0] for b in bufs))[..., :ow]
+    bufs = [np.empty((min(tile, c), og, oh, aw), dtype=np.float32) for _ in range(buffers)]
+    for image, y in zip(x, out):
+        planes.image[...] = image
+        for r0 in range(0, c, tile):
+            sel = slice(r0, min(c, r0 + tile))
+            y[sel] = _tile_sum(plan, sel, sel, *(b[:sel.stop - r0] for b in bufs))[..., :ow]
     return out.reshape(n, c * og, oh, ow)
 
 
@@ -379,33 +396,40 @@ def _tile_sum(plan, rows, wrows, total, scratch, y=None) -> np.ndarray:
 def _conv2d_grouped(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     """Groups that read several input channels: one ``matmul`` per tap.
 
-    Tap (i, j)'s (g, og, cg) weights multiply the tap viewed as (N, g, cg,
-    oh*ow), one product per image and group, whose result is already NCHW.
-    The first tap is written into the output and later ones are added from
-    one scratch buffer, in (i, j) order; the bias is added in place last.
+    The batch is walked one image at a time, padded into one buffer whose
+    border is zeroed once. Tap (i, j)'s (g, og, cg) weights multiply the
+    image's tap viewed as (g, cg, oh*ow), one product per group, whose
+    result is already the image's NCHW output. The first tap is written into
+    the output and later ones are added from one scratch buffer, in (i, j)
+    order; the bias is added in place last.
     """
-    n = x.shape[0]
-    if spec.pad_h or spec.pad_w:
-        x = np.pad(x, ((0, 0), (0, 0), (spec.pad_h,) * 2, (spec.pad_w,) * 2))
+    n, c, h, width = x.shape
+    ph, pw = spec.pad_h, spec.pad_w
     g = spec.groups
     og = spec.out_channels // g
     cg = spec.in_channels // g
     # Per-tap weights, each a contiguous (g, og, cg) block as BLAS takes it.
     wt = np.ascontiguousarray(w.reshape(g, og, cg, -1).transpose(3, 0, 1, 2))
-    out = np.empty((n, g, og, oh * ow), dtype=np.float32)
-    scratch = np.empty_like(out) if len(wt) > 1 else None
-    for k, w_k in enumerate(wt):
-        i, j = divmod(k, spec.kernel_w)
-        tap = x[:, :,
-                i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
-                j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
-        np.matmul(w_k, tap.reshape(n, g, cg, oh * ow), out=scratch if k else out)
-        if k:
-            out += scratch
     # A sum begun on a zero accumulator, (0 + tap 0) + ... + bias, differs
     # from tap 0 + ... only where every tap is -0: it gives +0 there. Adding
     # 0, or bias + 0, gives its bits in one pass.
-    out += np.float32(0) if bias is None else (bias + np.float32(0)).reshape(g, og, 1)
+    shift = np.float32(0) if bias is None else (bias + np.float32(0)).reshape(g, og, 1)
+    out = np.empty((n, g, og, oh * ow), dtype=np.float32)
+    scratch = np.empty((g, og, oh * ow), dtype=np.float32) if len(wt) > 1 else None
+    xp = np.zeros((c, h + 2 * ph, width + 2 * pw), dtype=np.float32) if ph or pw else None
+    for image, y in zip(x, out):
+        if xp is not None:
+            xp[:, ph:ph + h, pw:pw + width] = image
+            image = xp
+        for k, w_k in enumerate(wt):
+            i, j = divmod(k, spec.kernel_w)
+            tap = image[:,
+                        i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
+                        j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
+            np.matmul(w_k, tap.reshape(g, cg, oh * ow), out=scratch if k else y)
+            if k:
+                y += scratch
+        y += shift
     return out.reshape(n, spec.out_channels, oh, ow)
 
 

@@ -80,6 +80,18 @@ def test_repso_nchw_rows_on_small_planes(monkeypatch):
                 repso_per_branch(x, weights, cfg).tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("channels, h, w", [(24, 14, 14), (8, 52, 53)])
+def test_repso_gives_each_image_its_bits_alone(channels, n, h, w):
+    # The batch is walked one image at a time, in either layout, so an
+    # image's output does not depend on the batch it arrives in.
+    cfg = RepSOConfig(channels)
+    x, weights = _repso_inputs(cfg, n, h, w, 5)
+    y = repso_forward(x, weights, cfg)
+    for r in range(n):
+        assert y[r].tobytes() == repso_forward(x[r:r + 1], weights, cfg)[0].tobytes()
+
+
 @pytest.mark.parametrize("h, w", [(7, 7), (52, 54)])
 def test_repso_empty_batch(h, w):
     cfg = RepSOConfig(4)

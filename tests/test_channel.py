@@ -7,6 +7,7 @@ from falconnet import (BnParams, ChannelPattern, RefCOBranch, SFConvSpec, SFConv
                        ShapeError, admissible_kernel_sizes, choose_kernel_size,
                        random_refco_branches, receptive_range, refco_forward,
                        sfconv_forward, sfconv_param_count)
+from falconnet.model import RefCONode
 
 
 def random_valid_spec(rng, c_max=64):
@@ -275,6 +276,33 @@ class TestRefCO:
             refco_forward(np.zeros((1, 8, 2, 2), np.float32), spec, b1[:-1], b2)
         with pytest.raises(ShapeError, match="stage 2"):
             refco_forward(np.zeros((1, 8, 2, 2), np.float32), spec, b1, b2 + b2[:1])
+
+    @pytest.mark.parametrize("poison, error, message", [
+        # Entries 5*i to 5*i + 4 are branch i's weight, gamma, beta, mean and
+        # var, the two stage-1 branches first; the first failing branch and
+        # channel are reported.
+        ({24: (7, -5.0), 29: (1, np.nan)}, ValueError, "at channel 7"),
+        ({29: (1, np.nan), 4: (1, -1.0)}, ValueError, "at channel 1"),
+        ({22: (slice(3), None)}, ShapeError, "BnParams.beta has length 3, expected 16"),
+        ({21: (slice(3), None), 22: (slice(3), None), 23: (slice(3), None),
+          24: (slice(3), None)},
+         ShapeError, "stage-2 branch 2 normalization over 3 channels, expected 16"),
+    ])
+    def test_node_checks_branch_statistics_as_bn_params(self, poison, error, message):
+        # A RefCO node sets up each stage's BNs over the stacked statistics,
+        # with BnParams' checks and messages, for both its forward and its fuse.
+        spec = SFConvSpec(8, 16, 4, 2)
+        node = RefCONode("r", spec)
+        w = [np.full(e.shape, 1.0, np.float32) for e in node.entries()]
+        for i, (at, value) in poison.items():
+            if value is None:
+                w[i] = w[i][at]
+            else:
+                w[i][at] = value
+        with pytest.raises(error, match=message):
+            node.bind(w, False)
+        with pytest.raises(error, match=message):
+            node.fuse(w, None)
 
 
 def _branch_output(x, spec, branches1, stage2_branch):

@@ -8,6 +8,7 @@ the tap-by-tap float32 sum of ``reference_kernels.conv2d_per_tap``.
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,18 +301,49 @@ def _sha(a):
     # Unpadded 1x1, x viewed as is; one product over the whole batch gives
     # other bits than per-image products at this shape.
     (ConvSpec(32, 16, has_bias=True), 7, 7),
+    (_dw(6, bias=True), 51, 51),                  # depthwise, channels-last
+    (_dw(6, bias=True), 52, 52),                  # depthwise, NCHW rows
+    (ConvSpec(8, 8, 3, 3, 2, 2, 1, 1, groups=8, has_bias=True), 15, 17),  # 3x3 stride 2
+    (ConvSpec(4, 8, 2, 2, 2, 2, 0, 0, groups=4), 12, 10),  # 2x2 stride 2, multiplier 2
 ])
-def test_conv2d_grouped_is_pure_unaliased_and_batch_invariant(spec, h, w):
+def test_conv2d_is_pure_unaliased_and_batch_invariant(spec, h, w):
     x, wt, b = _case(spec, 3, h, w, 8)
     before = [_sha(a) for a in (x, wt, b)]
     y = conv2d(x, wt, b, spec)
     assert [_sha(a) for a in (x, wt, b)] == before
     assert y.dtype == np.float32 and y.flags.c_contiguous
     assert not np.shares_memory(y, x)
-    # Each image is its own product, so a batch gives every image the bits
+    # The batch is walked one image at a time, so every image gets the bits
     # it gets alone.
     for r in range(len(x)):
         assert y[r].tobytes() == conv2d(x[r:r + 1], wt, b, spec)[0].tobytes()
+
+
+@pytest.mark.parametrize("spec, shape", [
+    (_dw(192), (8, 192, 56, 56)),                                          # NCHW rows
+    (ConvSpec(3, 32, 3, 3, 2, 2, 1, 1, has_bias=True), (8, 3, 224, 224)),  # the stem
+])
+def test_conv2d_temporaries_do_not_grow_with_the_batch(spec, shape):
+    # A call's temporaries, all it allocates but its output, stay within a
+    # few times one image's output or padded input, whichever is larger,
+    # however large the batch.
+    n, c, h, w = shape
+    x, wt, b = _case(spec, n, h, w, 10)
+    oh, ow = spec.out_hw(h, w)
+    image = 4 * max(spec.out_channels * oh * ow,
+                    c * (h + 2 * spec.pad_h) * (w + 2 * spec.pad_w))
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        idle = tracemalloc.get_traced_memory()[0]
+        y = conv2d(x, wt, b, spec)
+        peak = tracemalloc.get_traced_memory()[1] - idle
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - y.nbytes <= 3 * image
 
 
 def test_conv_linearity():
