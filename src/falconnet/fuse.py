@@ -4,6 +4,8 @@ and merging parallel training branches into single inference operators.
 All transforms here are exact algebra over the weights; the only residual
 discrepancy between training and inference forms is float32 rounding from
 the reordered summations, which verify_equivalence measures empirically.
+The merges fold the set-up that the training forms run, so their checks and
+BN scales and shifts are those of ``_repso_terms`` and ``_refco_stages``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import numpy as np
 
 from .channel import SFConvSpec, SFConvWeights, _branch_rows, _refco_stages
 from .ops import BnParams, ShapeError, Tensor, as_f32
-from .spatial import _KERNEL_HW, RepSOConfig, RepSOWeights, check_repso_weights
+from .spatial import (RepSOConfig, RepSOWeights, _grid_window, _repso_terms,
+                      branch_kernel_shape)
 
 __all__ = [
     "FusedDWConv",
@@ -76,46 +79,37 @@ def pad_kernel_to_3x3(kernel, kind: str, channels: int) -> Tensor:
     1x3 lands in the middle row, 3x1 in the middle column, 1x1 at the
     center; identity (which carries no kernel) becomes a center-1 kernel.
     """
-    if kind == "identity":
+    shape = branch_kernel_shape(kind, channels)
+    if shape is None:
         if kernel is not None:
             raise ShapeError("identity takes no kernel")
-        out = np.zeros((channels, 1, 3, 3), dtype=np.float32)
-        out[:, 0, 1, 1] = 1.0
-        return out
-    if kind not in _KERNEL_HW:
-        raise ShapeError(f"unknown kernel kind '{kind}'")
-    kh, kw = _KERNEL_HW[kind]
-    k = as_f32(kernel)
-    if k.shape != (channels, 1, kh, kw):
-        raise ShapeError(f"kernel shape {k.shape} does not match kind {kind} "
-                         f"with {channels} channels")
+        k = np.float32(1)
+    else:
+        k = as_f32(kernel)
+        if k.shape != shape:
+            raise ShapeError(f"kernel shape {k.shape} does not match kind {kind} "
+                             f"with {channels} channels")
+    rows, cols = _grid_window(kind)
     out = np.zeros((channels, 1, 3, 3), dtype=np.float32)
-    r0, c0 = (3 - kh) // 2, (3 - kw) // 2
-    out[:, :, r0:r0 + kh, c0:c0 + kw] = k
+    out[:, :, rows, cols] = k
     return out
 
 
 def merge_repso(w: RepSOWeights, cfg: RepSOConfig) -> FusedDWConv:
     """Collapse all spatial branches into one biased 3x3 depthwise kernel.
 
-    Each branch's normalization is folded into its kernel (the identity
-    branch is treated as a depthwise 1x1 kernel of ones), the kernels are
-    centered on the 3x3 frame, and kernels and biases are summed.
+    Folds the checked terms that ``repso_forward`` runs: in branch order,
+    each branch's kernel times its BN's scale is added into its centred
+    window of the 3x3 frame (identity adds the bare scale at the centre),
+    and its BN's shift into the bias.
     """
-    check_repso_weights(w, cfg)
-    c = cfg.channels
-    kernel = np.zeros((c, 1, 3, 3), dtype=np.float32)
-    bias = np.zeros(c, dtype=np.float32)
-    for br in w.branches:
-        if br.kind == "identity":
-            raw = np.ones((c, 1, 1, 1), dtype=np.float32)
-            kind = "1x1"
-        else:
-            raw = br.kernel
-            kind = br.kind
-        kb, bb = fuse_bn_into_linear(raw, None, br.bn)
-        kernel = kernel + pad_kernel_to_3x3(kb, kind, c)
-        bias = bias + bb
+    kernel = np.zeros((cfg.channels, 1, 3, 3), dtype=np.float32)
+    bias = np.zeros(cfg.channels, dtype=np.float32)
+    for br, (_, k, s, t) in zip(w.branches, _repso_terms(w, cfg)):
+        rows, cols = _grid_window(br.kind)
+        window, s = kernel[:, :, rows, cols], s[:, None, None, None]
+        window += s if k is None else as_f32(k) * s
+        bias += t
     return FusedDWConv(kernel, bias)
 
 

@@ -615,10 +615,6 @@ def build_model(cfg: ModelConfig) -> LayerGraph:
                                            groups=channels)))
             nodes.append(BnNode(f"sub{si}.bn", 2 * channels))
             channels *= 2
-        if channels != cfg.stage_channels[si]:
-            raise ConfigError(
-                f"stage {si + 1} runs at {channels} channels but stage_channels "
-                f"names {cfg.stage_channels[si]}")
         for bi in range(cfg.stage_blocks[si]):
             nodes.append(_build_block(f"s{si + 1}.b{bi}", cfg.block, channels))
     nodes += [

@@ -74,6 +74,14 @@ def branch_kernel_shape(kind: str, channels: int):
     return (channels, 1, kh, kw)
 
 
+def _grid_window(kind: str) -> tuple[slice, slice]:
+    """The (rows, columns) of the 3x3 grid that a branch of ``kind`` covers
+    when centred; identity, the one kind not in _KERNEL_HW, is the centre tap."""
+    kh, kw = _KERNEL_HW.get(kind, (1, 1))
+    r0, c0 = (3 - kh) // 2, (3 - kw) // 2
+    return slice(r0, r0 + kh), slice(c0, c0 + kw)
+
+
 @dataclass(frozen=True)
 class RepSOBranch:
     kind: str
@@ -113,8 +121,8 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
 
     One pass of ``ops._branch_sum`` on the 3x3 depthwise grid, the kernel
     that depthwise ``conv2d`` runs as its one-branch case. A branch reads
-    the grid taps its kernel covers when centred, as in
-    ``pad_kernel_to_3x3``; identity is the bare centre tap. Each branch sums
+    the grid taps of its ``_grid_window``, the window that ``merge_repso``
+    folds its kernel into; identity is the bare centre tap. Each branch sums
     its taps in (i, j) order, applies its BN as a scale and shift and is
     added into the output in branch order, so the bits equal those of the
     per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
@@ -123,14 +131,14 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
 
 
 def _repso_terms(w: RepSOWeights, cfg: RepSOConfig) -> list:
-    """The checked branches of ``w`` as ``_branch_sum`` terms: per branch its
-    grid taps, its kernel and its BN's scale and shift."""
+    """The checked branches of ``w`` as ``_branch_sum`` terms, which
+    ``merge_repso`` folds: per branch its grid taps, kernel and BN scale and shift."""
     check_repso_weights(w, cfg)
     terms = []
-    for br in w.branches:  # identity, the one kind not in _KERNEL_HW, is the centre tap
-        kh, kw = _KERNEL_HW.get(br.kind, (1, 1))
-        r0, c0 = (3 - kh) // 2, (3 - kw) // 2
-        taps = [(r0 + i) * 3 + c0 + j for i in range(kh) for j in range(kw)]
+    for br in w.branches:
+        rows, cols = _grid_window(br.kind)
+        taps = [i * 3 + j for i in range(rows.start, rows.stop)
+                for j in range(cols.start, cols.stop)]
         terms.append((taps, br.kernel, *br.bn.scale_shift()))
     return terms
 

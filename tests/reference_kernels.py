@@ -11,12 +11,16 @@ its result, which need not live in ``out``.
 ``repso_per_branch`` and ``refco_per_branch`` are the training-form
 operators composed branch by branch, out of place: each branch's output,
 then its normalization, then a running sum in branch order.
+``merge_repso_per_branch`` merges RepSO the same way: each branch's BN
+folded into its kernel, the kernel padded onto the 3x3 frame, then a
+running sum in branch order.
 """
 
 import numpy as np
 
 import falconnet.channel as channel
-from falconnet import ConvSpec, batch_norm_infer
+from falconnet import (ConvSpec, FusedDWConv, batch_norm_infer, fuse_bn_into_linear,
+                       pad_kernel_to_3x3)
 
 
 def conv2d_per_tap(x, w, b, spec):
@@ -78,6 +82,24 @@ def repso_per_branch(x, w, cfg):
             y = batch_norm_infer(conv2d_per_tap(x, br.kernel, None, spec), br.bn)
         out = y if out is None else out + y
     return out
+
+
+def merge_repso_per_branch(w, cfg):
+    """``merge_repso`` with identity as a 1x1 kernel of ones, each branch
+    through ``fuse_bn_into_linear`` and ``pad_kernel_to_3x3``, summed out of
+    place."""
+    c = cfg.channels
+    kernel = np.zeros((c, 1, 3, 3), dtype=np.float32)
+    bias = np.zeros(c, dtype=np.float32)
+    for br in w.branches:
+        if br.kind == "identity":
+            raw, kind = np.ones((c, 1, 1, 1), dtype=np.float32), "1x1"
+        else:
+            raw, kind = br.kernel, br.kind
+        kb, bb = fuse_bn_into_linear(raw, None, br.bn)
+        kernel = kernel + pad_kernel_to_3x3(kb, kind, c)
+        bias = bias + bb
+    return FusedDWConv(kernel, bias)
 
 
 def refco_per_branch(x, spec, branches1, branches2):

@@ -3,12 +3,16 @@ and the empirical equivalence verifier."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from falconnet import (BnParams, ConvSpec, RepSOConfig, SFConvSpec, ShapeError,
+from falconnet import (BnParams, ConvSpec, RefCOBranch, RepSOBranch, RepSOConfig,
+                       RepSOWeights, SFConvSpec, ShapeError, admissible_kernel_sizes,
                        conv2d, batch_norm_infer, fuse_bn_into_linear, merge_refco,
                        merge_repso, pad_kernel_to_3x3, random_refco_branches,
                        random_repso_weights, refco_forward, repso_forward,
                        sfconv_forward, sfconv_param_count, verify_equivalence)
+from falconnet.spatial import branch_kernel_shape
+from reference_kernels import merge_repso_per_branch
 
 
 class TestBnFolding:
@@ -87,6 +91,10 @@ class TestPadKernel:
         with pytest.raises(ShapeError):
             pad_kernel_to_3x3(np.zeros((1, 1, 1, 1), np.float32), "identity", 1)
 
+    def test_unknown_kind(self):
+        with pytest.raises(ShapeError, match="unknown branch kind '5x5'"):
+            pad_kernel_to_3x3(np.zeros((1, 1, 5, 5), np.float32), "5x5", 1)
+
 
 class TestMergeRepSO:
     def test_single_branch_passthrough(self):
@@ -129,6 +137,136 @@ class TestMergeRepSO:
         fused = merge_repso(random_repso_weights(cfg, np.random.default_rng(5)), cfg)
         assert fused.kernel.size == 9 * 16
         assert fused.bias.size == 16
+
+
+def _wide_bn(channels, rng):
+    """BN statistics over wide ranges: gamma in +-2, beta and mean in +-3,
+    variance log-uniform from 1e-8 to 1e8 (eps-dominated at the low end)."""
+    return BnParams(rng.uniform(-2, 2, channels), rng.uniform(-3, 3, channels),
+                    rng.uniform(-3, 3, channels), 10.0 ** rng.uniform(-8, 8, channels))
+
+
+def _wide_repso_weights(cfg, dtype, seed):
+    """Standard-normal kernels of ``dtype``, each branch with a ``_wide_bn``."""
+    rng = np.random.default_rng(seed)
+    branches = []
+    for kind in cfg.branch_kinds():
+        shape = branch_kernel_shape(kind, cfg.channels)
+        kernel = None if shape is None else rng.standard_normal(shape).astype(dtype)
+        branches.append(RepSOBranch(kind, kernel, _wide_bn(cfg.channels, rng)))
+    return RepSOWeights(tuple(branches))
+
+
+@st.composite
+def repso_merge_cases(draw):
+    cfg = RepSOConfig(draw(st.integers(1, 9)), draw(st.integers(1, 3)),
+                      *(draw(st.booleans()) for _ in range(4)))
+    return cfg, draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(repso_merge_cases())
+def test_merge_repso_bitwise_equals_per_branch_fold(case):
+    cfg, dtype, seed = case
+    w = _wide_repso_weights(cfg, dtype, seed)
+    got, ref = merge_repso(w, cfg), merge_repso_per_branch(w, cfg)
+    assert got.kernel.dtype == got.bias.dtype == np.float32
+    assert got.kernel.tobytes() == ref.kernel.tobytes()
+    assert got.bias.tobytes() == ref.bias.tobytes()
+
+
+# Merge exactness against float64. A merge of B branches folds each BN's
+# (s, t) = (gamma / sqrt(var + eps), beta - mean * s) into its branch and sums
+# the branches in float32. Each merged weight then lies within
+# gamma_{B+4} * sum_b |w_b s_b| of the float64 merge of the same float32
+# inputs, and each bias within gamma_{B+4} * sum_b (|beta_b| + |mean_b s_b|),
+# where gamma_n = n u / (1 - n u) and u = 2**-24 (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., section 3.1).
+
+def _gamma_n(n):
+    u = 2.0 ** -24
+    return n * u / (1 - n * u)
+
+
+def _bn_terms64(bn):
+    """A BN's scale, shift and shift magnitude |beta| + |mean * s|, computed in
+    float64 from its float32 statistics."""
+    gamma, beta, mean, var = (a.astype(np.float64) for a in (bn.gamma, bn.beta, bn.mean, bn.var))
+    s = gamma / np.sqrt(var + np.float64(np.float32(bn.eps)))
+    return s, beta - mean * s, np.abs(beta) + np.abs(mean * s)
+
+
+def _along_axis0(v, ndim):
+    return v.reshape(-1, *(1,) * (ndim - 1))
+
+
+def _assert_within_merge_bound(got, exact, magnitude, branches):
+    err = np.abs(got.astype(np.float64) - exact)
+    assert np.all(err <= _gamma_n(branches + 4) * magnitude)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(repso_merge_cases())
+def test_merge_repso_within_float64_bound(case):
+    cfg, _, seed = case
+    w = _wide_repso_weights(cfg, np.float32, seed)
+    fused = merge_repso(w, cfg)
+    kernel = kernel_mag = bias = bias_mag = 0.0
+    for br in w.branches:
+        s, t, t_mag = _bn_terms64(br.bn)
+        # Padding places the float32 kernel without rounding it.
+        ws = pad_kernel_to_3x3(br.kernel, br.kind, cfg.channels) * _along_axis0(s, 4)
+        kernel, kernel_mag = kernel + ws, kernel_mag + np.abs(ws)
+        bias, bias_mag = bias + t, bias_mag + t_mag
+    _assert_within_merge_bound(fused.kernel, kernel, kernel_mag, cfg.branch_count)
+    _assert_within_merge_bound(fused.bias, bias, bias_mag, cfg.branch_count)
+
+
+@st.composite
+def refco_merge_cases(draw):
+    while True:
+        c_in = draw(st.integers(1, 24))
+        reduction = draw(st.sampled_from([1, 2, 4]))
+        c_out = c_in * draw(st.sampled_from([1, 2, 3]))
+        sizes = admissible_kernel_sizes(c_in, c_out, reduction)
+        if sizes:
+            break
+    spec = SFConvSpec(c_in, c_out, draw(st.sampled_from(sizes)), reduction)
+    return spec, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(refco_merge_cases())
+def test_merge_refco_within_float64_bound(case):
+    spec, seed = case
+    rng = np.random.default_rng(seed)
+    stages = [tuple(RefCOBranch(br.weight, _wide_bn(br.bn.channels, rng)) for br in branches)
+              for branches in random_refco_branches(spec, rng)]
+    fused = merge_refco(spec, *stages)
+    for branches, w_got, b_got in zip(stages, (fused.w1, fused.w2), (fused.bias1, fused.bias2)):
+        w = w_mag = b = b_mag = 0.0
+        for br in branches:
+            s, t, t_mag = _bn_terms64(br.bn)
+            ws = br.weight * _along_axis0(s, br.weight.ndim)
+            w, w_mag = w + ws, w_mag + np.abs(ws)
+            # Stage 1's shift is per hidden channel, shared across windows.
+            b = b + _along_axis0(t, b_got.ndim)
+            b_mag = b_mag + _along_axis0(t_mag, b_got.ndim)
+        _assert_within_merge_bound(w_got, w, w_mag, len(branches))
+        _assert_within_merge_bound(b_got, b, b_mag, len(branches))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_fuse_bn_into_linear_within_float64_bound(c_out, c_in, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((c_out, c_in, 3, 3)).astype(np.float32)
+    bn = _wide_bn(c_out, rng)
+    w2, b2 = fuse_bn_into_linear(w, None, bn)
+    s, t, t_mag = _bn_terms64(bn)
+    ws = w * _along_axis0(s, w.ndim)
+    _assert_within_merge_bound(w2, ws, np.abs(ws), 1)
+    _assert_within_merge_bound(b2, t, t_mag, 1)
 
 
 class TestMergeRefCO:
