@@ -210,72 +210,54 @@ class RefCOBranch:
     bn: BnParams
 
 
-def _check_refco(spec: SFConvSpec, branches1, branches2):
-    if len(branches1) != spec.windows:
-        raise ShapeError(
-            f"stage 1 needs exactly {spec.windows} branches (C/K), got {len(branches1)}")
-    if len(branches2) != spec.kernel:
-        raise ShapeError(
-            f"stage 2 needs exactly {spec.kernel} branches (K), got {len(branches2)}")
-    for i, br in enumerate(branches1):
-        if br[0].shape != (spec.hidden_channels, spec.windows, spec.kernel):
-            raise ShapeError(f"stage-1 branch {i} weight shape {br[0].shape}")
-        if np.size(br[1]) != spec.hidden_channels:
-            raise ShapeError(
-                f"stage-1 branch {i} normalization over {np.size(br[1])} channels, "
-                f"expected {spec.hidden_channels}")
-    for i, br in enumerate(branches2):
-        if br[0].shape != (spec.c_out, spec.windows):
-            raise ShapeError(f"stage-2 branch {i} weight shape {br[0].shape}")
-        if np.size(br[1]) != spec.c_out:
-            raise ShapeError(
-                f"stage-2 branch {i} normalization over {np.size(br[1])} channels, "
-                f"expected {spec.c_out}")
-
-
 def _branch_rows(branches) -> tuple:
     """``RefCOBranch``es as the ``(weight, gamma, beta, mean, var, eps)``
-    rows that ``_refco_stages`` takes."""
+    rows that ``_refco_terms`` takes."""
     return tuple((br.weight, br.bn.gamma, br.bn.beta, br.bn.mean, br.bn.var, br.bn.eps)
                  for br in branches)
 
 
-def _stacked_stats(branches):
-    """One stage's BN statistics (gamma, beta, mean, var) stacked as (B, C)
-    float32 rows, and a (B, 1) column of eps; None when the branches differ
-    in channel count, which ``_check_refco`` reports.
+def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
+    """Both stages' branches, checked, as the ``_normalized_sum`` terms that
+    ``_refco`` runs and ``_merge_refco`` folds: per branch its weight and its
+    BN's scale and shift, shaped to scale the stage's output along its
+    channel axis.
 
-    Raises, for the first failing branch, what ``BnParams`` raises for it.
+    A branch is ``(weight, gamma, beta, mean, var, eps)``. The branch counts
+    are checked first. Then, stage 1 before stage 2, the stage's BN
+    statistics are stacked once and checked as ``BnParams`` checks them, and
+    each branch's weight shape and BN width are checked. The scales and
+    shifts are computed once over the stacked statistics, with the float32
+    arithmetic of ``BnParams.scale_shift``.
     """
-    try:
-        stats = [np.array([br[k].reshape(-1) for br in branches], np.float32)
-                 for k in range(1, 5)]
-    except ValueError:  # ragged
-        stats = []
-    if len({a.shape for a in stats}) != 1 or stats[0].ndim != 2:
-        for br in branches:
-            BnParams(*br[1:])
-        return None
-    eps = np.array([br[5] for br in branches], np.float32)[:, None]
-    _check_variance(stats[3], eps)
-    return (*stats, eps)
-
-
-def _refco_stages(spec: SFConvSpec, branches1, branches2) -> tuple:
-    """Both stages' branches, checked, as ``(weights, s, t)`` per stage: the
-    weights in branch order, and row b of the (B, C) arrays ``s`` and ``t``
-    the scale and shift of branch b's BN.
-
-    A branch is ``(weight, gamma, beta, mean, var, eps)``. The BN statistics
-    are checked as ``BnParams`` checks them, stage 1's branches before stage
-    2's, and then as ``_check_refco`` checks the stages. Each stage's scales
-    and shifts are computed once, over its stacked statistics, with the
-    float32 arithmetic of ``BnParams.scale_shift``.
-    """
-    stats = [_stacked_stats(branches) for branches in (branches1, branches2)]
-    _check_refco(spec, branches1, branches2)
-    return tuple((tuple(as_f32(br[0]) for br in branches), *_scale_shift(*st))
-                 for branches, st in zip((branches1, branches2), stats))
+    stages = ((branches1, spec.windows, "C/K", (spec.hidden_channels, spec.windows, spec.kernel),
+               (1, -1, 1, 1, 1)),
+              (branches2, spec.kernel, "K", (spec.c_out, spec.windows), (1, -1, 1, 1)))
+    for i, (branches, count, law, _, _) in enumerate(stages, 1):
+        if len(branches) != count:
+            raise ShapeError(
+                f"stage {i} needs exactly {count} branches ({law}), got {len(branches)}")
+    terms = []
+    for i, (branches, _, _, shape, axes) in enumerate(stages, 1):
+        try:  # (B, 4, C): gamma, beta, mean and var of each branch
+            stats = np.array([[a.reshape(-1) for a in br[1:5]] for br in branches], np.float32)
+        except ValueError:  # ragged: BnParams' error for a branch, else a width's below
+            for br in branches:
+                BnParams(*br[1:])
+        else:
+            eps = np.array([br[5] for br in branches], np.float32)[:, None]
+            _check_variance(stats[:, 3], eps)
+        for j, br in enumerate(branches):
+            if br[0].shape != shape:
+                raise ShapeError(f"stage-{i} branch {j} weight shape {br[0].shape}")
+            if np.size(br[1]) != shape[0]:
+                raise ShapeError(
+                    f"stage-{i} branch {j} normalization over {np.size(br[1])} channels, "
+                    f"expected {shape[0]}")
+        s, t = _scale_shift(*stats.transpose(1, 0, 2), eps)
+        terms.append(tuple(zip((as_f32(br[0]) for br in branches),
+                               s.reshape(len(s), *axes), t.reshape(len(t), *axes))))
+    return tuple(terms)
 
 
 def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
@@ -285,16 +267,7 @@ def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
     Stage-1 normalization runs over the K/R hidden channels (shared across
     window positions); stage-2 normalization runs over c_out.
     """
-    stages = _refco_stages(spec, _branch_rows(branches1), _branch_rows(branches2))
-    return _refco(x, spec, *_refco_terms(stages))
-
-
-def _refco_terms(stages) -> tuple:
-    """``_refco_stages`` as ``_normalized_sum`` terms: per branch its weight
-    and its BN's scale and shift, shaped to scale the stage's output along
-    its channel axis."""
-    return tuple(tuple(zip(weights, s.reshape(len(s), *shape), t.reshape(len(t), *shape)))
-                 for (weights, s, t), shape in zip(stages, ((1, -1, 1, 1, 1), (1, -1, 1, 1))))
+    return _refco(x, spec, *_refco_terms(spec, _branch_rows(branches1), _branch_rows(branches2)))
 
 
 def _refco(x, spec: SFConvSpec, terms1, terms2) -> np.ndarray:
@@ -336,23 +309,18 @@ def random_refco_branches(spec: SFConvSpec, rng: np.random.Generator, *,
                           eps: float = 1e-5):
     """Draw the two branch lists. Default weight scale keeps the summed branch
     outputs near unit variance: 1/sqrt(taps * branches) per stage."""
-    default = (spec.kernel * spec.windows) ** -0.5
-    s1_scale = weight_scale if weight_scale is not None else default
-    s2_scale = weight_scale if weight_scale is not None else default
+    scale = weight_scale if weight_scale is not None else (spec.kernel * spec.windows) ** -0.5
 
-    def bn(c):
-        return BnParams.random(c, rng, gamma_range=gamma_range, beta_range=beta_range,
-                               mean_range=mean_range, var_range=var_range, eps=eps)
+    def branches(count, shape):
+        return tuple(
+            RefCOBranch((rng.standard_normal(shape) * scale).astype(np.float32),
+                        BnParams.random(shape[0], rng, gamma_range=gamma_range,
+                                        beta_range=beta_range, mean_range=mean_range,
+                                        var_range=var_range, eps=eps))
+            for _ in range(count))
 
-    b1 = tuple(
-        RefCOBranch((rng.standard_normal((spec.hidden_channels, spec.windows, spec.kernel))
-                     * s1_scale).astype(np.float32), bn(spec.hidden_channels))
-        for _ in range(spec.windows))
-    b2 = tuple(
-        RefCOBranch((rng.standard_normal((spec.c_out, spec.windows))
-                     * s2_scale).astype(np.float32), bn(spec.c_out))
-        for _ in range(spec.kernel))
-    return b1, b2
+    return (branches(spec.windows, (spec.hidden_channels, spec.windows, spec.kernel)),
+            branches(spec.kernel, (spec.c_out, spec.windows)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ All transforms here are exact algebra over the weights; the only residual
 discrepancy between training and inference forms is float32 rounding from
 the reordered summations, which verify_equivalence measures empirically.
 The merges fold the set-up that the training forms run, so their checks and
-BN scales and shifts are those of ``_repso_terms`` and ``_refco_stages``.
+BN scales and shifts are those of ``_repso_terms`` and ``_refco_terms``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SFConvSpec, SFConvWeights, _branch_rows, _refco_stages
+from .channel import SFConvSpec, SFConvWeights, _branch_rows, _refco_terms
 from .ops import BnParams, ShapeError, Tensor, as_f32
 from .spatial import (RepSOConfig, RepSOWeights, _grid_window, _repso_terms,
                       branch_kernel_shape)
@@ -121,24 +121,24 @@ def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
     bias. Stage-1 normalization is per hidden channel, so its shift
     broadcasts across window positions.
     """
-    return _merge_refco(spec, _refco_stages(spec, _branch_rows(branches1),
-                                            _branch_rows(branches2)))
+    return _merge_refco(spec, _refco_terms(spec, _branch_rows(branches1),
+                                           _branch_rows(branches2)))
 
 
-def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
-    """``merge_refco`` of the stages as ``_refco_stages`` gives them."""
-    (w1s, s1, t1), (w2s, s2, t2) = stages
+def _merge_refco(spec: SFConvSpec, terms) -> SFConvWeights:
+    """``merge_refco`` of the terms as ``_refco_terms`` gives them."""
+    terms1, terms2 = terms
     w1 = np.zeros((spec.hidden_channels, spec.windows, spec.kernel), dtype=np.float32)
     b1 = np.zeros((spec.hidden_channels, spec.windows), dtype=np.float32)
-    for w, s, t in zip(w1s, s1, t1):
-        w1 += w * s[:, None, None]
-        b1 += t[:, None]
+    for w, s, t in terms1:
+        w1 += w * s.reshape(-1, 1, 1)
+        b1 += t.reshape(-1, 1)
 
     w2 = np.zeros((spec.c_out, spec.windows), dtype=np.float32)
     b2 = np.zeros(spec.c_out, dtype=np.float32)
-    for w, s, t in zip(w2s, s2, t2):
-        w2 += w * s[:, None]
-        b2 += t
+    for w, s, t in terms2:
+        w2 += w * s.reshape(-1, 1)
+        b2 += t.reshape(-1)
     return SFConvWeights(spec, w1, w2, b1, b2)
 
 

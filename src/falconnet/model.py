@@ -26,8 +26,8 @@ from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .channel import (SFConvSpec, SFConvWeights, _refco, _refco_stages, _refco_terms,
-                      choose_kernel_size, sfconv_forward)
+from .channel import (SFConvSpec, SFConvWeights, _refco, _refco_terms, choose_kernel_size,
+                      sfconv_forward)
 from .fuse import _merge_refco, fuse_bn_into_linear, merge_repso
 from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _channel_affine, _relu_in_place,
                   as_f32, conv2d, global_avg_pool, linear, relu)
@@ -520,20 +520,20 @@ class RefCONode(_Leaf):
                 yield ParamEntry(f"{self.name}.{stage}.{i}.weight", shape, role, fan)
                 yield from _bn_entries(f"{self.name}.{stage}.{i}", shape[0])
 
-    def _stages(self, w):
-        """Both stages' branches, checked, with their BNs' scales and shifts
-        stacked; each branch is a weight and its four BN arrays."""
+    def _terms(self, w):
+        """Both stages' checked ``_refco`` terms; each branch is a weight and
+        its four BN arrays."""
         b = [(*w[j:j + 5], BnParams.eps) for j in range(0, len(w), 5)]
-        return _refco_stages(self.spec, b[:self.spec.windows], b[self.spec.windows:])
+        return _refco_terms(self.spec, b[:self.spec.windows], b[self.spec.windows:])
 
     def bind(self, w, owned):
-        terms = _refco_terms(self._stages(w))
+        terms = self._terms(w)
         return lambda x: _refco(x, self.spec, *terms)
 
     def fuse(self, w, bn):
         node = SFConvNode(self.name, self.spec, True, True)
         if w is not None:
-            m = _merge_refco(self.spec, self._stages(w))
+            m = _merge_refco(self.spec, self._terms(w))
             w = [m.w1, m.w2, m.bias1, m.bias2]
         return node.fuse(w, bn) or (node, w)
 

@@ -13,14 +13,15 @@ operators composed branch by branch, out of place: each branch's output,
 then its normalization, then a running sum in branch order.
 ``merge_repso_per_branch`` merges RepSO the same way: each branch's BN
 folded into its kernel, the kernel padded onto the 3x3 frame, then a
-running sum in branch order.
+running sum in branch order; ``merge_refco_per_branch`` merges RefCO the
+same way, stage by stage.
 """
 
 import numpy as np
 
 import falconnet.channel as channel
-from falconnet import (ConvSpec, FusedDWConv, batch_norm_infer, fuse_bn_into_linear,
-                       pad_kernel_to_3x3)
+from falconnet import (ConvSpec, FusedDWConv, SFConvWeights, batch_norm_infer,
+                       fuse_bn_into_linear, pad_kernel_to_3x3)
 
 
 def conv2d_per_tap(x, w, b, spec):
@@ -100,6 +101,23 @@ def merge_repso_per_branch(w, cfg):
         kernel = kernel + pad_kernel_to_3x3(kb, kind, c)
         bias = bias + bb
     return FusedDWConv(kernel, bias)
+
+
+def merge_refco_per_branch(spec, branches1, branches2):
+    """``merge_refco`` with each branch through ``fuse_bn_into_linear``,
+    summed out of place from zeros in branch order; stage 1's shift is
+    broadcast across windows."""
+    w1 = np.zeros((spec.hidden_channels, spec.windows, spec.kernel), dtype=np.float32)
+    b1 = np.zeros((spec.hidden_channels, spec.windows), dtype=np.float32)
+    for br in branches1:
+        w, b = fuse_bn_into_linear(br.weight, None, br.bn)
+        w1, b1 = w1 + w, b1 + b[:, None]
+    w2 = np.zeros((spec.c_out, spec.windows), dtype=np.float32)
+    b2 = np.zeros(spec.c_out, dtype=np.float32)
+    for br in branches2:
+        w, b = fuse_bn_into_linear(br.weight, None, br.bn)
+        w2, b2 = w2 + w, b2 + b
+    return SFConvWeights(spec, w1, w2, b1, b2)
 
 
 def refco_per_branch(x, spec, branches1, branches2):

@@ -287,6 +287,8 @@ class TestRefCO:
         ({21: (slice(3), None), 22: (slice(3), None), 23: (slice(3), None),
           24: (slice(3), None)},
          ShapeError, "stage-2 branch 2 normalization over 3 channels, expected 16"),
+        # Stage 1 is checked whole, weights included, before stage 2's statistics.
+        ({0: (slice(1), None), 24: (7, -5.0)}, ShapeError, "stage-1 branch 0 weight shape"),
     ])
     def test_node_checks_branch_statistics_as_bn_params(self, poison, error, message):
         # A RefCO node sets up each stage's BNs over the stacked statistics,

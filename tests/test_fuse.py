@@ -12,7 +12,7 @@ from falconnet import (BnParams, ConvSpec, RefCOBranch, RepSOBranch, RepSOConfig
                        random_repso_weights, refco_forward, repso_forward,
                        sfconv_forward, sfconv_param_count, verify_equivalence)
 from falconnet.spatial import branch_kernel_shape
-from reference_kernels import merge_repso_per_branch
+from reference_kernels import merge_refco_per_branch, merge_repso_per_branch
 
 
 class TestBnFolding:
@@ -233,6 +233,19 @@ def refco_merge_cases(draw):
             break
     spec = SFConvSpec(c_in, c_out, draw(st.sampled_from(sizes)), reduction)
     return spec, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(refco_merge_cases(), st.sampled_from([np.float32, np.float64]))
+def test_merge_refco_bitwise_equals_per_branch_fold(case, dtype):
+    spec, seed = case
+    rng = np.random.default_rng(seed)
+    stages = [tuple(RefCOBranch(br.weight.astype(dtype), _wide_bn(br.bn.channels, rng))
+                    for br in branches)
+              for branches in random_refco_branches(spec, rng)]
+    got, ref = merge_refco(spec, *stages), merge_refco_per_branch(spec, *stages)
+    for name in ("w1", "w2", "bias1", "bias2"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
