@@ -23,6 +23,13 @@ image and window position, stage 2 one per image and hidden channel. An
 image's result therefore does not depend on the batch it arrives in. The
 summation order inside a product is the BLAS library's, so outputs are
 held to a stated bound against float64 rather than to fixed bits.
+
+RefCO normalizes every branch before the sum, as the paper's training form
+does: each branch's stage output is multiplied by its BN scale and added
+to the stage's running sum, and the stage's BN shifts, summed once, are
+added at the end. That takes two passes over each branch's output, not
+three. Branch weights are never scaled or summed first, so RefCO stays an
+independent check of the weights that ``merge_refco`` folds.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BnParams, ShapeError, Tensor, _check_variance, _scale_shift, as_f32
+from .ops import BnParams, ShapeError, Tensor, _check_bn_stats, _scale_shift, as_f32
 
 __all__ = [
     "SFConvSpec",
@@ -218,10 +225,11 @@ def _branch_rows(branches) -> tuple:
 
 
 def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
-    """Both stages' branches, checked, as the ``_normalized_sum`` terms that
-    ``_refco`` runs and ``_merge_refco`` folds: per branch its weight and its
-    BN's scale and shift, shaped to scale the stage's output along its
-    channel axis.
+    """Both stages' branches, checked, as the ``(terms, shift)`` pairs that
+    ``_refco`` runs and ``_merge_refco`` folds. ``terms`` holds per branch
+    its weight and its BN's scale, shaped to scale the stage's output along
+    its channel axis; ``shift`` is the stage's summed BN shift, the float32
+    sum of the branches' shifts from zeros in branch order, shaped the same.
 
     A branch is ``(weight, gamma, beta, mean, var, eps)``. The branch counts
     are checked first. Then, stage 1 before stage 2, the stage's BN
@@ -246,7 +254,7 @@ def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
                 BnParams(*br[1:])
         else:
             eps = np.array([br[5] for br in branches], np.float32)[:, None]
-            _check_variance(stats[:, 3], eps)
+            _check_bn_stats(stats, eps)
         for j, br in enumerate(branches):
             if br[0].shape != shape:
                 raise ShapeError(f"stage-{i} branch {j} weight shape {br[0].shape}")
@@ -255,8 +263,11 @@ def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
                     f"stage-{i} branch {j} normalization over {np.size(br[1])} channels, "
                     f"expected {shape[0]}")
         s, t = _scale_shift(*stats.transpose(1, 0, 2), eps)
-        terms.append(tuple(zip((as_f32(br[0]) for br in branches),
-                               s.reshape(len(s), *axes), t.reshape(len(t), *axes))))
+        shift = np.zeros(shape[0], np.float32)
+        for tb in t:
+            shift += tb
+        terms.append((tuple(zip((as_f32(br[0]) for br in branches), s.reshape(len(s), *axes))),
+                      shift.reshape(axes)))
     return tuple(terms)
 
 
@@ -265,12 +276,16 @@ def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
     normalization, then K parallel stage-2 branches summed the same way.
 
     Stage-1 normalization runs over the K/R hidden channels (shared across
-    window positions); stage-2 normalization runs over c_out.
+    window positions); stage-2 normalization runs over c_out. Per stage,
+    each branch's output is multiplied by its BN scale and added to the
+    running sum in branch order; the stage's BN shifts, summed once in
+    branch order, are added last. This is the same float32 arithmetic as
+    the forward of a RefCO node.
     """
     return _refco(x, spec, *_refco_terms(spec, _branch_rows(branches1), _branch_rows(branches2)))
 
 
-def _refco(x, spec: SFConvSpec, terms1, terms2) -> np.ndarray:
+def _refco(x, spec: SFConvSpec, stage1, stage2) -> np.ndarray:
     """RefCO of ``x`` given its branches as ``_refco_terms``."""
     x = as_f32(x)
     if x.ndim != 4:
@@ -278,27 +293,30 @@ def _refco(x, spec: SFConvSpec, terms1, terms2) -> np.ndarray:
     xw = _split_windows(x, spec)
     n, hw = x.shape[0], x.shape[2] * x.shape[3]
     hid, win = spec.hidden_channels, spec.windows
-    hidden = _normalized_sum(lambda w, out: _stage1(xw, w, out), terms1, (n, win, hid, hw))
-    return _normalized_sum(lambda w, out: _stage2(hidden, w, spec, out), terms2,
+    hidden = _normalized_sum(lambda w, out: _stage1(xw, w, out), stage1, (n, win, hid, hw))
+    return _normalized_sum(lambda w, out: _stage2(hidden, w, spec, out), stage2,
                            (n, hid, spec.width_multiplier, hw))
 
 
-def _normalized_sum(product, terms, scratch_shape) -> np.ndarray:
-    """The sum over ``terms`` (w, s, t) of ``product(w, out) * s + t``, in
-    order. The first product is fresh and becomes the running sum; the others
-    go through one scratch buffer of ``scratch_shape``, the layout ``product``
-    writes into. Every step is in place, so the bits are those of the plain
-    per-branch arithmetic."""
+def _normalized_sum(product, stage, scratch_shape) -> np.ndarray:
+    """The sum over ``stage``'s terms (w, s) of ``product(w, out) * s``, in
+    order, plus the stage's summed shift once. The first product is fresh
+    and becomes the running sum; the others go through one scratch buffer of
+    ``scratch_shape``, the layout ``product`` writes into. Each branch takes
+    two passes over its output and the stage one more, where adding each
+    branch's own shift would take a third pass per branch. Every step is in
+    place, so the bits are those of the same arithmetic out of place."""
+    terms, shift = stage
     total = None
     scratch = np.empty(scratch_shape, np.float32) if len(terms) > 1 else None
-    for w, s, t in terms:
+    for w, s in terms:
         y = product(w, None if total is None else scratch)
         y *= s
-        y += t
         if total is None:
             total = y
         else:
             total += y
+    total += shift
     return total
 
 

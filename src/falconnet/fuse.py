@@ -117,29 +117,26 @@ def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
     """Collapse parallel factorized-conv branches into a single SF-Conv.
 
     Per stage, each branch's normalization scale is folded into its weight
-    bank and the banks are summed; the shifts accumulate into the stage
-    bias. Stage-1 normalization is per hidden channel, so its shift
-    broadcasts across window positions.
+    bank and the banks are summed; the stage's summed shift, the one that
+    ``refco_forward`` adds, becomes the stage bias. Stage-1 normalization is
+    per hidden channel, so its shift broadcasts across window positions.
     """
     return _merge_refco(spec, _refco_terms(spec, _branch_rows(branches1),
                                            _branch_rows(branches2)))
 
 
-def _merge_refco(spec: SFConvSpec, terms) -> SFConvWeights:
-    """``merge_refco`` of the terms as ``_refco_terms`` gives them."""
-    terms1, terms2 = terms
+def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
+    """``merge_refco`` of the stages as ``_refco_terms`` gives them."""
+    (terms1, shift1), (terms2, shift2) = stages
     w1 = np.zeros((spec.hidden_channels, spec.windows, spec.kernel), dtype=np.float32)
-    b1 = np.zeros((spec.hidden_channels, spec.windows), dtype=np.float32)
-    for w, s, t in terms1:
+    for w, s in terms1:
         w1 += w * s.reshape(-1, 1, 1)
-        b1 += t.reshape(-1, 1)
+    b1 = np.repeat(shift1.reshape(-1, 1), spec.windows, axis=1)
 
     w2 = np.zeros((spec.c_out, spec.windows), dtype=np.float32)
-    b2 = np.zeros(spec.c_out, dtype=np.float32)
-    for w, s, t in terms2:
+    for w, s in terms2:
         w2 += w * s.reshape(-1, 1)
-        b2 += t.reshape(-1)
-    return SFConvWeights(spec, w1, w2, b1, b2)
+    return SFConvWeights(spec, w1, w2, b1, shift2.reshape(-1))
 
 
 def verify_equivalence(reference, candidate, trials: int, input_shape,

@@ -521,8 +521,8 @@ class RefCONode(_Leaf):
                 yield from _bn_entries(f"{self.name}.{stage}.{i}", shape[0])
 
     def _terms(self, w):
-        """Both stages' checked ``_refco`` terms; each branch is a weight and
-        its four BN arrays."""
+        """Both stages, checked, as ``_refco`` runs them; each branch is a
+        weight and its four BN arrays."""
         b = [(*w[j:j + 5], BnParams.eps) for j in range(0, len(w), 5)]
         return _refco_terms(self.spec, b[:self.spec.windows], b[self.spec.windows:])
 

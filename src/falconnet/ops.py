@@ -144,7 +144,8 @@ class BnParams:
                 raise ShapeError(
                     f"BnParams.{name} has length {getattr(self, name).shape[0]}, "
                     f"expected {c}")
-        _check_variance(self.var, np.float32(self.eps))
+        _check_bn_stats(np.stack([self.gamma, self.beta, self.mean, self.var]),
+                        np.float32(self.eps))
 
     @property
     def channels(self) -> int:
@@ -170,13 +171,23 @@ class BnParams:
                    u(*mean_range, channels), u(*var_range, channels), eps)
 
 
-def _check_variance(var: np.ndarray, eps) -> None:
-    """Reject a channel whose ``var + eps`` is not positive, the first one in
-    row-major order; ``var`` may stack several BNs' variances as rows."""
+_BN_STATS = ("gamma", "beta", "mean", "var")
+
+
+def _check_bn_stats(stats: np.ndarray, eps) -> None:
+    """Reject BN statistics that give no finite scale and shift. ``stats`` is
+    (..., 4, C): gamma, beta, mean and var, rows of several BNs stacked on
+    the leading axes; ``eps`` broadcasts against one statistic's (..., C).
+    First a channel whose ``var + eps`` is not positive is rejected, then a
+    non-finite statistic, each the first in row-major order."""
     # Written as `not > 0` so that a NaN variance is rejected too.
-    bad = np.argwhere(~(var + eps > 0))
+    bad = np.argwhere(~(stats[..., 3, :] + eps > 0))
     if len(bad):
         raise ValueError(f"var + eps must be positive, violated at channel {bad[0, -1]}")
+    bad = np.argwhere(~np.isfinite(stats))
+    if len(bad):
+        raise ValueError(f"{_BN_STATS[bad[0, -2]]} must be finite, "
+                         f"violated at channel {bad[0, -1]}")
 
 
 def _scale_shift(gamma, beta, mean, var, eps) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,12 @@ library stages' optional ``out`` buffer and leave it unused: a stage returns
 its result, which need not live in ``out``.
 
 ``repso_per_branch`` and ``refco_per_branch`` are the training-form
-operators composed branch by branch, out of place: each branch's output,
-then its normalization, then a running sum in branch order.
+operators composed branch by branch, out of place. ``repso_per_branch``
+takes each branch's output, then its normalization, then a running sum in
+branch order. ``refco_per_branch`` takes, per stage, each branch's output
+times its BN scale in a running sum in branch order, then adds the
+stage's BN shifts, summed from zeros in branch order, once: BN distributes
+over the sum, so this is the same map with one pass fewer per branch.
 ``merge_repso_per_branch`` merges RepSO the same way: each branch's BN
 folded into its kernel, the kernel padded onto the 3x3 frame, then a
 running sum in branch order; ``merge_refco_per_branch`` merges RefCO the
@@ -121,19 +125,20 @@ def merge_refco_per_branch(spec, branches1, branches2):
 
 
 def refco_per_branch(x, spec, branches1, branches2):
-    """Per branch the library's SF-Conv stage, then ``y * s + t``, summed
-    out of place in branch order; stage 2 reads the stage-1 sum."""
+    """Per stage, each branch's library SF-Conv stage times its BN scale,
+    summed out of place in branch order, plus the stage's BN shifts summed
+    from zeros in branch order; stage 2 reads the stage-1 result."""
     xw = channel._split_windows(np.asarray(x, np.float32), spec)
-    hidden = None
-    for br in branches1:
-        s, t = br.bn.scale_shift()
-        y = channel._stage1(xw, br.weight) * s[None, :, None, None, None] \
-            + t[None, :, None, None, None]
-        hidden = y if hidden is None else hidden + y
-    out = None
-    for br in branches2:
-        s, t = br.bn.scale_shift()
-        y = channel._stage2(hidden, br.weight, spec) * s.reshape(1, -1, 1, 1) \
-            + t.reshape(1, -1, 1, 1)
-        out = y if out is None else out + y
-    return out
+
+    def stage(branches, output, axes):
+        out = None
+        shift = np.zeros(branches[0].bn.channels, np.float32)
+        for br in branches:
+            s, t = br.bn.scale_shift()
+            y = output(br.weight) * s.reshape(axes)
+            out = y if out is None else out + y
+            shift = shift + t
+        return out + shift.reshape(axes)
+
+    hidden = stage(branches1, lambda w: channel._stage1(xw, w), (1, -1, 1, 1, 1))
+    return stage(branches2, lambda w: channel._stage2(hidden, w, spec), (1, -1, 1, 1))

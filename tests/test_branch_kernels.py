@@ -1,10 +1,11 @@
 """Training-form RepSO and RefCO kernels: bits and purity.
 
-``repso_forward`` and ``refco_forward`` normalize each branch and add it
-into the running sum in place, and RepSO walks all branches in one tiled
-pass. These tests pin both bitwise to the out-of-place per-branch
-composition in ``reference_kernels`` and check that no array the caller
-owns is written.
+``repso_forward`` normalizes each branch and adds it into the running sum
+in place, walking all branches in one tiled pass. ``refco_forward``
+multiplies each branch's stage output by its BN scale and adds it into the
+running sum in place, then adds the stage's summed BN shift once. These
+tests pin both bitwise to the out-of-place per-branch composition in
+``reference_kernels`` and check that no array the caller owns is written.
 """
 
 import hashlib

@@ -177,6 +177,30 @@ def _affine_f64(bn):
     return s, _f64(bn.beta) - _f64(bn.mean) * s
 
 
+def _refco_f64(xw, spec, stages):
+    """RefCO in float64 over per-stage ``(w, s, t)`` branch terms: each
+    stage sums its branches' outputs times their scales, plus their shifts."""
+    hidden = (sum(_stage1_f64(xw, w) * s[:, None, None, None] for w, s, _ in stages[0])
+              + sum(t for _, _, t in stages[0])[:, None, None, None])
+    return (sum(_stage2_f64(hidden, w, spec) * s[:, None, None] for w, s, _ in stages[1])
+            + sum(t for _, _, t in stages[1])[:, None, None])
+
+
+# A per-element bound for RefCO (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., section 3.1). Take the float32 input, branch weights
+# and BN scales and shifts as given: ``exact`` is their composition in
+# float64, and ``magnitude`` the same composition over absolute values. A
+# hidden value takes a length-K dot product, one scaling and B1 + 1
+# additions, counting the stage's summed shift, whose own sum takes B1
+# more; stage 2 does the same with C/K and B2 on the rounded hidden values.
+# So every output lies within gamma_N * magnitude of ``exact``, with
+# N = K + C/K + B1 + B2 + 4, gamma_n = n u / (1 - n u) and u = 2**-24.
+
+def _gamma_n(n):
+    u = 2.0 ** -24
+    return n * u / (1 - n * u)
+
+
 def _random_case(rng):
     spec = random_valid_spec(rng)
     n = int(rng.integers(2, 4))
@@ -224,6 +248,22 @@ class TestFloat64Reference:
                 ref = ref + (_stage2_f64(hidden, br.weight, spec) * s.reshape(1, -1, 1, 1)
                              + t.reshape(1, -1, 1, 1))
             _assert_within_rel_tol(refco_forward(x, spec, b1, b2), ref)
+
+
+    def test_refco_within_per_element_bound(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            spec, x, xw = _random_case(rng)
+            b1, b2 = random_refco_branches(spec, rng, beta_range=(-3, 3), mean_range=(-3, 3),
+                                           var_range=(0.01, 10.0))
+            stages = [[(br.weight, *map(_f64, br.bn.scale_shift())) for br in branches]
+                      for branches in (b1, b2)]
+            exact = _refco_f64(xw, spec, stages)
+            magnitude = _refco_f64(np.abs(xw), spec, [[tuple(map(np.abs, term)) for term in stage]
+                                                      for stage in stages])
+            got = refco_forward(x, spec, b1, b2)
+            n = spec.kernel + spec.windows + len(b1) + len(b2) + 4
+            assert np.all(np.abs(got - exact) <= _gamma_n(n) * magnitude)
 
 
 class TestRefCO:
@@ -289,6 +329,14 @@ class TestRefCO:
          ShapeError, "stage-2 branch 2 normalization over 3 channels, expected 16"),
         # Stage 1 is checked whole, weights included, before stage 2's statistics.
         ({0: (slice(1), None), 24: (7, -5.0)}, ShapeError, "stage-1 branch 0 weight shape"),
+        # Non-finite statistics, after a stage's variances: the first in
+        # branch, then statistic, then channel order.
+        ({1: (1, np.nan)}, ValueError, "gamma must be finite, violated at channel 1"),
+        ({21: (0, np.nan), 24: (7, -5.0)}, ValueError, "var \\+ eps .* at channel 7"),
+        ({3: (1, np.inf), 24: (7, -5.0)}, ValueError, "mean must be finite, violated at channel 1"),
+        ({27: (2, np.inf), 23: (5, -np.inf), 22: (9, np.nan)}, ValueError,
+         "beta must be finite, violated at channel 9"),
+        ({29: (4, np.inf)}, ValueError, "var must be finite, violated at channel 4"),
     ])
     def test_node_checks_branch_statistics_as_bn_params(self, poison, error, message):
         # A RefCO node sets up each stage's BNs over the stacked statistics,

@@ -175,6 +175,28 @@ class TestFuseAndVerify:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "var + eps must be positive" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("stem.bn1.gamma", np.nan),
+        ("s1.b0.expand.s2.3.mean", np.inf),
+        ("s1.b0.expand.s1.0.beta", -np.inf),
+        ("s1.b0.spatial.dw3x3_0.gamma", np.nan),
+    ])
+    def test_fuse_rejects_non_finite_bn_statistic(self, workdir, capsys, key, value):
+        # A plain BN, a RefCO branch's BN of either stage and a RepSO
+        # branch's BN: one error line, and no fused file is written.
+        tmp_path, _, cfg_path, weights_path = workdir
+        store = load_weights(weights_path)
+        assert key in store
+        poisoned = tmp_path / "poisoned.falc"
+        save_weights(WeightStore({k: np.where(np.arange(v.size) == 1, value, v).reshape(v.shape)
+                                  if k == key else v for k, v in store.items()}), poisoned)
+        out_path = tmp_path / "fused.falc"
+        code, out, err = run(capsys, "fuse", "--config", str(cfg_path),
+                             "--weights", str(poisoned), "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {key.rsplit('.', 1)[1]} must be finite, violated at channel 1\n"
+        assert not out_path.exists()
+
     def test_verify_reports_and_exits_zero(self, workdir, capsys):
         _, _, cfg_path, weights_path = workdir
         code, out, _ = run(capsys, "verify", "--config", str(cfg_path),

@@ -1,14 +1,17 @@
 """Reparameterization tests: normalization folding, branch merging,
 and the empirical equivalence verifier."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from falconnet import (BnParams, ConvSpec, RefCOBranch, RepSOBranch, RepSOConfig,
-                       RepSOWeights, SFConvSpec, ShapeError, admissible_kernel_sizes,
-                       conv2d, batch_norm_infer, fuse_bn_into_linear, merge_refco,
-                       merge_repso, pad_kernel_to_3x3, random_refco_branches,
+                       RepSOWeights, SFConvSpec, ShapeError, WeightStore,
+                       admissible_kernel_sizes, build_model, conv2d, batch_norm_infer,
+                       forward, fuse_bn_into_linear, fuse_model, init_weights, merge_refco,
+                       merge_repso, pad_kernel_to_3x3, preset_config, random_refco_branches,
                        random_repso_weights, refco_forward, repso_forward,
                        sfconv_forward, sfconv_param_count, verify_equivalence)
 from falconnet.spatial import branch_kernel_shape
@@ -392,3 +395,42 @@ class TestVerifyEquivalence:
             report = verify_equivalence(f, f, 2, (1, 2, 2, 2))
         assert not np.isfinite(report.max_abs_error)
         assert not report.passed
+
+
+def _stage2_branches(store, name):
+    """Weight and BN scale and shift of each stage-2 branch of RefCO ``name``."""
+    out, b = [], 0
+    while f"{name}.s2.{b}.weight" in store:
+        p = f"{name}.s2.{b}"
+        bn = BnParams(*(store.get(f"{p}.{k}") for k in ("gamma", "beta", "mean", "var")))
+        out.append((store.get(f"{p}.weight"), *bn.scale_shift()))
+        b += 1
+    return out
+
+
+def _replaced(store, key, value):
+    return WeightStore({k: value if k == key else v for k, v in store.items()})
+
+
+def test_verify_catches_a_broken_refco_merge():
+    # The train form runs each RefCO branch and is not built from the merged
+    # weights, so a merge that drops one branch's shift from bias2, or scales
+    # w2's rows by a reversed BN scale, fails verification.
+    graph = build_model(replace(preset_config("falconnet"), input_resolution=32))
+    store = init_weights(graph, seed=0)
+    fused_graph, fused = fuse_model(graph, store)
+    name = "s2.b0.expand"
+    branches = _stage2_branches(store, name)
+    bias2 = fused.get(f"{name}.bias2")
+    w2 = sum(w * s[::-1, None] for w, s, _ in branches)
+    broken = {"clean": fused,
+              "bias2 without a shift": _replaced(fused, f"{name}.bias2", bias2 - branches[1][2]),
+              "w2 with reversed scales": _replaced(fused, f"{name}.w2", w2)}
+    passed = {}
+    for what, candidate in broken.items():
+        report = verify_equivalence(lambda x: forward(graph, store, x),
+                                    lambda x: forward(fused_graph, candidate, x),
+                                    2, (1, 3, 32, 32))
+        passed[what] = report.passed
+    assert passed == {"clean": True, "bias2 without a shift": False,
+                      "w2 with reversed scales": False}

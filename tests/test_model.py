@@ -660,6 +660,14 @@ class TestKernelNumerics:
         assert batched.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("preset", PRESETS)
+    def test_train_forward_is_batch_invariant(self, preset):
+        (graph, store), _ = _preset_models(preset)
+        x = np.random.default_rng(4).standard_normal((4, 3, 64, 64)).astype(np.float32)
+        batched = forward(graph, store, x)
+        single = np.concatenate([forward(graph, store, x[i:i + 1]) for i in range(4)])
+        assert batched.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("preset", PRESETS)
     def test_empty_batch_gives_empty_logits(self, preset):
         x = np.zeros((0, 3, 64, 64), np.float32)
         for graph, store in _preset_models(preset):

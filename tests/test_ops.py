@@ -8,6 +8,7 @@ the tap-by-tap float32 sum of ``reference_kernels.conv2d_per_tap``.
 
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -432,6 +433,31 @@ class TestBatchNorm:
             BnParams([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [np.nan, 1.0])
         with pytest.raises(ValueError, match="channel 1"):
             BnParams([1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, np.nan])
+
+    @pytest.mark.parametrize("stat", ["gamma", "beta", "mean", "var"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_statistic_is_rejected(self, stat, value):
+        # A NaN or infinite statistic would make the scale or shift non-finite
+        # and with them every later value. A variance of -inf (or NaN) fails
+        # the variance check first, with its message.
+        stats = {name: np.ones(3, np.float32) for name in ("gamma", "beta", "mean", "var")}
+        stats[stat][2] = value
+        message = ("var + eps must be positive, violated at channel 2"
+                   if stat == "var" and not value > 0
+                   else f"{stat} must be finite, violated at channel 2")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BnParams(**stats)
+
+    @pytest.mark.parametrize("stats, message", [
+        # The variance check comes first, then the first non-finite
+        # statistic in gamma, beta, mean, var order, then channel order.
+        (([np.nan, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, -2.0]), "var \\+ eps .* channel 1"),
+        (([1.0, 1.0], [0.0, np.inf], [np.nan, 0.0], [1.0, 1.0]), "beta .* channel 1"),
+        (([1.0, 1.0], [0.0, 0.0], [0.0, -np.inf], [np.inf, 1.0]), "mean .* channel 1"),
+    ])
+    def test_first_failing_statistic_is_named(self, stats, message):
+        with pytest.raises(ValueError, match=message):
+            BnParams(*stats)
 
 
 def test_relu_cases():
