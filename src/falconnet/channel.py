@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BnParams, ShapeError, Tensor, _check_bn_stats, _scale_shift, as_f32
+from .ops import BnParams, ShapeError, Tensor, _bn_scale_shift, as_f32
 
 __all__ = [
     "SFConvSpec",
@@ -232,11 +232,8 @@ def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
     sum of the branches' shifts from zeros in branch order, shaped the same.
 
     A branch is ``(weight, gamma, beta, mean, var, eps)``. The branch counts
-    are checked first. Then, stage 1 before stage 2, the stage's BN
-    statistics are stacked once and checked as ``BnParams`` checks them, and
-    each branch's weight shape and BN width are checked. The scales and
-    shifts are computed once over the stacked statistics, with the float32
-    arithmetic of ``BnParams.scale_shift``.
+    are checked first. Then, stage 1 before stage 2, one ``_bn_scale_shift``
+    call sets up the stage's BNs, and each branch's weight shape is checked.
     """
     stages = ((branches1, spec.windows, "C/K", (spec.hidden_channels, spec.windows, spec.kernel),
                (1, -1, 1, 1, 1)),
@@ -247,22 +244,11 @@ def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
                 f"stage {i} needs exactly {count} branches ({law}), got {len(branches)}")
     terms = []
     for i, (branches, _, _, shape, axes) in enumerate(stages, 1):
-        try:  # (B, 4, C): gamma, beta, mean and var of each branch
-            stats = np.array([[a.reshape(-1) for a in br[1:5]] for br in branches], np.float32)
-        except ValueError:  # ragged: BnParams' error for a branch, else a width's below
-            for br in branches:
-                BnParams(*br[1:])
-        else:
-            eps = np.array([br[5] for br in branches], np.float32)[:, None]
-            _check_bn_stats(stats, eps)
+        s, t = _bn_scale_shift([br[1:] for br in branches], shape[0], f"stage-{i} branch {{}} "
+                               "normalization over {} channels, expected {}")
         for j, br in enumerate(branches):
             if br[0].shape != shape:
                 raise ShapeError(f"stage-{i} branch {j} weight shape {br[0].shape}")
-            if np.size(br[1]) != shape[0]:
-                raise ShapeError(
-                    f"stage-{i} branch {j} normalization over {np.size(br[1])} channels, "
-                    f"expected {shape[0]}")
-        s, t = _scale_shift(*stats.transpose(1, 0, 2), eps)
         shift = np.zeros(shape[0], np.float32)
         for tb in t:
             shift += tb

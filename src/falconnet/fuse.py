@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import SFConvSpec, SFConvWeights, _branch_rows, _refco_terms
 from .ops import BnParams, ShapeError, Tensor, as_f32
-from .spatial import (RepSOConfig, RepSOWeights, _grid_window, _repso_terms,
+from .spatial import (RepSOConfig, RepSOWeights, _grid_window, _repso_rows, _repso_terms,
                       branch_kernel_shape)
 
 __all__ = [
@@ -98,15 +98,20 @@ def pad_kernel_to_3x3(kernel, kind: str, channels: int) -> Tensor:
 def merge_repso(w: RepSOWeights, cfg: RepSOConfig) -> FusedDWConv:
     """Collapse all spatial branches into one biased 3x3 depthwise kernel.
 
-    Folds the checked terms that ``repso_forward`` runs: in branch order,
-    each branch's kernel times its BN's scale is added into its centred
-    window of the 3x3 frame (identity adds the bare scale at the centre),
-    and its BN's shift into the bias.
+    Folds the terms that ``repso_forward`` runs, from one ``_repso_terms``
+    set-up: in branch order, each branch's kernel times its BN's scale is
+    added into its centred window of the 3x3 frame (identity adds the bare
+    scale at the centre), and its BN's shift into the bias.
     """
+    return _merge_repso(cfg, _repso_terms(_repso_rows(w, cfg), cfg))
+
+
+def _merge_repso(cfg: RepSOConfig, terms) -> FusedDWConv:
+    """``merge_repso`` of the branches as ``_repso_terms`` gives them."""
     kernel = np.zeros((cfg.channels, 1, 3, 3), dtype=np.float32)
     bias = np.zeros(cfg.channels, dtype=np.float32)
-    for br, (_, k, s, t) in zip(w.branches, _repso_terms(w, cfg)):
-        rows, cols = _grid_window(br.kind)
+    for kind, (_, k, s, t) in zip(cfg.branch_kinds(), terms):
+        rows, cols = _grid_window(kind)
         window, s = kernel[:, :, rows, cols], s[:, None, None, None]
         window += s if k is None else as_f32(k) * s
         bias += t

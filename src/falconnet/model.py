@@ -21,18 +21,16 @@ import re
 import weakref
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
 from .channel import (SFConvSpec, SFConvWeights, _refco, _refco_terms, choose_kernel_size,
                       sfconv_forward)
-from .fuse import _merge_refco, fuse_bn_into_linear, merge_repso
+from .fuse import _merge_refco, _merge_repso, fuse_bn_into_linear
 from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _channel_affine, _relu_in_place,
                   as_f32, conv2d, global_avg_pool, linear, relu)
-from .spatial import (RepSOBranch, RepSOConfig, RepSOWeights, _repso, _repso_terms,
-                      branch_kernel_shape)
+from .spatial import RepSOConfig, _repso, _repso_terms, branch_kernel_shape
 from .store import WeightStore
 
 __all__ = [
@@ -403,6 +401,9 @@ class PoolNode(_Leaf):
 class FlattenNode(_Leaf):
     view = True
 
+    def shape(self, c, h, w):
+        return None, "", (c * h * w, 1, 1)
+
     def bind(self, w, owned):
         return lambda x: x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
@@ -444,21 +445,24 @@ class RepSONode(_Leaf):
                                  shape[2] * shape[3] * n)
             yield from _bn_entries(f"{self.name}.{tag}", c)
 
-    def _unpack(self, w) -> RepSOWeights:
-        it = iter(w)  # per branch: its kernel (none for identity), then its BN arrays
-        return RepSOWeights(tuple(
-            RepSOBranch(kind, None if kind == "identity" else next(it), BnParams(*islice(it, 4)))
-            for kind in self.cfg.branch_kinds()))
+    def _terms(self, w):
+        """The checked branches, each a kernel (identity, the last, has none)
+        and four BN arrays, as ``_repso`` runs them."""
+        w = list(w)
+        if self.cfg.include_identity:
+            w.insert(len(w) - 4, None)
+        return _repso_terms([(*w[j:j + 5], BnParams.eps) for j in range(0, len(w), 5)],
+                            self.cfg)
 
     def bind(self, w, owned):
-        terms = _repso_terms(self._unpack(w), self.cfg)
+        terms = self._terms(w)
         return lambda x: _repso(x, self.cfg, terms)
 
     def fuse(self, w, bn):
         c = self.cfg.channels
         node = ConvNode(self.name, ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c, has_bias=True))
         if w is not None:
-            fused = merge_repso(self._unpack(w), self.cfg)
+            fused = _merge_repso(self.cfg, self._terms(w))
             w = [fused.kernel, fused.bias]
         return node.fuse(w, bn) or (node, w)
 
@@ -725,7 +729,15 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # store) pair.
 
 def _weights(node, store: WeightStore) -> list:
-    return [store.get(e.key) for e in node.entries()]
+    """The arrays of ``node``'s entries, in entry order, each checked against
+    its entry's shape."""
+    w = []
+    for e in node.entries():
+        a = store.get(e.key)
+        if a.shape != e.shape:
+            raise ShapeError(f"{e.key} has shape {a.shape}, expected {e.shape}")
+        w.append(a)
+    return w
 
 
 # What a step does with the running activation x: replace it by fn(x);
@@ -777,8 +789,9 @@ def _emit(nodes, store: WeightStore, where: str, owned: bool, steps: list) -> bo
             steps.append(_Step(at, _ADD, _add_into_second if body_owned else np.add))
             owned = True
         else:
+            w = _weights(node, store)
             try:
-                fn = node.bind(_weights(node, store), owned)
+                fn = node.bind(w, owned)
             except ShapeError as e:
                 raise ShapeError(f"{at}: {e}") from None
             steps.append(_Step(at, _CALL, fn))

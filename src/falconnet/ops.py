@@ -127,6 +127,9 @@ class BnParams:
     """Inference-form batch normalization, i.e. a fixed per-channel affine map.
 
     y = gamma * (x - mean) / sqrt(var + eps) + beta
+
+    Construction checks the statistics and computes the scale and shift
+    once, by ``_bn_scale_shift``, as RepSO and RefCO do for all branches.
     """
 
     gamma: np.ndarray
@@ -136,25 +139,19 @@ class BnParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("gamma", "beta", "mean", "var"):
+        for name in _BN_STATS:
             object.__setattr__(self, name, as_f32(getattr(self, name)).reshape(-1))
-        c = self.gamma.shape[0]
-        for name in ("beta", "mean", "var"):
-            if getattr(self, name).shape[0] != c:
-                raise ShapeError(
-                    f"BnParams.{name} has length {getattr(self, name).shape[0]}, "
-                    f"expected {c}")
-        _check_bn_stats(np.stack([self.gamma, self.beta, self.mean, self.var]),
-                        np.float32(self.eps))
+        s, t = _bn_scale_shift([(self.gamma, self.beta, self.mean, self.var, self.eps)],
+                               self.channels)
+        object.__setattr__(self, "_st", (s[0], t[0]))
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
 
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (s, t) of the equivalent map y = s * x + t."""
-        s, t = _scale_shift(self.gamma, self.beta, self.mean, self.var, np.float32(self.eps))
-        return s.astype(np.float32), t.astype(np.float32)
+        """The (s, t) of the equivalent map y = s * x + t, as fresh arrays."""
+        return self._st[0].copy(), self._st[1].copy()
 
     @classmethod
     def identity(cls, channels: int, eps: float = 0.0) -> "BnParams":
@@ -174,27 +171,37 @@ class BnParams:
 _BN_STATS = ("gamma", "beta", "mean", "var")
 
 
-def _check_bn_stats(stats: np.ndarray, eps) -> None:
-    """Reject BN statistics that give no finite scale and shift. ``stats`` is
-    (..., 4, C): gamma, beta, mean and var, rows of several BNs stacked on
-    the leading axes; ``eps`` broadcasts against one statistic's (..., C).
-    First a channel whose ``var + eps`` is not positive is rejected, then a
-    non-finite statistic, each the first in row-major order."""
-    # Written as `not > 0` so that a NaN variance is rejected too.
-    bad = np.argwhere(~(stats[..., 3, :] + eps > 0))
-    if len(bad):
-        raise ValueError(f"var + eps must be positive, violated at channel {bad[0, -1]}")
-    bad = np.argwhere(~np.isfinite(stats))
-    if len(bad):
-        raise ValueError(f"{_BN_STATS[bad[0, -2]]} must be finite, "
-                         f"violated at channel {bad[0, -1]}")
+def _bn_scale_shift(rows, channels: int, misfit: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """The float32 (B, C) scale s = gamma / sqrt(var + eps) and shift t = beta - mean * s
+    of B BNs of ``channels`` channels, each a row (gamma, beta, mean, var, eps).
+    Checked in turn, each at its first failure in row-major order: the lengths, the
+    widths (worded by ``misfit``), var + eps > 0, finite statistics, finite s and t."""
+    stats = [[as_f32(a).reshape(-1) for a in row[:4]] for row in rows]
+    for i, row in enumerate(stats):
+        c = len(row[0])
+        for name, a in zip(_BN_STATS, row):
+            if len(a) != c:
+                raise ShapeError(f"BnParams.{name} has length {len(a)}, expected {c}")
+        if c != channels:
+            raise ShapeError(misfit.format(i, c, channels))
+    stats = np.array(stats, np.float32)  # (B, 4, C)
+    denom = stats[:, 3] + np.array([row[4] for row in rows], np.float32)[:, None]
+    _check_bn(denom > 0, "var + eps must be positive")  # `not > 0` rejects a NaN var too
+    _check_bn(np.isfinite(stats), "{} must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below reject overflow
+        s = np.divide(stats[:, 0], np.sqrt(denom, out=denom), out=denom)  # no third (B, C)
+        t = stats[:, 1] - stats[:, 2] * s
+    _check_bn(np.isfinite(s), "scale must be finite")
+    _check_bn(np.isfinite(t), "shift must be finite")
+    return s, t
 
 
-def _scale_shift(gamma, beta, mean, var, eps) -> tuple[np.ndarray, np.ndarray]:
-    """BN's (s, t) elementwise, in float32: s = gamma / sqrt(var + eps) and
-    t = beta - mean * s. The statistics may stack several BNs as rows."""
-    s = gamma / np.sqrt(var + eps)
-    return s, beta - mean * s
+def _check_bn(ok: np.ndarray, what: str) -> None:
+    """Raise ``what`` (naming the statistic if ``ok`` is (B, 4, C)) at ``ok``'s first False."""
+    if not ok.all():
+        bad = np.argwhere(~ok)[0]
+        what = what.format(_BN_STATS[bad[1]]) if ok.ndim == 3 else what
+        raise ValueError(f"{what}, violated at channel {bad[-1]}")
 
 
 def _check_input(x: np.ndarray, who: str) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BnParams, ConvSpec, ShapeError, Tensor, _branch_sum, as_f32
+from .ops import BnParams, ConvSpec, ShapeError, Tensor, _bn_scale_shift, _branch_sum, as_f32
 
 __all__ = [
     "RepSOConfig",
@@ -94,30 +94,21 @@ class RepSOWeights:
     branches: tuple[RepSOBranch, ...]
 
 
-def check_repso_weights(w: RepSOWeights, cfg: RepSOConfig) -> None:
-    kinds = cfg.branch_kinds()
+def _repso_rows(w: RepSOWeights, cfg: RepSOConfig) -> tuple:
+    """``w``'s branches, their kinds checked, as rows for ``_repso_terms``."""
     got = tuple(br.kind for br in w.branches)
-    if got != kinds:
-        raise ShapeError(f"branch kinds {got} do not match configuration {kinds}")
-    for i, br in enumerate(w.branches):
-        expect = branch_kernel_shape(br.kind, cfg.channels)
-        if expect is None:
-            if br.kernel is not None:
-                raise ShapeError(f"branch {i} (identity) must not carry a kernel")
-        else:
-            if br.kernel is None or tuple(br.kernel.shape) != expect:
-                shape = None if br.kernel is None else tuple(br.kernel.shape)
-                raise ShapeError(f"branch {i} ({br.kind}) kernel shape {shape}, expected {expect}")
-        if br.bn.channels != cfg.channels:
-            raise ShapeError(
-                f"branch {i} normalization has {br.bn.channels} channels, expected {cfg.channels}")
+    if got != cfg.branch_kinds():
+        raise ShapeError(f"branch kinds {got} do not match configuration {cfg.branch_kinds()}")
+    return tuple((br.kernel, br.bn.gamma, br.bn.beta, br.bn.mean, br.bn.var, br.bn.eps)
+                 for br in w.branches)
 
 
 def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     """Sum of per-branch BN(depthwise conv(x)); the identity branch adds BN(x).
 
     Stride is 1 and each branch is padded onto the 3x3 output grid, so the
-    output shape equals the input shape.
+    output shape equals the input shape. The branches are set up as rows by
+    ``_repso_terms``, as a RepSO node sets up its own.
 
     One pass of ``ops._branch_sum`` on the 3x3 depthwise grid, the kernel
     that depthwise ``conv2d`` runs as its one-branch case. A branch reads
@@ -127,19 +118,26 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     added into the output in branch order, so the bits equal those of the
     per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
     """
-    return _repso(x, cfg, _repso_terms(w, cfg))
+    return _repso(x, cfg, _repso_terms(_repso_rows(w, cfg), cfg))
 
 
-def _repso_terms(w: RepSOWeights, cfg: RepSOConfig) -> list:
-    """The checked branches of ``w`` as ``_branch_sum`` terms, which
-    ``merge_repso`` folds: per branch its grid taps, kernel and BN scale and shift."""
-    check_repso_weights(w, cfg)
+def _repso_terms(branches, cfg: RepSOConfig) -> list:
+    """The branches, each ``(kernel, gamma, beta, mean, var, eps)`` and of
+    the kinds ``cfg`` lists, checked, as the ``_branch_sum`` terms that
+    ``_repso`` runs and ``_merge_repso`` folds: per branch its grid taps,
+    kernel and BN scale and shift. One ``_bn_scale_shift`` call sets up
+    every branch's BN; then each kernel's shape is checked."""
+    s, t = _bn_scale_shift([br[1:] for br in branches], cfg.channels,
+                           "branch {} normalization has {} channels, expected {}")
     terms = []
-    for br in w.branches:
-        rows, cols = _grid_window(br.kind)
-        taps = [i * 3 + j for i in range(rows.start, rows.stop)
-                for j in range(cols.start, cols.stop)]
-        terms.append((taps, br.kernel, *br.bn.scale_shift()))
+    for i, (kind, (kernel, *_)) in enumerate(zip(cfg.branch_kinds(), branches)):
+        expect = branch_kernel_shape(kind, cfg.channels)
+        got = None if kernel is None else tuple(kernel.shape)
+        if got != expect:
+            raise ShapeError(f"branch {i} (identity) must not carry a kernel" if expect is None
+                             else f"branch {i} ({kind}) kernel shape {got}, expected {expect}")
+        taps = np.arange(9).reshape(3, 3)[_grid_window(kind)].ravel().tolist()
+        terms.append((taps, kernel, s[i], t[i]))
     return terms
 
 

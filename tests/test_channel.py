@@ -337,6 +337,12 @@ class TestRefCO:
         ({27: (2, np.inf), 23: (5, -np.inf), 22: (9, np.nan)}, ValueError,
          "beta must be finite, violated at channel 9"),
         ({29: (4, np.inf)}, ValueError, "var must be finite, violated at channel 4"),
+        # Finite statistics whose scale or shift overflows float32, after
+        # every statistic is checked; the node's eps is 1e-5.
+        ({21: (3, 3e38), 24: (3, 0.0)}, ValueError, "scale must be finite, violated at channel 3"),
+        ({21: (3, 3e38), 24: (3, 0.0), 29: (4, np.inf)}, ValueError,
+         "var must be finite, violated at channel 4"),
+        ({1: (1, 2.0), 3: (1, 3e38)}, ValueError, "shift must be finite, violated at channel 1"),
     ])
     def test_node_checks_branch_statistics_as_bn_params(self, poison, error, message):
         # A RefCO node sets up each stage's BNs over the stacked statistics,

@@ -197,6 +197,40 @@ class TestFuseAndVerify:
         assert err == f"error: {key.rsplit('.', 1)[1]} must be finite, violated at channel 1\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("prefix", ["stem.bn1", "s1.b0.expand.s2.3",
+                                        "s1.b0.spatial.dw3x3_0"])
+    def test_fuse_rejects_overflowing_bn_scale(self, workdir, capsys, prefix):
+        # Finite statistics, gamma 3e38 over sqrt(0 + eps), whose float32
+        # scale overflows: one error line, and no fused file is written.
+        tmp_path, _, cfg_path, weights_path = workdir
+        store = load_weights(weights_path)
+        poison = {f"{prefix}.gamma": 3e38, f"{prefix}.var": 0.0}
+        poisoned = tmp_path / "poisoned.falc"
+        save_weights(WeightStore({k: np.where(np.arange(v.size) == 1, poison[k], v)
+                                  if k in poison else v for k, v in store.items()}), poisoned)
+        out_path = tmp_path / "fused.falc"
+        code, out, err = run(capsys, "fuse", "--config", str(cfg_path),
+                             "--weights", str(poisoned), "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: scale must be finite, violated at channel 1\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "infer"])
+    @pytest.mark.parametrize("key", ["stem.bn1.gamma", "head.fc.bias"])
+    def test_wrong_shaped_weight_is_one_error_line(self, workdir, capsys, command, key):
+        tmp_path, _, cfg_path, weights_path = workdir
+        store = load_weights(weights_path)
+        shape = store.get(key).shape
+        broken = tmp_path / "broken.falc"
+        save_weights(WeightStore({k: v.reshape(*shape, 1) if k == key else v
+                                  for k, v in store.items()}), broken)
+        ppm = tmp_path / "img.ppm"
+        ppm.write_text("P3\n1 1\n255\n0 128 255\n")
+        args = ["--config", str(cfg_path), "--weights", str(broken)]
+        code, out, err = run(capsys, command, *([str(ppm)] if command == "infer" else []), *args)
+        assert (code, out) == (1, "")
+        assert err == f"error: {key} has shape {(*shape, 1)}, expected {shape}\n"
+
     def test_verify_reports_and_exits_zero(self, workdir, capsys):
         _, _, cfg_path, weights_path = workdir
         code, out, _ = run(capsys, "verify", "--config", str(cfg_path),

@@ -6,6 +6,7 @@ interpreter to match exactly.
 """
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -22,9 +23,11 @@ from falconnet import (BlockConfig, BnParams, ChannelSlot, ConfigError, ConvSpec
                        ModelConfig, ShapeError, SpatialSlot, StoreError, WeightStore,
                        build_model, config_from_json, config_to_json, conv2d, forward,
                        fuse_model, fusible_count, global_avg_pool, init_weights,
-                       iter_param_entries, linear, load_weights, preset_config, relu,
-                       save_weights, batch_norm_infer, verify_equivalence)
-from falconnet.model import PRESET_NAMES, BlockNode, fused_structure
+                       iter_param_entries, LayerGraph, linear, load_weights, preset_config,
+                       relu, save_weights, batch_norm_infer, verify_equivalence)
+from falconnet.costs import cost_report
+from falconnet.model import (PRESET_NAMES, BlockNode, ConvNode, FlattenNode, LinearNode,
+                             fused_structure)
 
 
 def tiny_config(**overrides):
@@ -377,6 +380,42 @@ class TestForward:
         broken = WeightStore({k: v for k, v in store.items() if k != "head.fc.weight"})
         with pytest.raises(StoreError, match="head.fc.weight"):
             forward(graph, broken, np.zeros((1, 3, 32, 32), np.float32))
+
+    @pytest.mark.parametrize("key", ["stem.bn1.gamma", "head.fc.bias"])
+    def test_wrong_shaped_weight_is_named(self, key):
+        # Kernels flatten per-channel vectors, so a (C, 1) entry would run,
+        # and fuse_model would write it back in the wrong shape.
+        cfg = tiny_config()
+        graph = build_model(cfg)
+        store = init_weights(graph)
+        shape = store.get(key).shape
+        broken = WeightStore({k: v.reshape(*shape, 1) if k == key else v
+                              for k, v in store.items()})
+        message = f"{key} has shape {(*shape, 1)}, expected {shape}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            forward(graph, broken, np.zeros((1, 3, 32, 32), np.float32))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            fuse_model(graph, broken)
+
+    def test_flatten_hands_linear_every_feature(self):
+        # Conv(3->4) at 8 px, flattened without a pool: the linear layer
+        # takes 4 * 8 * 8 features, and cost_report and forward agree on it.
+        cfg = tiny_config(input_resolution=8)
+        x = np.zeros((1, 3, 8, 8), np.float32)
+        for features, ok in ((256, True), (4, False)):
+            graph = LayerGraph(cfg, (ConvNode("conv", ConvSpec(3, 4)),
+                                     FlattenNode("flat"), LinearNode("fc", features, 5)))
+            store = init_weights(graph)
+            if ok:
+                assert forward(graph, store, x).shape == (1, 5)
+                fc = [r for r in cost_report(graph).layers if r.name == "fc"]
+                assert [(r.params, r.flops, r.out_h, r.out_w) for r in fc] == [
+                    (256 * 5 + 5, 256 * 5 + 5, 1, 1)]
+            else:
+                with pytest.raises(ShapeError, match="fc: expects 4 features, receives 256"):
+                    cost_report(graph)
+                with pytest.raises(ShapeError):
+                    forward(graph, store, x)
 
     def test_residual_block_with_zero_body_is_identity(self):
         cfg = tiny_config()

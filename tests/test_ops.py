@@ -459,6 +459,28 @@ class TestBatchNorm:
         with pytest.raises(ValueError, match=message):
             BnParams(*stats)
 
+    @pytest.mark.parametrize("stats, message", [
+        # Finite statistics whose float32 scale or shift overflows: the scale
+        # is checked first, then the shift, each at its first channel.
+        (([3e38], [0.0], [1e30], [0.0]), "scale must be finite, violated at channel 0"),
+        (([1.0, 3e38], [0.0, 0.0], [0.0, 1e30], [1.0, 0.0]),
+         "scale must be finite, violated at channel 1"),
+        (([1.0, 1.0], [0.0, 0.0], [0.0, 3e38], [1.0, 1e-30]),
+         "shift must be finite, violated at channel 1"),
+    ])
+    def test_overflowing_scale_or_shift_is_rejected(self, stats, message):
+        # Under pytest, a numpy RuntimeWarning is an error, so an overflow
+        # warning instead of this error would fail the test too.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BnParams(*stats)
+
+    def test_scale_shift_gives_fresh_arrays(self):
+        p = BnParams([2.0], [1.0], [0.5], [4.0], eps=0.0)
+        s, t = p.scale_shift()
+        s += 1
+        t += 1
+        assert [a.tolist() for a in p.scale_shift()] == [[1.0], [0.5]]
+
 
 def test_relu_cases():
     x = np.array([-1.0, 0.0, 2.5], np.float32)

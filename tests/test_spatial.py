@@ -6,6 +6,8 @@ import pytest
 from falconnet import (BnParams, ConvSpec, RepSOBranch, RepSOConfig, RepSOWeights,
                        ShapeError, conv2d, kernel_magnitude_matrix, random_repso_weights,
                        repso_forward)
+from falconnet import merge_repso
+from falconnet.model import RepSONode
 from falconnet.spatial import branch_kernel_shape
 
 
@@ -114,6 +116,51 @@ def test_repso_errors():
     bad = RepSOWeights(w.branches[:-1])
     with pytest.raises(ShapeError, match="branch kinds"):
         repso_forward(np.zeros((1, 4, 2, 2), np.float32), bad, cfg)
+
+
+@pytest.mark.parametrize("poison, error, message", [
+    # Entries 5*i to 5*i + 4 are branch i's kernel, gamma, beta, mean and
+    # var for the six kernel branches; 30 to 33 are identity's BN arrays.
+    ({8: (slice(3), None)}, ShapeError, "BnParams.mean has length 3, expected 4"),
+    ({6: (slice(3), None), 7: (slice(3), None), 8: (slice(3), None), 9: (slice(3), None)},
+     ShapeError, "branch 1 normalization has 3 channels, expected 4"),
+    # Every branch's var + eps is checked before any other statistic.
+    ({1: (0, np.nan), 33: (2, -1.0)}, ValueError,
+     "var \\+ eps must be positive, violated at channel 2"),
+    ({18: (3, np.inf), 31: (1, np.nan)}, ValueError, "mean must be finite, violated at channel 3"),
+    # Finite statistics whose scale or shift overflows float32.
+    ({30: (2, 3e38), 33: (2, 0.0)}, ValueError, "scale must be finite, violated at channel 2"),
+    ({11: (3, 2.0), 13: (3, 3e38)}, ValueError, "shift must be finite, violated at channel 3"),
+    # Kernels are checked after the statistics.
+    ({5: (np.s_[:, :, :2], None), 1: (0, np.nan)}, ValueError, "gamma must be finite"),
+    ({5: (np.s_[:, :, :2], None)}, ShapeError, "branch 1 \\(3x3\\) kernel shape \\(4, 1, 2, 3\\)"),
+])
+def test_node_sets_up_every_branch_bn_at_once(poison, error, message):
+    # A RepSO node checks all its branches' BNs in one set-up, for both its
+    # forward and its fuse.
+    node = RepSONode("r", RepSOConfig(4))
+    w = [np.full(e.shape, 1.0, np.float32) for e in node.entries()]
+    for i, (at, value) in poison.items():
+        if value is None:
+            w[i] = w[i][at]
+        else:
+            w[i][at] = value
+    with pytest.raises(error, match=message):
+        node.bind(w, False)
+    with pytest.raises(error, match=message):
+        node.fuse(w, None)
+
+
+def test_branch_normalization_width_is_checked():
+    cfg = RepSOConfig(4)
+    w = identity_weights(cfg)
+    bad = RepSOWeights(w.branches[:2] + (RepSOBranch("3x3", w.branches[2].kernel,
+                                                     BnParams.identity(3)),) + w.branches[3:])
+    message = "branch 2 normalization has 3 channels, expected 4"
+    with pytest.raises(ShapeError, match=message):
+        repso_forward(np.zeros((1, 4, 2, 2), np.float32), bad, cfg)
+    with pytest.raises(ShapeError, match=message):
+        merge_repso(bad, cfg)
 
 
 class TestKernelMagnitude:
