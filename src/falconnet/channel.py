@@ -34,6 +34,7 @@ independent check of the weights that ``merge_refco`` folds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,13 @@ class SFConvSpec:
         """Consecutive output channels fed by one hidden channel."""
         return self.c_out // self.hidden_channels
 
+    def weight_shapes(self) -> tuple[tuple[int, int, int], tuple[int, int]]:
+        """Stage 1's (hidden_channels, windows, kernel) and stage 2's
+        (c_out, windows): input channel ``p*K + t`` sits in window ``p``,
+        hidden node ``(h, p)`` reads window ``p``, output ``o`` reads hidden
+        channel ``o // width_multiplier`` at every window."""
+        return (self.hidden_channels, self.windows, self.kernel), (self.c_out, self.windows)
+
 
 def admissible_kernel_sizes(c_in: int, c_out: int, reduction: int) -> list[int]:
     return [k for k in range(1, c_in + 1)
@@ -122,7 +130,7 @@ def choose_kernel_size(c_in: int, c_out: int, reduction: int = 2) -> int:
 
 def sfconv_param_count(spec: SFConvSpec) -> int:
     """Weight elements of both stages, biases excluded."""
-    return spec.c_in * spec.kernel // spec.reduction + spec.c_out * spec.c_in // spec.kernel
+    return sum(math.prod(shape) for shape in spec.weight_shapes())
 
 
 @dataclass(frozen=True)
@@ -142,23 +150,18 @@ class SFConvWeights:
     bias2: np.ndarray | None = None
 
     def __post_init__(self):
-        s = self.spec
-        object.__setattr__(self, "w1", as_f32(self.w1))
-        object.__setattr__(self, "w2", as_f32(self.w2))
-        if self.w1.shape != (s.hidden_channels, s.windows, s.kernel):
-            raise ShapeError(
-                f"w1 shape {self.w1.shape}, expected {(s.hidden_channels, s.windows, s.kernel)}")
-        if self.w2.shape != (s.c_out, s.windows):
-            raise ShapeError(f"w2 shape {self.w2.shape}, expected {(s.c_out, s.windows)}")
-        if self.bias1 is not None:
-            object.__setattr__(self, "bias1", as_f32(self.bias1))
-            if self.bias1.shape != (s.hidden_channels, s.windows):
-                raise ShapeError(
-                    f"bias1 shape {self.bias1.shape}, expected {(s.hidden_channels, s.windows)}")
+        w1, w2 = self.spec.weight_shapes()
+        for name, shape in (("w1", w1), ("w2", w2), ("bias1", w1[:2])):
+            if name == "bias1" and self.bias1 is None:
+                continue
+            a = as_f32(getattr(self, name))
+            object.__setattr__(self, name, a)
+            if a.shape != shape:
+                raise ShapeError(f"{name} shape {a.shape}, expected {shape}")
         if self.bias2 is not None:
             object.__setattr__(self, "bias2", as_f32(self.bias2).reshape(-1))
-            if self.bias2.shape != (s.c_out,):
-                raise ShapeError(f"bias2 length {self.bias2.shape[0]}, expected {s.c_out}")
+            if self.bias2.shape != w2[:1]:
+                raise ShapeError(f"bias2 length {self.bias2.shape[0]}, expected {w2[0]}")
 
 
 def _split_windows(x: np.ndarray, spec: SFConvSpec) -> np.ndarray:
@@ -235,9 +238,9 @@ def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
     are checked first. Then, stage 1 before stage 2, one ``_bn_scale_shift``
     call sets up the stage's BNs, and each branch's weight shape is checked.
     """
-    stages = ((branches1, spec.windows, "C/K", (spec.hidden_channels, spec.windows, spec.kernel),
-               (1, -1, 1, 1, 1)),
-              (branches2, spec.kernel, "K", (spec.c_out, spec.windows), (1, -1, 1, 1)))
+    w1, w2 = spec.weight_shapes()
+    stages = ((branches1, spec.windows, "C/K", w1, (1, -1, 1, 1, 1)),
+              (branches2, spec.kernel, "K", w2, (1, -1, 1, 1)))
     for i, (branches, count, law, _, _) in enumerate(stages, 1):
         if len(branches) != count:
             raise ShapeError(
@@ -323,8 +326,8 @@ def random_refco_branches(spec: SFConvSpec, rng: np.random.Generator, *,
                                         var_range=var_range, eps=eps))
             for _ in range(count))
 
-    return (branches(spec.windows, (spec.hidden_channels, spec.windows, spec.kernel)),
-            branches(spec.kernel, (spec.c_out, spec.windows)))
+    w1, w2 = spec.weight_shapes()
+    return branches(spec.windows, w1), branches(spec.kernel, w2)
 
 
 @dataclass(frozen=True)
@@ -384,35 +387,22 @@ class ChannelPattern:
 
 def receptive_range(pattern: ChannelPattern) -> np.ndarray:
     """Per-output count of input neurons reachable directly or through hidden
-    neurons, computed by reachability over the pattern's connection graph."""
+    neurons: the row sums of the pattern's (c_out, c_in) connection matrix.
+    Each kind's matrix is its connection rule over every (o, i) pair."""
     c_in, c_out = pattern.c_in, pattern.c_out
+    o, i = np.ogrid[:c_out, :c_in]
     if pattern.kind == "dense":
         direct = np.ones((c_out, c_in), dtype=bool)
     elif pattern.kind == "group":
         g = pattern.groups
-        direct = np.zeros((c_out, c_in), dtype=bool)
-        in_per, out_per = c_in // g, c_out // g
-        for o in range(c_out):
-            gi = o // out_per
-            direct[o, gi * in_per:(gi + 1) * in_per] = True
-    elif pattern.kind == "channel_wise":
-        k = pattern.window
-        direct = np.zeros((c_out, c_in), dtype=bool)
-        for o in range(c_out):
-            start = (o * c_in) // c_out
-            direct[o, (start + np.arange(k)) % c_in] = True
+        direct = o // (c_out // g) == i // (c_in // g)
+    elif pattern.kind == "channel_wise":  # window of inputs from o*c_in//c_out, wrapped
+        direct = (i - o * c_in // c_out) % c_in < pattern.window
     else:
+        # Hidden node (h, p) is r = h*windows + p: output o reads the nodes of
+        # hidden channel o // width_multiplier, and node r reads window p.
         spec = pattern.spec
-        hid, win, k = spec.hidden_channels, spec.windows, spec.kernel
-        # hidden node (h, p) is row h*win + p
-        a1 = np.zeros((hid * win, c_in), dtype=bool)
-        for h in range(hid):
-            for p in range(win):
-                a1[h * win + p, p * k:(p + 1) * k] = True
-        a2 = np.zeros((c_out, hid * win), dtype=bool)
-        m = spec.width_multiplier
-        for o in range(c_out):
-            h = o // m
-            a2[o, h * win:(h + 1) * win] = True
-        direct = a2 @ a1
+        r = np.arange(spec.hidden_channels * spec.windows)
+        direct = ((o // spec.width_multiplier == r // spec.windows)
+                  @ (r[:, None] % spec.windows == i // spec.kernel))
     return direct.sum(axis=1)

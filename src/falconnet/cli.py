@@ -123,7 +123,8 @@ def _verify_report(cfg, graph, store, trials, tolerance):
 def _load_model(args, train_form: bool):
     """The config, graph and weights of ``args``. The graph is in train form
     when the weights hold its every entry, else in inference form; with
-    ``train_form``, inference-form weights are an error."""
+    ``train_form``, inference-form weights are an error, as is a weight or
+    bias that is not finite."""
     cfg = load_config(args.config)
     graph = build_model(cfg)
     store = load_weights(args.weights)
@@ -136,6 +137,12 @@ def _load_model(args, train_form: bool):
         if train_form:
             raise ValueError("no fusible slots: weights are already in inference form")
         graph = fused
+    for e in iter_param_entries(graph):
+        if e.role.startswith("bn_"):
+            continue  # BN statistics are checked where they are set up
+        ok = np.isfinite(store.get(e.key))
+        if not ok.all():
+            raise ValueError(f"{e.key} must be finite, violated at index {ok.argmin()}")
     return cfg, graph, store
 
 
@@ -158,7 +165,11 @@ def _cmd_verify(args) -> int:
 def _cmd_infer(args) -> int:
     cfg, graph, store = _load_model(args, train_form=False)
     x = load_input_tensor(args.input, cfg.input_resolution)
-    logits = forward(graph, store, x)[0]
+    with np.errstate(all="ignore"):  # an overflow is reported below, as one error line
+        logits = forward(graph, store, x)[0]
+    finite = np.isfinite(logits)
+    if not finite.all():
+        raise ValueError(f"logits are not finite, first at class {finite.argmin()}")
     scores = logits
     if args.softmax:
         z = logits - logits.max()

@@ -133,12 +133,13 @@ def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
 def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
     """``merge_refco`` of the stages as ``_refco_terms`` gives them."""
     (terms1, shift1), (terms2, shift2) = stages
-    w1 = np.zeros((spec.hidden_channels, spec.windows, spec.kernel), dtype=np.float32)
+    shape1, shape2 = spec.weight_shapes()
+    w1 = np.zeros(shape1, dtype=np.float32)
     for w, s in terms1:
         w1 += w * s.reshape(-1, 1, 1)
     b1 = np.repeat(shift1.reshape(-1, 1), spec.windows, axis=1)
 
-    w2 = np.zeros((spec.c_out, spec.windows), dtype=np.float32)
+    w2 = np.zeros(shape2, dtype=np.float32)
     for w, s in terms2:
         w2 += w * s.reshape(-1, 1)
     return SFConvWeights(spec, w1, w2, b1, shift2.reshape(-1))

@@ -415,7 +415,9 @@ class LinearNode(_Leaf):
     cost = ("linear", "head")
 
     def shape(self, c, h, w):
-        return self.in_features, "expects {} features", (self.out_features, h, w)
+        if (h, w) != (1, 1):
+            raise ShapeError(f"{self.name}: linear input is {h}x{w}, expected 1x1")
+        return self.in_features, "expects {} features", (self.out_features, 1, 1)
 
     def entries(self):
         yield ParamEntry(f"{self.name}.weight", (self.out_features, self.in_features),
@@ -478,14 +480,13 @@ class SFConvNode(_Leaf):
         return self.spec.c_in, "expects {} channels", (self.spec.c_out, h, w)
 
     def entries(self):
-        s = self.spec
-        yield ParamEntry(f"{self.name}.w1", (s.hidden_channels, s.windows, s.kernel),
-                         "sf_w1", s.kernel)
-        yield ParamEntry(f"{self.name}.w2", (s.c_out, s.windows), "sf_w2", s.windows)
+        w1, w2 = self.spec.weight_shapes()
+        yield ParamEntry(f"{self.name}.w1", w1, "sf_w1", self.spec.kernel)
+        yield ParamEntry(f"{self.name}.w2", w2, "sf_w2", self.spec.windows)
         if self.has_bias1:
-            yield ParamEntry(f"{self.name}.bias1", (s.hidden_channels, s.windows), "bias")
+            yield ParamEntry(f"{self.name}.bias1", w1[:2], "bias")
         if self.has_bias2:
-            yield ParamEntry(f"{self.name}.bias2", (s.c_out,), "bias")
+            yield ParamEntry(f"{self.name}.bias2", w2[:1], "bias")
 
     def _unpack(self, w):
         """(w1, w2, bias1, bias2), None for an absent bias."""
@@ -517,9 +518,8 @@ class RefCONode(_Leaf):
     def entries(self):
         s = self.spec
         fan = s.kernel * s.windows  # taps times summed branches, both stages
-        stages = (("s1", s.windows, (s.hidden_channels, s.windows, s.kernel), "sf_w1"),
-                  ("s2", s.kernel, (s.c_out, s.windows), "sf_w2"))
-        for stage, n, shape, role in stages:
+        for stage, n, shape, role in zip(("s1", "s2"), (s.windows, s.kernel),
+                                         s.weight_shapes(), ("sf_w1", "sf_w2")):
             for i in range(n):
                 yield ParamEntry(f"{self.name}.{stage}.{i}.weight", shape, role, fan)
                 yield from _bn_entries(f"{self.name}.{stage}.{i}", shape[0])

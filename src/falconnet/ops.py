@@ -139,8 +139,8 @@ class BnParams:
     eps: float = 1e-5
 
     def __post_init__(self):
-        for name in _BN_STATS:
-            object.__setattr__(self, name, as_f32(getattr(self, name)).reshape(-1))
+        for name in _BN_STATS:  # copies, so the caller's arrays may change afterwards
+            object.__setattr__(self, name, np.array(getattr(self, name), np.float32).reshape(-1))
         s, t = _bn_scale_shift([(self.gamma, self.beta, self.mean, self.var, self.eps)],
                                self.channels)
         object.__setattr__(self, "_st", (s[0], t[0]))
@@ -488,6 +488,8 @@ def linear(x, w, b) -> np.ndarray:
     """Affine map y = x @ w.T + b; ``x`` is a vector or a (N, in) batch."""
     x = as_f32(x)
     w = as_f32(w)
+    if x.ndim > 2:
+        raise ShapeError(f"linear input must be rank 1 or 2, got rank {x.ndim}")
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be rank 2, got rank {w.ndim}")
     if x.shape[-1] != w.shape[1]:

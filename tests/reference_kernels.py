@@ -19,6 +19,10 @@ over the sum, so this is the same map with one pass fewer per branch.
 folded into its kernel, the kernel padded onto the 3x3 frame, then a
 running sum in branch order; ``merge_refco_per_branch`` merges RefCO the
 same way, stage by stage.
+
+``receptive_range_loops`` builds each pattern kind's connection matrix
+with Python loops, one output (or hidden node) at a time, and multiplies
+the two SF stages as boolean matrices.
 """
 
 import numpy as np
@@ -142,3 +146,38 @@ def refco_per_branch(x, spec, branches1, branches2):
 
     hidden = stage(branches1, lambda w: channel._stage1(xw, w), (1, -1, 1, 1, 1))
     return stage(branches2, lambda w: channel._stage2(hidden, w, spec), (1, -1, 1, 1))
+
+
+def receptive_range_loops(pattern):
+    """``receptive_range`` with each connection matrix filled row by row."""
+    c_in, c_out = pattern.c_in, pattern.c_out
+    if pattern.kind == "dense":
+        direct = np.ones((c_out, c_in), dtype=bool)
+    elif pattern.kind == "group":
+        g = pattern.groups
+        direct = np.zeros((c_out, c_in), dtype=bool)
+        in_per, out_per = c_in // g, c_out // g
+        for o in range(c_out):
+            gi = o // out_per
+            direct[o, gi * in_per:(gi + 1) * in_per] = True
+    elif pattern.kind == "channel_wise":
+        k = pattern.window
+        direct = np.zeros((c_out, c_in), dtype=bool)
+        for o in range(c_out):
+            start = (o * c_in) // c_out
+            direct[o, (start + np.arange(k)) % c_in] = True
+    else:
+        spec = pattern.spec
+        hid, win, k = spec.hidden_channels, spec.windows, spec.kernel
+        # hidden node (h, p) is row h*win + p
+        a1 = np.zeros((hid * win, c_in), dtype=bool)
+        for h in range(hid):
+            for p in range(win):
+                a1[h * win + p, p * k:(p + 1) * k] = True
+        a2 = np.zeros((c_out, hid * win), dtype=bool)
+        m = spec.width_multiplier
+        for o in range(c_out):
+            h = o // m
+            a2[o, h * win:(h + 1) * win] = True
+        direct = a2 @ a1
+    return direct.sum(axis=1)

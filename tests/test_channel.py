@@ -1,5 +1,7 @@
 """Factorized pointwise convolution and receptive-range tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from falconnet import (BnParams, ChannelPattern, RefCOBranch, SFConvSpec, SFConv
                        random_refco_branches, receptive_range, refco_forward,
                        sfconv_forward, sfconv_param_count)
 from falconnet.model import RefCONode
+from reference_kernels import receptive_range_loops
 
 
 def random_valid_spec(rng, c_max=64):
@@ -376,6 +379,20 @@ def _branch_output(x, spec, branches1, stage2_branch):
     return batch_norm_infer(_stage2(hidden, stage2_branch.weight, spec), stage2_branch.bn)
 
 
+def test_weight_shapes_are_the_layout_everywhere():
+    # The two stage shapes: SFConvWeights checks them, RefCO branches and
+    # graph entries take them, and the parameter count is their size.
+    spec = SFConvSpec(12, 18, 6, 2)
+    w1, w2 = spec.weight_shapes()
+    assert (w1, w2) == ((3, 2, 6), (18, 2))
+    assert sfconv_param_count(spec) == 3 * 2 * 6 + 18 * 2
+    b1, b2 = random_refco_branches(spec, np.random.default_rng(0))
+    assert [br.weight.shape for br in b1 + b2] == [w1] * 2 + [w2] * 6
+    assert {e.shape for e in RefCONode("r", spec).entries()} == {w1, w2, (3,), (18,)}
+    with pytest.raises(ShapeError, match=re.escape("bias1 shape (2, 3), expected (3, 2)")):
+        SFConvWeights(spec, np.zeros(w1), np.zeros(w2), np.zeros((2, 3)))
+
+
 class TestReceptiveRange:
     def test_dense_full(self):
         np.testing.assert_array_equal(receptive_range(ChannelPattern.dense(8)),
@@ -393,6 +410,33 @@ class TestReceptiveRange:
         spec = SFConvSpec(16, 16, 4, 2)
         np.testing.assert_array_equal(receptive_range(ChannelPattern.sf(spec)),
                                       np.full(16, 16))
+
+    def test_matches_reference_loops(self):
+        # Every kind over a fixed sweep, counts and dtype: group and
+        # channel-wise with c_out != c_in and with windows that wrap past
+        # the last input, SF at reductions 1 to 4 with every admissible K.
+        patterns = []
+        for c_in in range(1, 13):
+            for c_out in range(1, 13):
+                patterns.append(ChannelPattern.dense(c_in, c_out))
+                patterns += [ChannelPattern.group(c_in, g, c_out) for g in range(1, c_in + 1)
+                             if c_in % g == 0 and c_out % g == 0]
+                patterns += [ChannelPattern.channel_wise(c_in, k, c_out)
+                             for k in range(1, c_in + 1)]
+        for c_in in range(1, 33):
+            for c_out in {c_in, 2 * c_in, 3 * c_in, 6 * c_in, max(1, c_in // 2)}:
+                patterns += [ChannelPattern.sf(SFConvSpec(c_in, c_out, k, r))
+                             for r in (1, 2, 3, 4) for k in admissible_kernel_sizes(c_in, c_out, r)]
+        kinds = {p.kind for p in patterns}
+        assert kinds == {"dense", "group", "channel_wise", "sf"}
+        assert any(p.kind == "group" and p.c_out != p.c_in and p.groups > 1 for p in patterns)
+        assert any(p.kind == "channel_wise" and p.c_out != p.c_in
+                   and (p.c_out - 1) * p.c_in // p.c_out + p.window > p.c_in for p in patterns)
+        assert {p.spec.reduction for p in patterns if p.kind == "sf"} == {1, 2, 3, 4}
+        for p in patterns:
+            got, want = receptive_range(p), receptive_range_loops(p)
+            assert got.dtype == want.dtype, p
+            np.testing.assert_array_equal(got, want, err_msg=str(p))
 
     def test_pattern_validation(self):
         with pytest.raises(ShapeError):

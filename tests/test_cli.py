@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 from falconnet import (BlockConfig, ChannelSlot, ModelConfig, SpatialSlot, WeightStore,
-                       build_model, count_flops, count_params, init_weights,
+                       build_model, count_flops, count_params, fuse_model, init_weights,
                        iter_param_entries, load_config, load_weights, save_config,
                        save_weights)
 from falconnet.cli import main
@@ -231,6 +231,36 @@ class TestFuseAndVerify:
         assert (code, out) == (1, "")
         assert err == f"error: {key} has shape {(*shape, 1)}, expected {shape}\n"
 
+    @pytest.mark.parametrize("command, form, key, index", [
+        ("infer", "fused", "s1.b0.expand.w1", 0),
+        ("infer", "train", "head.fc.weight", 0),
+        ("fuse", "train", "s2.b0.expand.s1.0.weight", 0),
+        ("verify", "train", "stem.pw.bias", 5),
+        ("infer", "fused", "s4.b0.spatial.weight", 17),
+    ])
+    def test_non_finite_weight_is_one_error_line(self, workdir, capsys, command, form, key,
+                                                 index):
+        # A NaN in a weight or bias of either form: one error line naming
+        # its key and flat index, nothing on stdout, and no fused file.
+        tmp_path, cfg, cfg_path, weights_path = workdir
+        store = load_weights(weights_path)
+        if form == "fused":
+            store = fuse_model(build_model(cfg), store)[1]
+        assert key in store
+        poisoned = tmp_path / "poisoned.falc"
+        save_weights(WeightStore({k: np.where(np.arange(v.size) == index, np.nan,
+                                              v.reshape(-1)).reshape(v.shape)
+                                  if k == key else v for k, v in store.items()}), poisoned)
+        ppm = tmp_path / "img.ppm"
+        ppm.write_text("P3\n1 1\n255\n0 128 255\n")
+        out_path = tmp_path / "fused.falc"
+        args = {"infer": [str(ppm)], "fuse": ["--out", str(out_path)], "verify": []}[command]
+        code, out, err = run(capsys, command, *args, "--config", str(cfg_path),
+                             "--weights", str(poisoned))
+        assert (code, out) == (1, "")
+        assert err == f"error: {key} must be finite, violated at index {index}\n"
+        assert not out_path.exists()
+
     def test_verify_reports_and_exits_zero(self, workdir, capsys):
         _, _, cfg_path, weights_path = workdir
         code, out, _ = run(capsys, "verify", "--config", str(cfg_path),
@@ -317,6 +347,20 @@ class TestInfer:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_overflowing_logits_are_one_error_line(self, workdir, capsys):
+        # Finite weights whose logits overflow float32: one error line.
+        tmp_path, _, cfg_path, weights_path = workdir
+        store = load_weights(weights_path)
+        big = tmp_path / "big.falc"
+        save_weights(WeightStore({k: np.full_like(v, 3e38) if k == "head.fc.weight" else v
+                                  for k, v in store.items()}), big)
+        ppm = tmp_path / "img.ppm"
+        ppm.write_text("P3\n1 1\n255\n0 128 255\n")
+        code, out, err = run(capsys, "infer", str(ppm), "--config", str(cfg_path),
+                             "--weights", str(big))
+        assert (code, out) == (1, "")
+        assert err == "error: logits are not finite, first at class 0\n"
 
     def test_missing_input_file(self, workdir, capsys):
         tmp_path, _, cfg_path, weights_path = workdir

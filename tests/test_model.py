@@ -417,6 +417,16 @@ class TestForward:
                 with pytest.raises(ShapeError):
                     forward(graph, store, x)
 
+    def test_linear_refuses_a_spatial_input(self):
+        # Conv(3->4) at 8 px straight into Linear(4, 5), with no pool or
+        # flatten: cost_report and forward both reject the linear layer.
+        cfg = tiny_config(input_resolution=8)
+        graph = LayerGraph(cfg, (ConvNode("conv", ConvSpec(3, 4)), LinearNode("fc", 4, 5)))
+        with pytest.raises(ShapeError, match="fc: linear input is 8x8, expected 1x1"):
+            cost_report(graph)
+        with pytest.raises(ShapeError, match="fc: linear input must be rank 1 or 2, got rank 4"):
+            forward(graph, init_weights(graph), np.zeros((1, 3, 8, 8), np.float32))
+
     def test_residual_block_with_zero_body_is_identity(self):
         cfg = tiny_config()
         graph = build_model(cfg)

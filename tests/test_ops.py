@@ -481,6 +481,18 @@ class TestBatchNorm:
         t += 1
         assert [a.tolist() for a in p.scale_shift()] == [[1.0], [0.5]]
 
+    def test_statistics_are_copied(self):
+        # Writing the caller's float32 arrays afterwards changes neither the
+        # statistics nor the scale and shift made from them.
+        stats = [np.array(v, np.float32) for v in ([2.0, 1.0], [1.0, 0.0], [0.5, 0.0],
+                                                   [4.0, 1.0])]
+        p = BnParams(*stats, eps=0.0)
+        for a in stats:
+            a[0] = np.nan
+        assert [p.gamma.tolist(), p.beta.tolist(), p.mean.tolist(), p.var.tolist()] == [
+            [2.0, 1.0], [1.0, 0.0], [0.5, 0.0], [4.0, 1.0]]
+        assert [a.tolist() for a in p.scale_shift()] == [[1.0, 1.0], [0.5, 0.0]]
+
 
 def test_relu_cases():
     x = np.array([-1.0, 0.0, 2.5], np.float32)
@@ -505,6 +517,9 @@ def test_linear_cases():
     np.testing.assert_array_equal(linear(x, w, np.zeros(2)), [3.0, 6.0])
     with pytest.raises(ShapeError):
         linear(np.zeros(3), w, None)
+    # A spatial input is refused even when its last axis fits the weight.
+    with pytest.raises(ShapeError, match="linear input must be rank 1 or 2, got rank 4"):
+        linear(np.zeros((1, 2, 2, 2)), w, None)
 
 
 def test_add_cases():
