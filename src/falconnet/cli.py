@@ -111,13 +111,37 @@ def _report_line(report) -> str:
 
 
 def _verify_report(cfg, graph, store, trials, tolerance):
-    fused_graph, fused_store = fuse_model(graph, store)
+    """Fuse ``graph`` and verify the fused form against it. Under numpy's
+    silenced warnings, a fused weight or bias that is not finite, or logits
+    of either form that are not, is an error, raised before any verdict."""
     shape = (1, 3, cfg.input_resolution, cfg.input_resolution)
-    report = verify_equivalence(
-        lambda x: forward(graph, store, x),
-        lambda x: forward(fused_graph, fused_store, x),
-        trials, shape, tolerance)
+    with np.errstate(all="ignore"):
+        fused_graph, fused_store = fuse_model(graph, store)
+        _check_finite(fused_graph, fused_store)
+        report = verify_equivalence(
+            lambda x: _finite_logits(forward(graph, store, x), "train-form logits"),
+            lambda x: _finite_logits(forward(fused_graph, fused_store, x), "inference-form logits"),
+            trials, shape, tolerance)
     return fused_graph, fused_store, report
+
+
+def _finite_logits(logits, name: str = "logits"):
+    """``logits``, or an error naming them and the first class that is not finite."""
+    finite = np.isfinite(logits)
+    if not finite.all():
+        raise ValueError(f"{name} are not finite, first at class {np.argwhere(~finite)[0, -1]}")
+    return logits
+
+
+def _check_finite(graph, store) -> None:
+    """Raise at the first weight or bias of ``graph`` in ``store`` that is
+    not finite; BN statistics are checked where they are set up."""
+    for e in iter_param_entries(graph):
+        if e.role.startswith("bn_"):
+            continue
+        ok = np.isfinite(store.get(e.key))
+        if not ok.all():
+            raise ValueError(f"{e.key} must be finite, violated at index {ok.argmin()}")
 
 
 def _load_model(args, train_form: bool):
@@ -137,12 +161,7 @@ def _load_model(args, train_form: bool):
         if train_form:
             raise ValueError("no fusible slots: weights are already in inference form")
         graph = fused
-    for e in iter_param_entries(graph):
-        if e.role.startswith("bn_"):
-            continue  # BN statistics are checked where they are set up
-        ok = np.isfinite(store.get(e.key))
-        if not ok.all():
-            raise ValueError(f"{e.key} must be finite, violated at index {ok.argmin()}")
+    _check_finite(graph, store)
     return cfg, graph, store
 
 
@@ -166,10 +185,7 @@ def _cmd_infer(args) -> int:
     cfg, graph, store = _load_model(args, train_form=False)
     x = load_input_tensor(args.input, cfg.input_resolution)
     with np.errstate(all="ignore"):  # an overflow is reported below, as one error line
-        logits = forward(graph, store, x)[0]
-    finite = np.isfinite(logits)
-    if not finite.all():
-        raise ValueError(f"logits are not finite, first at class {finite.argmin()}")
+        logits = _finite_logits(forward(graph, store, x)[0])
     scores = logits
     if args.softmax:
         z = logits - logits.max()

@@ -110,8 +110,7 @@ def _merge_repso(cfg: RepSOConfig, terms) -> FusedDWConv:
     """``merge_repso`` of the branches as ``_repso_terms`` gives them."""
     kernel = np.zeros((cfg.channels, 1, 3, 3), dtype=np.float32)
     bias = np.zeros(cfg.channels, dtype=np.float32)
-    for kind, (_, k, s, t) in zip(cfg.branch_kinds(), terms):
-        rows, cols = _grid_window(kind)
+    for (rows, cols), k, s, t in terms:
         window, s = kernel[:, :, rows, cols], s[:, None, None, None]
         window += s if k is None else as_f32(k) * s
         bias += t

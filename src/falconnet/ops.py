@@ -18,19 +18,33 @@ branch's tap sum times a scale plus a shift. Depthwise ``conv2d`` is its
 one-branch case (every tap, the bias as the shift); ``spatial.repso_forward``
 runs all its branches through it in one pass. The kernel picks the memory
 layout from the input shape, and only it knows the layout and tiling. Large
-planes are padded into NCHW planes stored row after row, so at stride 1 a
-kernel tap is one contiguous slice covering a whole output plane. Small
-stride-1 planes with one output channel per group are padded and
-transposed channels-last, so a tap is one contiguous run over whole output
-rows of all channels, with each tap's weights tiled along the padded row.
-Either way an image is walked in tiles of about 256 KiB of accumulator, so
-that it and its scratch buffer stay in L2, and every tap is a float32
-multiply into scratch and an add into the accumulator, in the same order as
-a plain tap-by-tap sum: both layouts give the bits of that sum. Groups that
-read several input channels (the stem, dense 1x1) take one ``matmul`` per
-tap, one product per group, written straight into the image's NCHW
-output; those per-tap bits are numpy's, from the same call the test
-reference makes.
+planes, and planes of one channel, are padded into NCHW planes stored row
+after row, so at stride 1 a kernel tap is one contiguous slice covering a
+whole output plane; there every tap is a float32 multiply into scratch and
+an add into the accumulator. Small stride-1 planes of several channels with
+one output channel per group are padded and transposed channels-last, so
+each output row of a tap is one contiguous run over all channels, with each
+tap's weights tiled along the row; there a branch's taps are summed in one
+``np.einsum`` pass, which zero-fills the accumulator and adds each
+float32-rounded product in (i, j) order. Either way an image is walked in
+tiles of about 256 KiB of accumulator, so that it stays in L2, and both
+layouts give the bits of a plain tap-by-tap sum. Two properties of numpy's
+einsum hold that up, and ``tests/test_ops.py`` pins both:
+
+* its float32 loop rounds each product before the add only where numpy's
+  SIMD baseline lacks FMA, as the ``X86_V2`` baseline of numpy 2.4.6's
+  x86-64 wheel does; on a baseline with FMA (aarch64, for one) it fuses
+  them and the bits change;
+* it keeps the (i, j) order only while the stride between tap columns, C
+  floats, exceeds the unit stride, so one channel takes NCHW.
+
+einsum raises no numpy ``RuntimeWarning``, so a channels-last overflow is a
+silent ``inf``; callers that care check their result for finiteness.
+
+Groups that read several input channels (the stem, dense 1x1) take one
+``matmul`` per tap, one product per group, written straight into the
+image's NCHW output; those per-tap bits are numpy's, from the same call the
+test reference makes.
 
 Each row of ``linear`` is its own vector-matrix product, so a batched
 forward pass gives every image the bits it gets when run alone.
@@ -42,6 +56,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -234,8 +249,8 @@ def conv2d(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
     oh, ow = spec.out_hw(h, width)
 
     if spec.is_depthwise:  # one branch: every tap, with the bias as its shift
-        taps = range(spec.kernel_h * spec.kernel_w)
-        return _branch_sum(x, spec, oh, ow, [(taps, w, None, bias)])
+        window = (slice(0, spec.kernel_h), slice(0, spec.kernel_w))
+        return _branch_sum(x, spec, oh, ow, [(window, w, None, bias)])
     return _conv2d_grouped(x, w, bias, spec, oh, ow)
 
 
@@ -248,22 +263,26 @@ _TILE_FLOATS = 1 << 16
 def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
     """Sum over ``branches`` of ``tap_sum * scale + shift``, in one tiled pass.
 
-    For groups that read one input channel each. A branch is ``(taps, w,
-    scale, shift)``: ``taps`` index ``spec``'s kernel grid, tap (i, j) being
-    ``i * kernel_w + j``; ``w``, reshapable to (C, og, len(taps)), holds
-    their weights, or is None for one bare tap, which then needs a scale;
-    ``scale`` and ``shift``, reshapable to (C, og), may be None. A branch
-    sums its taps' products from zero in the given order, and the branches
-    are added in order into the first one's sum, so the bits are those of
-    that plain per-tap, per-branch arithmetic.
+    For groups that read one input channel each. A branch is ``(window, w,
+    scale, shift)``: ``window``, a (rows, columns) pair of slices, is the
+    rectangle of ``spec``'s kernel grid whose taps it reads; ``w``,
+    reshapable to (C, og, rows, columns), holds their weights, or is None
+    for one bare tap, which then needs a scale; ``scale`` and ``shift``,
+    reshapable to (C, og), may be None. A branch sums its taps' products
+    from zero in (i, j) order, and the branches are added in order into the
+    first one's sum, so the bits are those of that plain per-tap,
+    per-branch arithmetic.
     """
     planes = _plane_taps(x, spec, oh, ow)
     c, og = planes.c, spec.out_channels // spec.groups
-    plan = [([planes.taps[k] for k in taps],
-             None if w is None else _row_weights(planes, as_f32(w).reshape(c, og, -1)),
-             *(None if v is None else _row_weights(planes, as_f32(v).reshape(c, og, 1))[0]
-               for v in (scale, shift)))
-            for taps, w, scale, shift in branches]
+    plan = []
+    for window, w, scale, shift in branches:
+        taps = planes.grid[window]
+        plan.append((taps,
+                     None if w is None else _row_weights(planes, as_f32(w).reshape(
+                         c, og, *taps.shape[:2])),
+                     *(None if v is None else _row_weights(planes, as_f32(v).reshape(
+                         c, og, 1, 1))[0, 0] for v in (scale, shift))))
     return _walk_row_tiles(x, planes, og, plan)
 
 
@@ -272,15 +291,16 @@ class _Planes(NamedTuple):
 
     ``image`` is the (C, H, W) interior of the padded buffer, viewed in
     channel-first order whatever the buffer's layout: writing an image there
-    pads it, since the border stays zero. ``taps[i * kernel_w + j]`` is tap
-    (i, j), with ``aw`` columns per output row, of which the last ``aw -
-    ow`` are not part of the output. In the NCHW layout a tap is (C, 1, oh,
-    aw), one row per channel plane. In the channels-last layout it is (oh,
-    aw*C), one row per output row, with the channels innermost.
+    pads it, since the border stays zero. ``grid[i, j]`` is a read-only view
+    of tap (i, j), with ``aw`` columns per output row. In the NCHW layout a
+    tap is (C, 1, oh, aw), one row per channel plane, and at stride 1 the
+    last ``aw - ow`` columns are not part of the output. In the
+    channels-last layout it is (oh, ow*C), one row per output row, with the
+    channels innermost, and ``aw == ow``.
     """
 
     image: np.ndarray
-    taps: list
+    grid: np.ndarray
     c: int
     oh: int
     ow: int
@@ -288,17 +308,18 @@ class _Planes(NamedTuple):
     channels_last: bool
 
 
-# Stride-1 planes with one channel per group are walked channels-last when
-# the padded output plane, oh * wp, holds fewer floats than this. In NCHW a
-# tap is one multiply per channel plane by that plane's weight;
-# channels-last it runs over rows of wp * C floats under one tiled weight
-# row, at the cost of a transposing copy in and out. A sweep of 3x3
-# depthwise convs (7x7 to 112x112 planes, 16 to 1536 channels, batch 1 and
-# 8, numpy 2.4 on a 2-core x86 host) found channels-last faster in 89 of
-# 95 shapes up to 51x51 planes (2703 floats; median speed-up 1.27, at
-# most 2.5) and slower in all 38 from 52x52 (2808) on (median speed-up
-# 0.64), whatever the channel count: below about 2730 floats the NCHW multiply
-# costs about four times as much per float.
+# Stride-1 planes with one output channel per group, and more than one
+# channel, are walked channels-last when the padded output plane, oh * wp,
+# holds fewer floats than this. In NCHW a tap is one multiply per channel
+# plane by that plane's weight and one add; channels-last a branch's taps
+# are one einsum pass over output rows of ow * C floats under tiled weight
+# rows, at the cost of a transposing copy in and out. A sweep of 3x3
+# depthwise convs with bias (7x7 to 112x112 planes, 16 to 1536 channels,
+# batch 1 and 8, numpy 2.4 on a 2-core x86 host) found channels-last
+# faster in 127 of 128 shapes up to 51x51 planes (2703 floats; median
+# speed-up 1.76, at most 3.4). From 52x52 (2808) on it was faster in 10 of
+# the 52 shapes of 64 or more channels (median speed-up 0.92, at least
+# 0.44) and in 24 of the 28 of 16 or 32 (median 1.17), which no preset has.
 _CL_PLANE_FLOATS = 2750
 
 
@@ -307,51 +328,47 @@ def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
     shape favours, and view every tap on it.
 
     Channels-last is taken only at stride 1 with one output channel per
-    group; every other spec keeps NCHW planes. One spare bottom row keeps
-    the last tap's flat slice (below) in bounds.
+    group and at least two channels: einsum keeps the (i, j) order of the
+    taps only while the stride between tap columns, C floats, exceeds the
+    unit stride (with one channel the two layouts are the same memory
+    anyway). Every
+    other spec keeps NCHW planes, with one spare bottom row that keeps the
+    last tap's flat run (below) in bounds.
     """
     _, c, h, width = x.shape
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
     ph, pw = spec.pad_h, spec.pad_w
     wp = width + 2 * pw
-    if sh == sw == 1 and spec.out_channels == spec.groups \
+    if sh == sw == 1 and spec.out_channels == spec.groups > 1 \
             and oh * wp < _CL_PLANE_FLOATS:
-        # Rows are laid out one after another with the channels innermost,
-        # so tap (i, j) is the flat slice starting at (i*wp + j)*c and holds
-        # every output row of the image.
-        xp = np.zeros((h + 2 * ph + 1, wp, c), dtype=np.float32)
-        row = wp * c
-        flat = xp.reshape(-1)
-        taps = [flat[(i * wp + j) * c: (i * wp + j) * c + oh * row].reshape(oh, row)
-                for i in range(kh) for j in range(kw)]
+        # The channels are innermost, so row y of tap (i, j) is the run of
+        # ow*c floats starting at padded pixel (i + y, j).
+        xp = np.zeros((h + 2 * ph, wp, c), dtype=np.float32)
+        s_row, s_col, s_c = xp.strides
+        grid = as_strided(xp, (kh, kw, oh, ow * c), (s_row, s_col, s_row, s_c), writeable=False)
         image = xp[ph:ph + h, pw:pw + width].transpose(2, 0, 1)
-        return _Planes(image, taps, c, oh, ow, wp, True)
+        return _Planes(image, grid, c, oh, ow, ow, True)
     xp = np.zeros((c, h + 2 * ph + 1, wp), dtype=np.float32)
-    image = xp[:, ph:ph + h, pw:pw + width]
-    if sh == sw == 1:
-        # Padded planes laid out row after row: tap (i, j) is then the flat
-        # slice starting at i*wp + j, a whole output plane in one contiguous
-        # run. Columns ow..wp-1 wrap into the next row and are cropped at the
-        # end.
-        flat = xp.reshape(c, 1, -1)
-        taps = [flat[:, :, i * wp + j: i * wp + j + oh * wp].reshape(c, 1, oh, wp)
-                for i in range(kh) for j in range(kw)]
-        return _Planes(image, taps, c, oh, ow, wp, False)
-    taps = [xp[:, None, i: i + (oh - 1) * sh + 1: sh, j: j + (ow - 1) * sw + 1: sw]
-            for i in range(kh) for j in range(kw)]
-    return _Planes(image, taps, c, oh, ow, ow, False)
+    s_c, s_row, s_col = xp.strides
+    # At stride 1 the padded planes are laid out row after row: tap (i, j)
+    # is then the flat run starting at i*wp + j, a whole output plane.
+    # Columns ow..wp-1 wrap into the next row and are cropped at the end.
+    aw = wp if sh == sw == 1 else ow
+    grid = as_strided(xp, (kh, kw, c, 1, oh, aw),
+                      (s_row, s_col, s_c, 0, s_row * sh, s_col * sw), writeable=False)
+    return _Planes(xp[:, ph:ph + h, pw:pw + width], grid, c, oh, ow, aw, False)
 
 
 def _row_weights(planes: _Planes, w: np.ndarray) -> np.ndarray:
-    """Per-tap weights (C, og, taps) laid out to multiply a tile of ``planes``.
+    """Per-tap weights (C, og, kh, kw) laid out to multiply a tile of ``planes``.
 
-    NCHW: (taps, C, og, 1, 1), one weight per channel row.
-    Channels-last (og == 1): (taps, aw*C), the channel weights tiled along
-    the padded row.
+    NCHW: (kh, kw, C, og, 1, 1), one weight per channel row.
+    Channels-last (og == 1): (kh, kw, ow*C), the channel weights tiled
+    along the output row.
     """
     if planes.channels_last:
-        return np.tile(w[:, 0, :].T, (1, planes.aw))
-    return np.ascontiguousarray(w.transpose(2, 0, 1))[..., None, None]
+        return np.tile(w[:, 0].transpose(1, 2, 0), (1, 1, planes.ow))
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1))[..., None, None]
 
 
 def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
@@ -359,28 +376,29 @@ def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
 
     Each image is written into the padded buffer of ``planes`` and walked
     one tile of rows at a time. ``plan`` holds per branch its taps, and its
-    weights, scale and shift laid out by ``_row_weights``. Each tile's sum
-    is cropped to ``ow`` columns into the image's output; channels-last
-    tiles are transposed into NCHW on the way.
+    weights, scale and shift laid out by ``_row_weights``. Each NCHW
+    tile's sum is cropped to ``ow`` columns into the image's output; each
+    channels-last tile's is transposed into it.
     """
     n, c, oh, ow, aw = len(x), planes.c, planes.oh, planes.ow, planes.aw
-    # The running sum and a scratch buffer; later branches need a third.
-    buffers = 2 if len(plan) == 1 else 3
     if planes.channels_last:
         out = np.empty((n, c, oh, ow), dtype=np.float32)
-        row = aw * c
+        row = ow * c
         ys = min(oh, max(1, _TILE_FLOATS // row))
-        bufs = [np.empty((ys, row), dtype=np.float32) for _ in range(buffers)]
+        # The running sum and, for later branches, a second sum.
+        bufs = [np.empty((ys, row), dtype=np.float32) for _ in range(min(2, len(plan)))]
         for image, y in zip(x, out):
             planes.image[...] = image
             for y0 in range(0, oh, ys):
                 y1 = min(oh, y0 + ys)
                 acc = _tile_sum(plan, slice(y0, y1), ..., *(b[:y1 - y0] for b in bufs))
-                y[:, y0:y1] = acc.reshape(y1 - y0, aw, c)[:, :ow].transpose(2, 0, 1)
+                y[:, y0:y1] = acc.reshape(y1 - y0, ow, c).transpose(2, 0, 1)
         return out
     out = np.empty((n, c, og, oh, ow), dtype=np.float32)
     tile = max(1, _TILE_FLOATS // (og * oh * aw))
-    bufs = [np.empty((min(tile, c), og, oh, aw), dtype=np.float32) for _ in range(buffers)]
+    # The running sum, a second sum for later branches and a scratch buffer
+    # for each tap's products.
+    bufs = [np.empty((min(tile, c), og, oh, aw), dtype=np.float32) for _ in range(3)]
     for image, y in zip(x, out):
         planes.image[...] = image
         for r0 in range(0, c, tile):
@@ -389,19 +407,27 @@ def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
     return out.reshape(n, c * og, oh, ow)
 
 
-def _tile_sum(plan, rows, wrows, total, scratch, y=None) -> np.ndarray:
+def _tile_sum(plan, rows, wrows, total, y=None, scratch=None) -> np.ndarray:
     """The branch sum over one tile: ``rows`` indexes the taps, ``wrows`` the
     weights. The first branch is computed straight into ``total``, the
-    others into ``y`` and then added."""
+    others into ``y`` and then added. NCHW tiles pass a ``scratch`` buffer;
+    channels-last tiles sum each branch's taps in one einsum."""
     for k, (taps, wt, s, t) in enumerate(plan):
         y_k = y if k else total
+        taps = taps[:, :, rows]
         if wt is None:
-            np.multiply(taps[0][rows], s[wrows], out=y_k)
+            np.multiply(taps[0, 0], s[wrows], out=y_k)
         else:
-            y_k.fill(0)
-            for tap, w in zip(taps, wt):
-                np.multiply(tap[rows], w[wrows], out=scratch)
-                y_k += scratch
+            if scratch is None:
+                # Zero-fills y_k, then adds each rounded product in (i, j)
+                # order: the bits of the per-tap loop below, in one pass.
+                np.einsum("ijyr,ijr->yr", taps, wt, out=y_k)
+            else:
+                y_k.fill(0)
+                for tap_row, w_row in zip(taps, wt[:, :, wrows]):
+                    for tap, w in zip(tap_row, w_row):
+                        np.multiply(tap, w, out=scratch)
+                        y_k += scratch
             if s is not None:
                 y_k *= s[wrows]
         if t is not None:

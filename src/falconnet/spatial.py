@@ -124,9 +124,9 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
 def _repso_terms(branches, cfg: RepSOConfig) -> list:
     """The branches, each ``(kernel, gamma, beta, mean, var, eps)`` and of
     the kinds ``cfg`` lists, checked, as the ``_branch_sum`` terms that
-    ``_repso`` runs and ``_merge_repso`` folds: per branch its grid taps,
-    kernel and BN scale and shift. One ``_bn_scale_shift`` call sets up
-    every branch's BN; then each kernel's shape is checked."""
+    ``_repso`` runs and ``_merge_repso`` folds: per branch its
+    ``_grid_window``, kernel and BN scale and shift. One ``_bn_scale_shift``
+    call sets up every branch's BN; then each kernel's shape is checked."""
     s, t = _bn_scale_shift([br[1:] for br in branches], cfg.channels,
                            "branch {} normalization has {} channels, expected {}")
     terms = []
@@ -136,8 +136,7 @@ def _repso_terms(branches, cfg: RepSOConfig) -> list:
         if got != expect:
             raise ShapeError(f"branch {i} (identity) must not carry a kernel" if expect is None
                              else f"branch {i} ({kind}) kernel shape {got}, expected {expect}")
-        taps = np.arange(9).reshape(3, 3)[_grid_window(kind)].ravel().tolist()
-        terms.append((taps, kernel, s[i], t[i]))
+        terms.append((_grid_window(kind), kernel, s[i], t[i]))
     return terms
 
 

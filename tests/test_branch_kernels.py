@@ -81,6 +81,25 @@ def test_repso_nchw_rows_on_small_planes(monkeypatch):
                 repso_per_branch(x, weights, cfg).tobytes()
 
 
+@pytest.mark.parametrize("cfg", [
+    RepSOConfig(2),                                     # every kind at once
+    RepSOConfig(2, 1, False, False, False, False),      # 3x3 alone
+    RepSOConfig(2, 1, True, False, False, False),       # ... with 1x3
+    RepSOConfig(2, 1, False, True, False, False),       # ... with 3x1
+    RepSOConfig(2, 1, False, False, True, False),       # ... with 1x1
+    RepSOConfig(2, 1, False, False, False, True),       # ... with identity
+])
+def test_repso_bitwise_channels_last_at_two_channels(cfg):
+    # Two channels is the fewest that RepSO walks channels-last, where each
+    # branch's taps are summed in one einsum.
+    grid = ConvSpec(2, 2, 3, 3, 1, 1, 1, 1, groups=2)
+    for n, h, w in ((1, 1, 1), (2, 1, 9), (1, 9, 1), (3, 5, 7), (2, 9, 9)):
+        x, weights = _repso_inputs(cfg, n, h, w, h * 10 + w)
+        assert ops._plane_taps(x, grid, h, w).channels_last
+        assert repso_forward(x, weights, cfg).tobytes() == \
+            repso_per_branch(x, weights, cfg).tobytes()
+
+
 @pytest.mark.parametrize("n", [3, 8])
 @pytest.mark.parametrize("channels, h, w", [(24, 14, 14), (8, 52, 53)])
 def test_repso_gives_each_image_its_bits_alone(channels, n, h, w):

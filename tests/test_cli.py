@@ -261,6 +261,29 @@ class TestFuseAndVerify:
         assert err == f"error: {key} must be finite, violated at index {index}\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "fuse"])
+    @pytest.mark.parametrize("key, message", [
+        # Finite weights whose train-form logits overflow float32.
+        ("head.fc.weight", "train-form logits are not finite, first at class 0"),
+        # Finite RefCO weights whose merged SF-Conv weight overflows.
+        ("s2.b0.expand.s1.0.weight", "s2.b0.expand.w1 must be finite, violated at index 32"),
+    ])
+    def test_overflow_is_one_error_line(self, workdir, capsys, command, key, message):
+        # Every element of one finite weight set to 3e38: one error line
+        # (no numpy warning, no report), nothing on stdout and no fused file.
+        tmp_path, _, cfg_path, weights_path = workdir
+        store = load_weights(weights_path)
+        big = tmp_path / "big.falc"
+        save_weights(WeightStore({k: np.full_like(v, 3e38) if k == key else v
+                                  for k, v in store.items()}), big)
+        out_path = tmp_path / "fused.falc"
+        args = ["--out", str(out_path)] if command == "fuse" else []
+        code, out, err = run(capsys, command, *args, "--config", str(cfg_path),
+                             "--weights", str(big), "--trials", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
     def test_verify_reports_and_exits_zero(self, workdir, capsys):
         _, _, cfg_path, weights_path = workdir
         code, out, _ = run(capsys, "verify", "--config", str(cfg_path),

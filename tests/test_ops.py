@@ -222,6 +222,44 @@ def test_conv2d_nchw_rows_on_small_planes(monkeypatch):
         _assert_nchw_bits(spec, 2, h, w, kh * 10 + kw + pad)
 
 
+def test_conv2d_forced_channels_last_sweep(monkeypatch):
+    # Every small stride-1 depthwise shape walked channels-last where it
+    # can be (two or more channels); one channel stays NCHW.
+    monkeypatch.setattr(ops, "_CL_PLANE_FLOATS", 1 << 30)
+    for c, (kh, kw), pad, bias in itertools.product(
+            range(1, 5), itertools.product(range(1, 4), repeat=2), [0, 1], [False, True]):
+        for h, w in itertools.product(range(1, 10), repeat=2):
+            if h + 2 * pad < kh or w + 2 * pad < kw:
+                continue
+            spec = ConvSpec(c, c, kh, kw, 1, 1, pad, pad, groups=c, has_bias=bias)
+            assert _takes_channels_last(spec, h, w) == (c > 1)
+            x, wt, b = _case(spec, 2, h, w, h * 10 + w)
+            assert conv2d(x, wt, b, spec).tobytes() == conv2d_per_tap(x, wt, b, spec).tobytes()
+
+
+@pytest.mark.parametrize("limit", [0, ops._CL_PLANE_FLOATS, 1 << 30])
+def test_one_channel_takes_nchw_at_any_plane_size(monkeypatch, limit):
+    # With one channel einsum could reorder the taps, and the two layouts
+    # are the same memory anyway.
+    monkeypatch.setattr(ops, "_CL_PLANE_FLOATS", limit)
+    for size in (1, 3, 7, 14, 28, 51, 52, 112):
+        assert not _takes_channels_last(_dw(1), size, size)
+        assert _takes_channels_last(_dw(2), size, size) == (size * (size + 2) < limit)
+
+
+def test_einsum_rounds_each_product_before_the_add():
+    # The channels-last tap sum is one einsum; it keeps the per-tap bits
+    # only if each product is rounded to float32 before it is added. c + a*a
+    # is 0 so; fused into one FMA it is 2**-24.
+    a, c = np.float32(1 + 2 ** -12), np.float32(-(1 + 2 ** -11))
+    taps = np.array([c, c, a, a], np.float32).reshape(1, 2, 1, 2)
+    weights = np.array([1, 1, a, a], np.float32).reshape(1, 2, 2)
+    got = np.einsum("ijyr,ijr->yr", taps, weights)
+    assert not got.any(), (
+        f"np.einsum fused a float32 multiply and add (got {got.ravel()}): this numpy's SIMD "
+        f"baseline has FMA, so channels-last depthwise sums lose the per-tap bits")
+
+
 @pytest.mark.parametrize("spec, h, w", [
     (_dw(8, bias=True), 7, 7),                          # channels-last
     (_dw(4, bias=True), 60, 60),                        # NCHW rows
