@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import threading
 import weakref
+from concurrent import futures
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Iterator, NamedTuple, get_type_hints
@@ -726,7 +729,10 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # module afterwards is the one called. Steps write in place only into arrays
 # of the same run that nothing else reads (see `_emit`); a plan holds no
 # activation, so runs are reentrant. `forward` keeps one plan per (graph,
-# store) pair.
+# store) pair. Every kernel gives each image of a batch the bits it gets
+# alone, so `forward` may split a batch into one run per image, on the CPUs
+# that BLAS leaves idle (`_workers`), and join the rows in order; the calls
+# themselves may still run concurrently.
 
 def _weights(node, store: WeightStore) -> list:
     """The arrays of ``node``'s entries, in entry order, each checked against
@@ -822,13 +828,86 @@ def _plan(graph: LayerGraph, store: WeightStore) -> tuple:
     return cached[1]
 
 
+def _workers() -> int:
+    """How many images `forward` runs at once: the usable CPUs over the BLAS
+    threads, the first positive count in OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS. With neither, BLAS is taken to use every CPU: one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+_POOL = None  # (threads, executor), made on first use and grown on demand
+_POOL_LOCK = threading.Lock()
+
+
+def _pool(threads: int) -> futures.ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] < threads:
+            _POOL = threads, futures.ThreadPoolExecutor(threads, thread_name_prefix="falconnet")
+        return _POOL[1]
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _execute_images(plan: tuple, x: Tensor, workers: int) -> Tensor:
+    """``_execute`` on each image of ``x`` alone. The calling thread and
+    ``workers - 1`` pool threads each take the next unclaimed image, and the
+    rows join in order. Returns, or raises the first error, only once every
+    task it started has finished."""
+    rows = [None] * len(x)
+    claims, lock, errors = iter(range(len(x))), threading.Lock(), []
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                rows[i] = _execute(plan, x[i:i + 1])
+            except BaseException as e:  # the first error stops every claim
+                errors.append(e)
+
+    helpers = [_pool(workers - 1).submit(work) for _ in range(workers - 1)]
+    try:
+        work()
+    finally:
+        for f in helpers:
+            f.cancel()  # one not started yet finds every image claimed
+        futures.wait(helpers)
+    if errors:
+        raise errors[0]
+    return np.concatenate(rows)
+
+
 def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
     """Run the graph on a (N, 3, R, R) input; returns (N, num_classes) logits.
 
     Purely functional over immutable inputs: the same input and weights
     produce bitwise-identical logits on a given machine. The first call on a
     (graph, store) pair compiles a plan that later calls reuse; ``x`` is
-    never written, and calls may run concurrently.
+    never written, and calls may run concurrently. A batch runs one image
+    per task, on as many threads as `_workers` allows; each image gets the
+    bits it gets alone, so the logits do not depend on the thread count.
     """
     x = as_f32(x)
     res = graph.config.input_resolution
@@ -836,7 +915,11 @@ def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
         raise ShapeError(f"model input must be (N, 3, {res}, {res}), got {x.shape}")
     if x.shape[2] != res or x.shape[3] != res:
         raise ShapeError(f"model input is {x.shape[2]}x{x.shape[3]}, expected {res}x{res}")
-    return _execute(_plan(graph, store), x)
+    plan = _plan(graph, store)
+    workers = min(_workers(), len(x))
+    if workers < 2:
+        return _execute(plan, x)
+    return _execute_images(plan, x, workers)
 
 
 # ---------------------------------------------------------------------------
