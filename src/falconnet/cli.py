@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -424,6 +424,17 @@ class TestAnalyzeRange:
         assert code == 1
         assert err.startswith("error: ")
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # A huge --c-in fails to allocate; raise as numpy would, without allocating.
+        def refuse(pattern):
+            raise MemoryError("Unable to allocate 931. GiB for an array with shape "
+                              "(1000000, 1000000) and data type bool")
+
+        monkeypatch.setattr("falconnet.cli.receptive_range", refuse)
+        code, out, err = run(capsys, "analyze-range", "--kind", "dense", "--c-in", "1000000")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+
 
 class TestAnalyzeMagnitude:
     def test_grid_and_csv(self, workdir, capsys, tmp_path):

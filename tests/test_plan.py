@@ -223,8 +223,9 @@ def test_image_tasks_give_the_serial_bits(presets, preset, form, workers, monkey
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_concurrent_calls_share_the_image_pool(model, workers, monkeypatch):
-    """More calling threads than cores, each splitting its batch over the one
-    pool and switching often: each call must get the serial bits."""
+    """More calling threads than cores, each splitting its batch over image
+    threads of its own and switching often: each call must get the serial
+    bits."""
     graph, store = model
     plan = model_mod._plan(graph, store)
     xs = [images(3, 30 + seed) for seed in range(4)]
@@ -288,6 +289,37 @@ def test_first_error_propagates_once_every_task_has_finished(model, workers, mon
     assert active == [0]
     monkeypatch.setattr(model_mod, "conv2d", real_conv2d)
     assert forward(graph, store, x).tobytes() == serial(model_mod._plan(graph, store), x).tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_no_thread_outlives_forward(model, workers, monkeypatch):
+    """The image threads are made for the call: none is left once ``forward``
+    returns, or once it raises an image's error."""
+    graph, store = model
+    x = images(5, 13)
+    serial, real_conv2d = model_mod._execute, model_mod.conv2d
+    ran_on = set()
+
+    def recording(plan, x):
+        ran_on.add(threading.current_thread())
+        return serial(plan, x)
+
+    def failing_conv2d(inp, *args):
+        if inp.shape[1] == 3 and np.array_equal(inp[0], x[3]):
+            raise ShapeError("image 3 fails")
+        return real_conv2d(inp, *args)
+
+    force_workers(monkeypatch, workers)
+    monkeypatch.setattr(model_mod, "_execute", recording)
+    before = threading.active_count()
+    forward(graph, store, x)
+    assert threading.active_count() == before
+    monkeypatch.setattr(model_mod, "conv2d", failing_conv2d)
+    with pytest.raises(ShapeError, match="image 3 fails"):
+        forward(graph, store, x)
+    assert threading.active_count() == before
+    ran_on.discard(threading.current_thread())
+    assert ran_on and not any(t.is_alive() for t in ran_on)
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
