@@ -13,20 +13,19 @@ The toolkit covers four layers of structure, from fine to coarse:
   command-line front end (see falconnet.cli).
 """
 
-from .ops import (BnParams, ConvSpec, ShapeError, Tensor, add, batch_norm_infer,
-                  conv2d, global_avg_pool, linear, relu)
-from .spatial import (RepSOBranch, RepSOConfig, RepSOWeights, kernel_magnitude_matrix,
-                      random_repso_weights, repso_forward)
+from .ops import (BnParams, ConvSpec, ShapeError, Tensor, add, batch_norm_infer, conv2d,
+                  fuse_bn_into_linear, global_avg_pool, linear, relu)
+from .spatial import (FusedDWConv, RepSOBranch, RepSOConfig, RepSOWeights, kernel_magnitude_matrix,
+                      merge_repso, pad_kernel_to_3x3, random_repso_weights, repso_forward)
 from .channel import (ChannelPattern, RefCOBranch, SFConvSpec, SFConvWeights,
-                      admissible_kernel_sizes, choose_kernel_size, random_refco_branches,
-                      receptive_range, refco_forward, sfconv_forward, sfconv_param_count)
-from .fuse import (FusedDWConv, FusionReport, fuse_bn_into_linear, merge_refco,
-                   merge_repso, pad_kernel_to_3x3, verify_equivalence)
+                      admissible_kernel_sizes, choose_kernel_size, merge_refco,
+                      random_refco_branches, receptive_range, refco_forward, sfconv_forward,
+                      sfconv_param_count)
 from .store import StoreError, WeightStore, load_input_tensor, load_weights, save_weights
-from .model import (BlockConfig, ChannelSlot, ConfigError, LayerGraph, ModelConfig,
-                    SpatialSlot, build_model, config_from_json, config_to_json, forward,
-                    fuse_model, fused_structure, fusible_count, init_weights,
-                    iter_param_entries, load_config, preset_config, save_config)
+from .model import (BlockConfig, ChannelSlot, ConfigError, FusionReport, LayerGraph, ModelConfig,
+                    SpatialSlot, build_model, config_from_json, config_to_json, forward, fuse_model,
+                    fused_structure, fusible_count, init_weights, iter_param_entries, load_config,
+                    preset_config, save_config, verify_equivalence)
 from .costs import CostReport, LayerCost, cost_report, count_flops, count_params
 
 __version__ = "0.1.0"

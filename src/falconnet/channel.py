@@ -29,7 +29,10 @@ does: each branch's stage output is multiplied by its BN scale and added
 to the stage's running sum, and the stage's BN shifts, summed once, are
 added at the end. That takes two passes over each branch's output, not
 three. Branch weights are never scaled or summed first, so RefCO stays an
-independent check of the weights that ``merge_refco`` folds.
+independent check of the weights that ``merge_refco`` folds into one
+SF-Conv. The merge is exact algebra over the set-up that the training form
+runs, so only float32 rounding separates the two forms, and
+``verify_equivalence`` measures it.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "refco_forward",
     "receptive_range",
     "random_refco_branches",
+    "merge_refco",
 ]
 
 
@@ -307,6 +311,33 @@ def _normalized_sum(product, stage, scratch_shape) -> np.ndarray:
             total += y
     total += shift
     return total
+
+
+def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
+    """Collapse parallel factorized-conv branches into a single SF-Conv.
+
+    Per stage, each branch's normalization scale is folded into its weight
+    bank and the banks are summed; the stage's summed shift, the one that
+    ``refco_forward`` adds, becomes the stage bias. Stage-1 normalization is
+    per hidden channel, so its shift broadcasts across window positions.
+    """
+    return _merge_refco(spec, _refco_terms(spec, _branch_rows(branches1),
+                                           _branch_rows(branches2)))
+
+
+def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
+    """``merge_refco`` of the stages as ``_refco_terms`` gives them."""
+    (terms1, shift1), (terms2, shift2) = stages
+    shape1, shape2 = spec.weight_shapes()
+    w1 = np.zeros(shape1, dtype=np.float32)
+    for w, s in terms1:
+        w1 += w * s.reshape(-1, 1, 1)
+    b1 = np.repeat(shift1.reshape(-1, 1), spec.windows, axis=1)
+
+    w2 = np.zeros(shape2, dtype=np.float32)
+    for w, s in terms2:
+        w2 += w * s.reshape(-1, 1)
+    return SFConvWeights(spec, w1, w2, b1, shift2.reshape(-1))
 
 
 def random_refco_branches(spec: SFConvSpec, rng: np.random.Generator, *,

@@ -17,9 +17,9 @@ import numpy as np
 
 from .channel import ChannelPattern, SFConvSpec, choose_kernel_size, receptive_range
 from .costs import cost_report
-from .fuse import verify_equivalence
 from .model import (PRESET_NAMES, build_model, forward, fuse_model, fused_structure,
-                    iter_param_entries, load_config, preset_config, save_config)
+                    iter_param_entries, load_config, preset_config, save_config,
+                    verify_equivalence)
 from .spatial import kernel_magnitude_matrix
 from .store import load_input_tensor, load_weights, save_weights
 
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduction", type=int, default=2, metavar="N")
 
     p = sub.add_parser("analyze-magnitude", help="average kernel magnitude matrix")
-    p.add_argument("pattern", nargs="?", default="*", metavar="GLOB")
+    p.add_argument("pattern", metavar="GLOB")
     p.add_argument("--weights", required=True, metavar="PATH")
     p.add_argument("--out", default=None, metavar="PATH", help="also write CSV here")
 

@@ -27,12 +27,11 @@ from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .channel import (SFConvSpec, SFConvWeights, _refco, _refco_terms, choose_kernel_size,
-                      sfconv_forward)
-from .fuse import _merge_refco, _merge_repso, fuse_bn_into_linear
+from .channel import (SFConvSpec, SFConvWeights, _merge_refco, _refco, _refco_terms,
+                      choose_kernel_size, sfconv_forward)
 from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _channel_affine, _relu_in_place,
-                  as_f32, conv2d, global_avg_pool, linear, relu)
-from .spatial import RepSOConfig, _repso, _repso_terms, branch_kernel_shape
+                  as_f32, conv2d, fuse_bn_into_linear, global_avg_pool, linear, relu)
+from .spatial import RepSOConfig, _merge_repso, _repso, _repso_terms, branch_kernel_shape
 from .store import WeightStore
 
 __all__ = [
@@ -57,6 +56,8 @@ __all__ = [
     "fuse_model",
     "fused_structure",
     "fusible_count",
+    "FusionReport",
+    "verify_equivalence",
 ]
 
 
@@ -929,3 +930,36 @@ def fused_structure(graph: LayerGraph) -> LayerGraph:
 def fusible_count(graph: LayerGraph) -> int:
     """Number of merge or fold opportunities left in the graph."""
     return _fuse_seq(graph.nodes, None, None)[1]
+
+
+@dataclass(frozen=True)
+class FusionReport:
+    """Outcome of an empirical train/inference equivalence check."""
+    max_abs_error: float
+    trials: int
+    input_shape: tuple
+    tolerance: float
+    seed: int
+    passed: bool
+
+
+def verify_equivalence(reference, candidate, trials: int, input_shape,
+                       tolerance: float = 1e-4, seed: int = 0) -> FusionReport:
+    """Run both callables on fixed-seed pseudo-random inputs and record the
+    worst absolute output discrepancy. A non-finite output from either side
+    makes that discrepancy non-finite, and the report fails."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    shape = tuple(int(d) for d in input_shape)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(shape).astype(np.float32)
+        a = np.asarray(reference(x))
+        b = np.asarray(candidate(x))
+        if a.shape != b.shape:
+            raise ShapeError(f"model outputs differ in shape: {a.shape} vs {b.shape}")
+        err = float(np.max(np.abs(a - b))) if a.size else 0.0
+        if err > worst or np.isnan(err):  # max() would drop a NaN
+            worst = err
+    return FusionReport(worst, trials, shape, float(tolerance), seed, worst <= tolerance)

@@ -63,6 +63,7 @@ __all__ = [
     "ShapeError",
     "ConvSpec",
     "BnParams",
+    "fuse_bn_into_linear",
     "as_f32",
     "conv2d",
     "batch_norm_infer",
@@ -217,6 +218,30 @@ def _check_bn(ok: np.ndarray, what: str) -> None:
         bad = np.argwhere(~ok)[0]
         what = what.format(_BN_STATS[bad[1]]) if ok.ndim == 3 else what
         raise ValueError(f"{what}, violated at channel {bad[-1]}")
+
+
+def fuse_bn_into_linear(weight: np.ndarray, bias, bn: BnParams):
+    """Fold a per-channel affine normalization into the preceding linear op.
+
+    ``weight`` has output channels on axis 0. Returns (weight', bias') with
+    weight'[o] = weight[o] * s[o] and bias'[o] = t[o] + bias[o] * s[o],
+    where (s, t) is the normalization's scale and shift. BN(op(x)) == op'(x)
+    holds as an algebraic identity.
+    """
+    w = as_f32(weight)
+    if w.shape[0] != bn.channels:
+        raise ShapeError(
+            f"normalization has {bn.channels} channels, operator has {w.shape[0]} outputs")
+    s, t = bn.scale_shift()
+    w2 = w * s.reshape((-1,) + (1,) * (w.ndim - 1))
+    if bias is None:
+        b2 = t.copy()
+    else:
+        b = as_f32(bias).reshape(-1)
+        if b.shape[0] != bn.channels:
+            raise ShapeError(f"bias has length {b.shape[0]}, expected {bn.channels}")
+        b2 = t + b * s
+    return w2, b2
 
 
 def _check_input(x: np.ndarray, who: str) -> np.ndarray:

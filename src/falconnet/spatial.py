@@ -1,11 +1,13 @@
-"""Multi-branch depthwise spatial operator (RepSO) and kernel-magnitude analysis.
+"""Multi-branch depthwise spatial operator (RepSO), its merge, and kernel-magnitude analysis.
 
 The training-time operator runs several depthwise branches side by side,
 each followed by its own normalization, and sums the results: N parallel
 3x3 kernels plus optional 1x3, 3x1, 1x1 and identity branches. Per-branch
 padding keeps every branch aligned with the 3x3 output grid, so the sum is
-well defined and the whole stack can later collapse into one padded 3x3
-kernel (see falconnet.fuse.merge_repso).
+well defined and ``merge_repso`` collapses the whole stack into one biased
+3x3 kernel. The merge is exact algebra over the set-up that the training
+form runs, so only float32 rounding separates the two forms, and
+``verify_equivalence`` measures it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ __all__ = [
     "kernel_magnitude_matrix",
     "branch_kernel_shape",
     "random_repso_weights",
+    "FusedDWConv",
+    "pad_kernel_to_3x3",
+    "merge_repso",
 ]
 
 # Branch kind -> kernel extent; each kernel sits centred on the 3x3 grid.
@@ -150,6 +155,58 @@ def _repso(x, cfg: RepSOConfig, terms: list) -> np.ndarray:
     c, h, width = x.shape[1:]
     grid = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c)
     return _branch_sum(x, grid, *grid.out_hw(h, width), terms)
+
+
+@dataclass(frozen=True)
+class FusedDWConv:
+    """A single biased 3x3 depthwise kernel, the inference form of the
+    multi-branch spatial operator."""
+    kernel: Tensor  # (C, 1, 3, 3)
+    bias: np.ndarray  # (C,)
+
+
+def pad_kernel_to_3x3(kernel, kind: str, channels: int) -> Tensor:
+    """Center a depthwise kernel of the given kind inside a 3x3 frame.
+
+    1x3 lands in the middle row, 3x1 in the middle column, 1x1 at the
+    center; identity (which carries no kernel) becomes a center-1 kernel.
+    """
+    shape = branch_kernel_shape(kind, channels)
+    if shape is None:
+        if kernel is not None:
+            raise ShapeError("identity takes no kernel")
+        k = np.float32(1)
+    else:
+        k = as_f32(kernel)
+        if k.shape != shape:
+            raise ShapeError(f"kernel shape {k.shape} does not match kind {kind} "
+                             f"with {channels} channels")
+    rows, cols = _grid_window(kind)
+    out = np.zeros((channels, 1, 3, 3), dtype=np.float32)
+    out[:, :, rows, cols] = k
+    return out
+
+
+def merge_repso(w: RepSOWeights, cfg: RepSOConfig) -> FusedDWConv:
+    """Collapse all spatial branches into one biased 3x3 depthwise kernel.
+
+    Folds the terms that ``repso_forward`` runs, from one ``_repso_terms``
+    set-up: in branch order, each branch's kernel times its BN's scale is
+    added into its centred window of the 3x3 frame (identity adds the bare
+    scale at the centre), and its BN's shift into the bias.
+    """
+    return _merge_repso(cfg, _repso_terms(_repso_rows(w, cfg), cfg))
+
+
+def _merge_repso(cfg: RepSOConfig, terms) -> FusedDWConv:
+    """``merge_repso`` of the branches as ``_repso_terms`` gives them."""
+    kernel = np.zeros((cfg.channels, 1, 3, 3), dtype=np.float32)
+    bias = np.zeros(cfg.channels, dtype=np.float32)
+    for (rows, cols), k, s, t in terms:
+        window, s = kernel[:, :, rows, cols], s[:, None, None, None]
+        window += s if k is None else as_f32(k) * s
+        bias += t
+    return FusedDWConv(kernel, bias)
 
 
 def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,

@@ -26,6 +26,7 @@ __all__ = [
 MAGIC = b"FALC"
 VERSION = 1
 _MAX_RANK = 8
+_MAX_NAME_BYTES = 1 << 16  # of an entry name's UTF-8 encoding
 
 
 class StoreError(ValueError):
@@ -54,6 +55,9 @@ class WeightStore:
         float32: for an array that no one writes afterwards."""
         if name in self._entries:
             raise StoreError(f"duplicate entry name '{name}'")
+        size = len(name.encode("utf-8"))  # the reader refuses a longer name
+        if size > _MAX_NAME_BYTES:
+            raise StoreError(f"entry name of {size} bytes, maximum is {_MAX_NAME_BYTES}")
         arr = np.asarray(array, dtype=np.float32, order="C")
         if arr.ndim > _MAX_RANK:
             raise StoreError(f"entry '{name}' has rank {arr.ndim}, maximum is {_MAX_RANK}")
@@ -137,7 +141,7 @@ def _read_weights(f, size: int) -> WeightStore:
     store = WeightStore()
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        if name_len > 1 << 16:
+        if name_len > _MAX_NAME_BYTES:
             raise StoreError(f"implausible name length {name_len}")
         try:
             name = take(name_len).decode("utf-8")

@@ -456,6 +456,13 @@ class TestAnalyzeMagnitude:
         assert csv_lines[0] == "r,c,value"
         assert len(csv_lines) == 1 + 9
 
+    def test_pattern_is_required(self, workdir, capsys):
+        # No default: every model store mixes 3x3 and 1x1 rank-4 kernels.
+        _, _, _, weights_path = workdir
+        with pytest.raises(SystemExit) as e:
+            main(["analyze-magnitude", "--weights", str(weights_path)])
+        assert e.value.code == 2
+
     def test_no_match_is_error(self, workdir, capsys):
         _, _, _, weights_path = workdir
         code, _, err = run(capsys, "analyze-magnitude", "nothing.*",

@@ -343,6 +343,12 @@ class TestBuild:
         out = _apply_block(block, store, x)
         np.testing.assert_array_equal(out, np.zeros_like(x))
 
+    def test_residual_body_that_changes_shape_fails(self):
+        graph = LayerGraph(tiny_config(), (BlockNode("b", (ConvNode("c", ConvSpec(3, 4)),), True),))
+        with pytest.raises(ShapeError) as e:
+            cost_report(graph, resolution=8)
+        assert str(e.value) == "b: residual body changes shape (3, 8x8) -> (4, 8x8)"
+
 
 class TestForward:
     def test_zero_weights_give_zero_logits(self):
@@ -533,6 +539,25 @@ class TestFuseModel:
                 lambda z: forward(fused_graph, fused_store, z),
                 4, (1, 3, 32, 32), 1e-4)
             assert report.passed, report
+
+    @pytest.mark.parametrize("channel", ["pw_dense", "sf_conv", "refco"])
+    def test_identity_middle_spatial_slot(self, channel):
+        # A meta_light block with no middle spatial operator: expand, two
+        # ReLUs, reduce. Only the channel operators are left to fuse.
+        cfg = tiny_config(stem_channels=8, stage_channels=(8, 16, 32, 64),
+                          block=BlockConfig(expansion=Fraction(6), spatial=SpatialSlot("identity"),
+                                            channel=ChannelSlot(channel)))
+        graph = build_model(cfg)
+        assert not any(".spatial" in e.key for e in iter_param_entries(graph))
+        store = init_weights(graph, seed=11)
+        fused_graph, fused_store = fuse_model(graph, store)
+        assert fusible_count(fused_graph) == 0
+        x = np.random.default_rng(12).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        train, fused = forward(graph, store, x), forward(fused_graph, fused_store, x)
+        assert np.max(np.abs(train - fused)) <= 1e-4
+        for g, s, batched in ((graph, store, train), (fused_graph, fused_store, fused)):
+            single = np.concatenate([forward(g, s, x[i:i + 1]) for i in range(2)])
+            assert batched.tobytes() == single.tobytes()
 
     def test_store_round_trip_preserves_forward(self, tmp_path):
         cfg = tiny_falconnet()

@@ -127,6 +127,21 @@ def test_duplicate_names_rejected(tmp_path):
         store.put("a", np.zeros(1))
 
 
+def test_store_refuses_names_the_reader_refuses(tmp_path):
+    # The reader takes a name of up to 1 << 16 UTF-8 bytes, so a store must
+    # hold no longer one: what saves must load.
+    with pytest.raises(StoreError, match="65537 bytes"):
+        WeightStore().put("n" * ((1 << 16) + 1), np.zeros(1))
+    store = WeightStore()
+    store.put("n" * (1 << 16), np.arange(3))
+    path = tmp_path / "long.falc"
+    save_weights(store, path)
+    loaded = load_weights(path)
+    assert loaded.names() == store.names() and loaded.equals_bitwise(store)
+    save_weights(loaded, tmp_path / "again.falc")
+    assert (tmp_path / "again.falc").read_bytes() == path.read_bytes()
+
+
 def test_missing_entry_error():
     with pytest.raises(StoreError, match="missing weight entry 'nope'"):
         WeightStore().get("nope")
