@@ -41,9 +41,6 @@ __all__ = [
     "BlockConfig",
     "ModelConfig",
     "LayerGraph",
-    "ConvNode", "BnNode", "ReluNode", "PoolNode", "FlattenNode", "LinearNode",
-    "RepSONode", "RefCONode", "SFConvNode", "BlockNode",
-    "PRESET_NAMES",
     "preset_config",
     "config_to_json",
     "config_from_json",
@@ -419,7 +416,7 @@ class LinearNode(_Leaf):
 
     def shape(self, c, h, w):
         if (h, w) != (1, 1):
-            raise ShapeError(f"{self.name}: linear input is {h}x{w}, expected 1x1")
+            raise ShapeError(f"linear input is {h}x{w}, expected 1x1")
         return self.in_features, "expects {} features", (self.out_features, 1, 1)
 
     def entries(self):
@@ -648,7 +645,10 @@ def _walk_shapes(nodes, shape: tuple):
                 raise ShapeError(f"{node.name}: residual body changes shape "
                                  f"({c}, {h}x{w}) -> ({c2}, {h2}x{w2})")
         else:
-            need, what, out = node.shape(*shape)
+            try:
+                need, what, out = node.shape(*shape)
+            except ShapeError as e:
+                raise ShapeError(f"{node.name}: {e}") from None
             if need is not None and need != shape[0]:
                 raise ShapeError(f"{node.name}: {what.format(need)}, receives {shape[0]}")
             yield node, shape, out
@@ -796,12 +796,7 @@ def _emit(nodes, store: WeightStore, where: str, owned: bool, steps: list) -> bo
             steps.append(_Step(at, _ADD, _add_into_second if body_owned else np.add))
             owned = True
         else:
-            w = _weights(node, store)
-            try:
-                fn = node.bind(w, owned)
-            except ShapeError as e:
-                raise ShapeError(f"{at}: {e}") from None
-            steps.append(_Step(at, _CALL, fn))
+            steps.append(_Step(at, _CALL, node.bind(_weights(node, store), owned)))
             owned = owned or not node.view
     return owned
 

@@ -64,7 +64,6 @@ __all__ = [
     "ConvSpec",
     "BnParams",
     "fuse_bn_into_linear",
-    "as_f32",
     "conv2d",
     "batch_norm_infer",
     "relu",

@@ -24,7 +24,6 @@ __all__ = [
     "RepSOWeights",
     "repso_forward",
     "kernel_magnitude_matrix",
-    "branch_kernel_shape",
     "random_repso_weights",
     "FusedDWConv",
     "pad_kernel_to_3x3",

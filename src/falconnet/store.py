@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -19,7 +20,6 @@ __all__ = [
     "WeightStore",
     "save_weights",
     "load_weights",
-    "read_ppm",
     "load_input_tensor",
 ]
 
@@ -157,24 +157,20 @@ def _read_weights(f, size: int) -> WeightStore:
     return store
 
 
+# A comment runs from "#" to the end of its line; a token is a run of
+# non-whitespace. The comment comes first, so a "#" inside a token stays in it.
+_PPM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+
+
 def _read_ppm_tokens(data: bytes, count: int, pos: int):
     """Read whitespace-separated header tokens, skipping # comments."""
     tokens = []
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise StoreError("truncated image header")
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-        else:
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-    return tokens, pos
+    for m in _PPM_TOKEN.finditer(data, pos):
+        if m[0][:1] != b"#":
+            tokens.append(m[0])
+            if len(tokens) == count:
+                return tokens, m.end()
+    raise StoreError("truncated image header")
 
 
 def _decode_ppm(path):

@@ -6,6 +6,7 @@ fails here. Add new names to ``PINNED`` once they ship.
 """
 
 import falconnet
+from falconnet import channel, costs, model, ops, spatial, store
 
 PINNED = (
     "Tensor", "ShapeError", "ConvSpec", "BnParams",
@@ -35,3 +36,15 @@ def test_every_exported_name_resolves():
     assert len(set(falconnet.__all__)) == len(falconnet.__all__)
     for name in falconnet.__all__:
         assert hasattr(falconnet, name), name
+
+
+def test_each_exported_name_is_listed_by_one_module():
+    # The package joins its modules' __all__ lists, so each name is declared once.
+    owners = {}
+    for module in (ops, spatial, channel, store, model, costs):
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module)
+    assert sorted(owners) == sorted(falconnet.__all__)
+    for name, modules in owners.items():
+        assert len(modules) == 1, (name, modules)
+        assert getattr(falconnet, name) is getattr(modules[0], name)

@@ -445,3 +445,34 @@ class TestReceptiveRange:
             ChannelPattern.channel_wise(8, 9)
         with pytest.raises(ShapeError):
             ChannelPattern("sf", 8, 8)
+
+
+def _sf_weights_with_bias2(length):
+    spec = SFConvSpec(8, 8, 4)
+    w1, w2 = spec.weight_shapes()
+    return SFConvWeights(spec, np.zeros(w1), np.zeros(w2), bias2=np.zeros(length))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SFConvSpec(0, 4, 2), "SFConvSpec.c_in must be positive, got 0"),
+    (lambda: SFConvSpec(8, 8, 4, 0), "SFConvSpec.reduction must be positive, got 0"),
+    (lambda: SFConvSpec(6, 4, 4), "kernel=4 does not divide c_in=6"),
+    (lambda: SFConvSpec(8, 8, 4, 3), "reduction=3 does not divide kernel=4"),
+    (lambda: SFConvSpec(8, 3, 4, 2), "hidden width 4/2 does not divide c_out=3"),
+    (lambda: ChannelPattern("dense", 0, 4), "ChannelPattern extents must be positive"),
+    (lambda: ChannelPattern("group", 8, 6, groups=4), "groups=4 must divide c_in=8 and c_out=6"),
+    (lambda: ChannelPattern("group", 8, 8), "groups=None must divide c_in=8 and c_out=8"),
+    (lambda: ChannelPattern("channel_wise", 8, 8, window=0),
+     "window=0 must satisfy 1 <= window <= c_in=8"),
+    (lambda: ChannelPattern("sf", 8, 8), "sf pattern requires an SFConvSpec"),
+    (lambda: ChannelPattern("sf", 8, 4, spec=SFConvSpec(8, 8, 4)),
+     "sf pattern extents disagree with its SFConvSpec"),
+    (lambda: ChannelPattern("banded", 8, 8), "unknown pattern kind 'banded'"),
+    (lambda: _sf_weights_with_bias2(5), "bias2 length 5, expected 8"),
+], ids=["sf-c-in", "sf-reduction", "sf-kernel", "sf-reduction-divides", "sf-hidden-width",
+        "pattern-extents", "pattern-groups", "pattern-no-groups", "pattern-window",
+        "pattern-sf-no-spec", "pattern-sf-extents", "pattern-kind", "sf-bias2"])
+def test_invalid_argument_is_shape_error(call, message):
+    with pytest.raises(ShapeError) as e:
+        call()
+    assert str(e.value) == message

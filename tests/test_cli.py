@@ -469,3 +469,22 @@ class TestAnalyzeMagnitude:
                            "--weights", str(weights_path))
         assert code == 1
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--config", "{config}", "--weights", "{incomplete}"),
+     "weights incomplete for model: missing 'stem.conv.weight' and 1 more"),
+    (("analyze-range", "--kind", "channelwise", "--c-in", "8"),
+     "analyze-range --kind channelwise requires --window"),
+], ids=["incomplete-weights", "channelwise-without-window"])
+def test_invalid_request_is_one_error_line(workdir, capsys, argv, message):
+    tmp_path, _, cfg_path, weights_path = workdir
+    incomplete = tmp_path / "incomplete.falc"
+    store = load_weights(weights_path)
+    save_weights(WeightStore({k: v for k, v in store.items()
+                              if k not in ("stem.conv.weight", "head.fc.bias")}), incomplete)
+    code, out, err = run(capsys, *(a.format(config=cfg_path, incomplete=incomplete)
+                                   for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -3,8 +3,8 @@
 import pytest
 from fractions import Fraction
 
-from falconnet import (BlockConfig, ChannelSlot, ModelConfig, SpatialSlot, build_model,
-                       count_flops, count_params, fuse_model, init_weights,
+from falconnet import (BlockConfig, ChannelSlot, ModelConfig, ShapeError, SpatialSlot,
+                       build_model, count_flops, count_params, fuse_model, init_weights,
                        preset_config)
 from falconnet.costs import cost_report
 
@@ -128,3 +128,10 @@ def test_mode_validation():
     graph = build_model(tiny())
     with pytest.raises(ValueError, match="mode"):
         cost_report(graph, mode="deploy")
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_resolution_must_be_positive(resolution):
+    with pytest.raises(ShapeError) as e:
+        cost_report(build_model(tiny()), resolution=resolution)
+    assert str(e.value) == f"resolution must be positive, got {resolution}"

@@ -776,3 +776,45 @@ class TestKernelNumerics:
             assert train.tobytes() == ref_train.tobytes()
             assert fused.tobytes() == ref_fused.tobytes()
         assert np.abs(train - fused).max() <= 1e-5
+
+
+@pytest.mark.parametrize("resolution, layer", [(16, "sub3.conv"), (8, "sub2.conv"),
+                                               (1, "sub1.conv")])
+def test_empty_convolution_names_its_layer(resolution, layer):
+    cfg = replace(preset_config("falconnet"), input_resolution=resolution)
+    with pytest.raises(ShapeError) as e:
+        build_model(cfg)
+    assert str(e.value) == (f"{layer}: empty convolution output (0x0) for input 1x1 with "
+                            "kernel 2x2, stride 2x2, padding 0x0")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SpatialSlot(n_parallel_3x3=0), ConfigError, "n_parallel_3x3 must be at least 1"),
+    (lambda: ChannelSlot(reduction=0), ConfigError, "reduction must be at least 1"),
+    (lambda: BlockConfig(form="meta_heavy"), ConfigError,
+     "block form must be meta_light or meta_basic, got 'meta_heavy'"),
+    (lambda: BlockConfig(expansion=Fraction(-1, 2)), ConfigError,
+     "expansion must be positive, got -1/2"),
+    (lambda: ModelConfig(stage_blocks=(1, 1, 1)), ConfigError,
+     "stage_blocks and stage_channels must each list 4 stages"),
+    (lambda: ModelConfig(stage_blocks=(1, 0, 1, 1)), ConfigError,
+     "every stage needs at least one block"),
+    (lambda: ModelConfig(stem_channels=0, stage_channels=(0, 0, 0, 0)), ConfigError,
+     "stage channels must be positive"),
+    (lambda: ModelConfig(head_width=0), ConfigError, "head_width must be positive, got 0"),
+    (lambda: ModelConfig(num_classes=-1), ConfigError, "num_classes must be positive, got -1"),
+    (lambda: ModelConfig(input_resolution=0), ConfigError,
+     "input_resolution must be positive, got 0"),
+    (lambda: preset_config("resnet"), ConfigError,
+     "unknown preset 'resnet', expected one of ('falconnet', 'lightnet-repso', 'lightnet-irb')"),
+    (lambda: config_from_json("[1, 2]"), ConfigError, "config root must be an object"),
+    (lambda: verify_equivalence(lambda x: x, lambda x: x[:, :1], 1, (2, 3)), ShapeError,
+     "model outputs differ in shape: (2, 3) vs (2, 1)"),
+], ids=["n-parallel-3x3", "reduction", "block-form", "expansion", "stage-count", "empty-stage",
+        "stage-channels", "head-width", "num-classes", "resolution", "unknown-preset",
+        "json-root", "verify-output-shapes"])
+def test_invalid_argument_names_the_fault(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert type(e.value) is error
+    assert str(e.value) == message

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falconnet import (BnParams, ConvSpec, ShapeError, add, batch_norm_infer, conv2d,
-                       global_avg_pool, linear, relu)
+                       fuse_bn_into_linear, global_avg_pool, linear, relu)
 from falconnet import ops
 from reference_kernels import conv2d_per_tap
 
@@ -580,3 +580,32 @@ def test_all_outputs_finite_on_finite_inputs():
     for out in (conv2d(x, w, None, spec), batch_norm_infer(x, p), relu(x),
                 global_avg_pool(x)):
         assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ConvSpec(0, 4), "ConvSpec.in_channels must be positive, got 0"),
+    (lambda: ConvSpec(4, 4, stride_w=-1), "ConvSpec.stride_w must be positive, got -1"),
+    (lambda: ConvSpec(4, 4, pad_h=-1), "ConvSpec padding must be non-negative, got -1x0"),
+    (lambda: ConvSpec(6, 4, groups=4), "groups=4 does not divide in_channels=6"),
+    (lambda: ConvSpec(4, 6, groups=4), "groups=4 does not divide out_channels=6"),
+    (lambda: linear(np.zeros((1, 2, 3)), np.zeros((4, 3)), None),
+     "linear input must be rank 1 or 2, got rank 3"),
+    (lambda: linear(np.zeros(3), np.zeros(3), None), "linear weight must be rank 2, got rank 1"),
+    (lambda: linear(np.zeros(3), np.zeros((4, 2)), None),
+     "linear input has 3 features, weight expects 2"),
+    (lambda: linear(np.zeros(3), np.zeros((4, 3)), np.zeros(5)),
+     "linear bias has length 5, expected 4"),
+    (lambda: global_avg_pool(np.zeros((1, 2, 3))),
+     "global_avg_pool expects a rank-4 input, got rank 3"),
+    (lambda: global_avg_pool(np.zeros((1, 2, 0, 3))), "global_avg_pool requires H, W >= 1"),
+    (lambda: fuse_bn_into_linear(np.zeros((3, 2)), None, BnParams.identity(4)),
+     "normalization has 4 channels, operator has 3 outputs"),
+    (lambda: fuse_bn_into_linear(np.zeros((4, 2)), np.zeros(3), BnParams.identity(4)),
+     "bias has length 3, expected 4"),
+], ids=["conv-channels", "conv-stride", "conv-padding", "conv-groups-in", "conv-groups-out",
+        "linear-input-rank", "linear-weight-rank", "linear-features", "linear-bias",
+        "pool-rank", "pool-empty", "fuse-bn-channels", "fuse-bn-bias"])
+def test_invalid_argument_is_shape_error(call, message):
+    with pytest.raises(ShapeError) as e:
+        call()
+    assert str(e.value) == message

@@ -199,3 +199,13 @@ class TestKernelMagnitude:
             kernel_magnitude_matrix([], 3, 3)
         with pytest.raises(ShapeError, match="extent"):
             kernel_magnitude_matrix([np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 1, 3))], 3, 3)
+
+
+@pytest.mark.parametrize("channels, n_parallel, message", [
+    (0, 3, "RepSOConfig.channels must be positive, got 0"),
+    (4, 0, "RepSOConfig.n_parallel_3x3 must be positive, got 0"),
+])
+def test_invalid_config_is_shape_error(channels, n_parallel, message):
+    with pytest.raises(ShapeError) as e:
+        RepSOConfig(channels, n_parallel)
+    assert str(e.value) == message

@@ -234,3 +234,59 @@ def test_p6_sample_above_maxval_is_store_error(tmp_path):
     path.write_bytes(b"P6\n1 1\n15\n" + bytes([15, 16, 0]))
     with pytest.raises(StoreError, match="0..15"):
         read_ppm(path)
+
+
+PIXELS = np.array([[[1, 2, 3], [4, 5, 6]]], np.uint8)
+
+
+@pytest.mark.parametrize("data, expected", [
+    (b"P3# after the magic\n2 # width\n1 # height\n255 # maxval\n1 2 3 4 5 6\n", PIXELS),
+    (b"P3\x0b2\x0c1\x0b255\x0c1\x0b2\x0c3\x0b4\x0c5\x0b6", PIXELS),
+    (b"P3\n2 1\n255\n1 2 3 # first pixel\n# second pixel\n4 5 6\n", PIXELS),
+    (b"P6\n1 1\n255\n#\n\x05", np.array([[[35, 10, 5]]], np.uint8)),
+    (b"P3\n1 1\n255\n12#3 0 0\n", "malformed PPM sample"),
+    (b"P3\n1 1\n255\n1 2 # 3", "truncated image header"),
+], ids=["header-comments", "vt-ff-separators", "sample-comments", "p6-raster-starts-with-hash",
+        "hash-in-sample", "comment-to-end-of-file"])
+def test_ppm_tokens_skip_comments_and_whitespace(tmp_path, data, expected):
+    # A comment runs from "#" to the end of its line, but a "#" inside a
+    # token belongs to the token; every ASCII whitespace byte separates.
+    path = tmp_path / "img.ppm"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(StoreError) as e:
+            read_ppm(path)
+        assert str(e.value) == expected
+    else:
+        np.testing.assert_array_equal(read_ppm(path), expected, strict=True)
+
+
+def _read_ppm_text(text):
+    def load(tmp_path):
+        path = tmp_path / "in.ppm"
+        path.write_text(text)
+        return read_ppm(path)
+    return load
+
+
+def _load_input_entry(shape):
+    def load(tmp_path):
+        path = tmp_path / "in.falc"
+        save_weights(WeightStore({"input": np.zeros(shape)}), path)
+        return load_input_tensor(path, 4)
+    return load
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp_path: WeightStore().put("a", np.zeros((1,) * 9)),
+     "entry 'a' has rank 9, maximum is 8"),
+    (_read_ppm_text("P3\n0 1\n255\n"), "bad PPM extents 0x1"),
+    (_read_ppm_text("P3\n1 1\n0\n0 0 0\n"), "only 8-bit PPM supported, maxval=0"),
+    (_read_ppm_text("P3\n1 1\n256\n0 0 0\n"), "only 8-bit PPM supported, maxval=256"),
+    (_load_input_entry((3, 4, 4)),
+     '"input" entry must be rank 4 with 3 channels, got shape (3, 4, 4)'),
+], ids=["rank-9-put", "ppm-width-0", "ppm-maxval-0", "ppm-maxval-256", "rank-3-input"])
+def test_invalid_input_is_store_error(tmp_path, call, message):
+    with pytest.raises(StoreError) as e:
+        call(tmp_path)
+    assert str(e.value) == message
