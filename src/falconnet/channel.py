@@ -114,7 +114,7 @@ def admissible_kernel_sizes(c_in: int, c_out: int, reduction: int) -> list[int]:
             if c_in % k == 0 and k % reduction == 0 and c_out % (k // reduction) == 0]
 
 
-def choose_kernel_size(c_in: int, c_out: int, reduction: int = 2) -> int:
+def choose_kernel_size(c_in: int, c_out: int, reduction: int = SFConvSpec.reduction) -> int:
     """Admissible window length minimizing c_in*K/R + c_out*c_in/K.
 
     The unconstrained minimum sits at K = sqrt(c_out * R); divisibility
@@ -341,20 +341,16 @@ def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
 
 
 def random_refco_branches(spec: SFConvSpec, rng: np.random.Generator, *,
-                          weight_scale: float | None = None,
-                          gamma_range=(0.5, 1.5), beta_range=(-0.3, 0.3),
-                          mean_range=(-0.3, 0.3), var_range=(0.5, 2.0),
-                          eps: float = 1e-5):
-    """Draw the two branch lists. Default weight scale keeps the summed branch
-    outputs near unit variance: 1/sqrt(taps * branches) per stage."""
+                          weight_scale: float | None = None, **bn):
+    """Draw the two branch lists; ``bn`` holds keywords of ``BnParams.random``.
+    Default weight scale keeps the summed branch outputs near unit variance:
+    1/sqrt(taps * branches) per stage."""
     scale = weight_scale if weight_scale is not None else (spec.kernel * spec.windows) ** -0.5
 
     def branches(count, shape):
         return tuple(
             RefCOBranch((rng.standard_normal(shape) * scale).astype(np.float32),
-                        BnParams.random(shape[0], rng, gamma_range=gamma_range,
-                                        beta_range=beta_range, mean_range=mean_range,
-                                        var_range=var_range, eps=eps))
+                        BnParams.random(shape[0], rng, **bn))
             for _ in range(count))
 
     w1, w2 = spec.weight_shapes()

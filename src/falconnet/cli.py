@@ -40,18 +40,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="per-layer parameter and Flops table")
     p.add_argument("--config", required=True, metavar="PATH")
 
-    p = sub.add_parser("fuse", help="fuse weights to inference form and verify")
-    p.add_argument("--config", required=True, metavar="PATH")
-    p.add_argument("--weights", required=True, metavar="PATH")
-    p.add_argument("--out", required=True, metavar="PATH")
-    p.add_argument("--trials", type=int, default=16, metavar="N")
-    p.add_argument("--tolerance", type=float, default=1e-4, metavar="F")
-
-    p = sub.add_parser("verify", help="measure train/inference output discrepancy")
-    p.add_argument("--config", required=True, metavar="PATH")
-    p.add_argument("--weights", required=True, metavar="PATH")
-    p.add_argument("--trials", type=int, default=16, metavar="N")
-    p.add_argument("--tolerance", type=float, default=1e-4, metavar="F")
+    for name, text in (("fuse", "fuse weights to inference form and verify"),
+                       ("verify", "measure train/inference output discrepancy")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, metavar="PATH")
+        p.add_argument("--weights", required=True, metavar="PATH")
+        if name == "fuse":
+            p.add_argument("--out", required=True, metavar="PATH")
+        p.add_argument("--trials", type=int, default=16, metavar="N")
+        p.add_argument("--tolerance", type=float, default=1e-4, metavar="F")
 
     p = sub.add_parser("infer", help="classify one input file")
     p.add_argument("input", metavar="INPUT")
@@ -66,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-out", type=int, default=None, metavar="N")
     p.add_argument("--groups", type=int, default=None, metavar="N")
     p.add_argument("--window", type=int, default=None, metavar="N")
-    p.add_argument("--reduction", type=int, default=2, metavar="N")
+    p.add_argument("--reduction", type=int, default=SFConvSpec.reduction, metavar="N")
 
     p = sub.add_parser("analyze-magnitude", help="average kernel magnitude matrix")
     p.add_argument("pattern", metavar="GLOB")

@@ -71,11 +71,11 @@ class SpatialSlot:
     """Spatial operator choice for a block position."""
 
     kind: str = "repso"
-    n_parallel_3x3: int = 3
-    include_1x3: bool = True
-    include_3x1: bool = True
-    include_1x1: bool = True
-    include_identity: bool = True
+    n_parallel_3x3: int = RepSOConfig.n_parallel_3x3
+    include_1x3: bool = RepSOConfig.include_1x3
+    include_3x1: bool = RepSOConfig.include_3x1
+    include_1x1: bool = RepSOConfig.include_1x1
+    include_identity: bool = RepSOConfig.include_identity
 
     def __post_init__(self):
         if self.kind not in SPATIAL_KINDS:
@@ -93,7 +93,7 @@ class ChannelSlot:
     """Channel operator choice for a block position."""
 
     kind: str = "refco"
-    reduction: int = 2
+    reduction: int = SFConvSpec.reduction
 
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
@@ -365,7 +365,7 @@ class ConvNode(_Leaf):
 @dataclass(frozen=True)
 class BnNode(_Leaf):
     channels: int
-    eps: float = 1e-5
+    eps = BnParams.eps
     cost = ("bn", "other")
 
     def shape(self, c, h, w):
@@ -707,12 +707,8 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
                 arr = arr * residual_damp
         elif role == "bias":
             arr = rng.uniform(-0.1, 0.1, entry.shape)
-        elif role == "bn_gamma":
-            arr = rng.uniform(0.5, 1.5, entry.shape)
-        elif role == "bn_beta" or role == "bn_mean":
-            arr = rng.uniform(-0.3, 0.3, entry.shape)
-        else:  # bn_var
-            arr = rng.uniform(0.5, 2.0, entry.shape)
+        else:  # bn_gamma, bn_beta, bn_mean, bn_var
+            arr = rng.uniform(*BnParams.RANGES[role[3:]], entry.shape)
         store.put(entry.key, arr)  # put rounds to float32
     return store
 

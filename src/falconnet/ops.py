@@ -53,6 +53,7 @@ forward pass gives every image the bits it gets when run alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -152,6 +153,9 @@ class BnParams:
     mean: np.ndarray
     var: np.ndarray
     eps: float = 1e-5
+    # The (low, high) of the uniform draws of `random` and `init_weights`.
+    RANGES = MappingProxyType({"gamma": (0.5, 1.5), "beta": (-0.3, 0.3),
+                               "mean": (-0.3, 0.3), "var": (0.5, 2.0)})
 
     def __post_init__(self):
         for name in _BN_STATS:  # copies, so the caller's arrays may change afterwards
@@ -175,9 +179,9 @@ class BnParams:
 
     @classmethod
     def random(cls, channels: int, rng: np.random.Generator, *,
-               gamma_range=(0.5, 1.5), beta_range=(-0.3, 0.3),
-               mean_range=(-0.3, 0.3), var_range=(0.5, 2.0),
-               eps: float = 1e-5) -> "BnParams":
+               gamma_range=RANGES["gamma"], beta_range=RANGES["beta"],
+               mean_range=RANGES["mean"], var_range=RANGES["var"],
+               eps: float = eps) -> "BnParams":
         u = rng.uniform
         return cls(u(*gamma_range, channels), u(*beta_range, channels),
                    u(*mean_range, channels), u(*var_range, channels), eps)

@@ -209,21 +209,16 @@ def _merge_repso(cfg: RepSOConfig, terms) -> FusedDWConv:
 
 
 def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,
-                         kernel_scale: float = 0.3,
-                         gamma_range=(0.5, 1.5), beta_range=(-0.3, 0.3),
-                         mean_range=(-0.3, 0.3), var_range=(0.5, 2.0),
-                         eps: float = 1e-5) -> RepSOWeights:
-    """Draw branch kernels and normalization statistics from a generator."""
+                         kernel_scale: float = 0.3, **bn) -> RepSOWeights:
+    """Draw branch kernels and normalization statistics from a generator;
+    ``bn`` holds keywords of ``BnParams.random``."""
     branches = []
     for kind in cfg.branch_kinds():
         shape = branch_kernel_shape(kind, cfg.channels)
         kernel = None
         if shape is not None:
             kernel = (rng.standard_normal(shape) * kernel_scale).astype(np.float32)
-        bn = BnParams.random(cfg.channels, rng, gamma_range=gamma_range,
-                             beta_range=beta_range, mean_range=mean_range,
-                             var_range=var_range, eps=eps)
-        branches.append(RepSOBranch(kind, kernel, bn))
+        branches.append(RepSOBranch(kind, kernel, BnParams.random(cfg.channels, rng, **bn)))
     return RepSOWeights(tuple(branches))
 
 

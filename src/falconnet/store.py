@@ -158,14 +158,17 @@ def _read_weights(f, size: int) -> WeightStore:
 
 
 # A comment runs from "#" to the end of its line; a token is a run of
-# non-whitespace. The comment comes first, so a "#" inside a token stays in it.
-_PPM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+# non-whitespace. In the header any "#" starts a comment, so it also ends the
+# token before it. Among P3 samples a comment starts only where a token would,
+# so a "#" inside a sample stays in it.
+_PPM_HEADER_TOKEN = re.compile(rb"#[^\n]*|[^\s#]+")
+_PPM_SAMPLE_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
-def _read_ppm_tokens(data: bytes, count: int, pos: int):
-    """Read whitespace-separated header tokens, skipping # comments."""
+def _read_ppm_tokens(data: bytes, count: int, pos: int, token=_PPM_HEADER_TOKEN):
+    """Read whitespace-separated tokens, skipping # comments."""
     tokens = []
-    for m in _PPM_TOKEN.finditer(data, pos):
+    for m in token.finditer(data, pos):
         if m[0][:1] != b"#":
             tokens.append(m[0])
             if len(tokens) == count:
@@ -191,12 +194,16 @@ def _decode_ppm(path):
         raise StoreError(f"only 8-bit PPM supported, maxval={maxval}")
     n = width * height * 3
     if binary:
+        if data.startswith(b"#", pos):  # a comment right after the maxval runs to its
+            pos = data.find(b"\n", pos)  # newline, the whitespace byte before the raster
+            if pos < 0:
+                raise StoreError("truncated image header")
         pos += 1  # single whitespace after maxval
         if len(data) - pos < n:
             raise StoreError("truncated PPM pixel data")
         pixels = np.frombuffer(data[pos:pos + n], dtype=np.uint8)
     else:
-        values, _ = _read_ppm_tokens(data, n, pos)
+        values, _ = _read_ppm_tokens(data, n, pos, _PPM_SAMPLE_TOKEN)
         try:
             pixels = np.array([int(v) for v in values], dtype=np.int64)
         except (ValueError, OverflowError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from collections import Counter
 from fractions import Fraction
 
 from falconnet import (BlockConfig, ChannelSlot, ModelConfig, SpatialSlot, WeightStore,
@@ -488,3 +489,59 @@ def test_invalid_request_is_one_error_line(workdir, capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def _sweep_outcome(command, code, out, err, out_path):
+    """"error" for one error line and no output file, "run" for a normal run
+    whose printed scores and written fused arrays are all finite, else None."""
+    wrote = out_path.exists()
+    if err:
+        one_line = err.startswith("error: ") and len(err.splitlines()) == 1
+        return "error" if code == 1 and out == "" and one_line and not wrote else None
+    if not (code == 0 or code == 1 and "\tpassed\tno" in out) or wrote != (command == "fuse"):
+        return None
+    if command == "infer":
+        scores = [float(line.split("\t")[2]) for line in out.splitlines()[1:]]
+    else:
+        fields = out.split("\t")
+        scores = [float(fields[fields.index("max_abs_error") + 1])]
+    arrays = [v for _, v in load_weights(out_path).items()] if wrote else []
+    return "run" if all(np.isfinite(a).all() for a in [scores, *arrays]) else None
+
+
+def test_poisoned_entry_of_every_role_fails_cleanly_or_runs_finite(workdir, capsys):
+    # The first key of each role, in the train store (9 roles) and the fused
+    # store (5), with its middle element set to each poison in turn, run
+    # through every command that reads that form: 160 cases. Each ends in
+    # one error line and no output file, or in a normal run whose printed
+    # scores, and whose written fused arrays, are all finite.
+    tmp_path, cfg, cfg_path, weights_path = workdir
+    graph = build_model(cfg)
+    train = load_weights(weights_path)
+    fused_graph, fused = fuse_model(graph, train)
+    ppm = tmp_path / "img.ppm"
+    ppm.write_text("P3\n1 1\n255\n0 128 255\n")
+    poisoned, out_path = tmp_path / "poisoned.falc", tmp_path / "fused.falc"
+    args = {"fuse": ["--out", str(out_path), "--trials", "1"], "verify": ["--trials", "1"],
+            "infer": [str(ppm)]}
+    roles, outcomes = [], Counter()
+    for g, store, commands in ((graph, train, ("fuse", "verify", "infer")),
+                               (fused_graph, fused, ("infer",))):
+        first = {}
+        for e in iter_param_entries(g):
+            first.setdefault(e.role, e.key)
+        roles.append(len(first))
+        for key in first.values():
+            for value in (np.nan, np.inf, -np.inf, 3e38, -3e38):
+                arr = store.get(key).copy()
+                arr.flat[arr.size // 2] = value
+                save_weights(WeightStore({**dict(store.items()), key: arr}), poisoned)
+                for command in commands:
+                    code, out, err = run(capsys, command, *args[command], "--config",
+                                         str(cfg_path), "--weights", str(poisoned))
+                    outcomes[_sweep_outcome(command, code, out, err, out_path), command, key,
+                             value] += 1
+                    out_path.unlink(missing_ok=True)
+    assert roles == [9, 5]
+    assert sum(outcomes.values()) == 160
+    assert [case for case in outcomes if case[0] is None] == []
