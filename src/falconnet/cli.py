@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import inspect
 import sys
 
 import numpy as np
@@ -40,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="per-layer parameter and Flops table")
     p.add_argument("--config", required=True, metavar="PATH")
 
+    tolerance = inspect.signature(verify_equivalence).parameters["tolerance"].default
     for name, text in (("fuse", "fuse weights to inference form and verify"),
                        ("verify", "measure train/inference output discrepancy")):
         p = sub.add_parser(name, help=text)
@@ -48,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "fuse":
             p.add_argument("--out", required=True, metavar="PATH")
         p.add_argument("--trials", type=int, default=16, metavar="N")
-        p.add_argument("--tolerance", type=float, default=1e-4, metavar="F")
+        p.add_argument("--tolerance", type=float, default=tolerance, metavar="F")
 
     p = sub.add_parser("infer", help="classify one input file")
     p.add_argument("input", metavar="INPUT")

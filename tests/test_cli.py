@@ -420,6 +420,16 @@ class TestAnalyzeRange:
         assert "summary\tmin\t16\tmax\t16" in out
         assert "kernel\t" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("kind", ["dense", "group --groups 4", "channelwise --window 3",
+                                      "sf"], ids=lambda kind: kind.split()[0])
+    def test_c_out_gives_one_range_per_output(self, capsys, kind):
+        code, out, _ = run(capsys, "analyze-range", "--kind", *kind.split(), "--c-in", "8",
+                           "--c-out", "12")
+        assert code == 0
+        assert sum(line.startswith("range\t") for line in out.splitlines()) == 12
+        if kind == "sf":
+            assert "summary\tmin\t8\tmax\t8\t" in out
+
     def test_group_requires_groups_flag(self, capsys):
         code, _, err = run(capsys, "analyze-range", "--kind", "group", "--c-in", "8")
         assert code == 1

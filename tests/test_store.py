@@ -249,9 +249,12 @@ PIXELS = np.array([[[1, 2, 3], [4, 5, 6]]], np.uint8)
     (b"P3\n1 1# h\n255\n1 2 3\n", np.array([[[1, 2, 3]]], np.uint8)),
     (b"P6 1 1 255#x\n\x01\x02\x03", np.array([[[1, 2, 3]]], np.uint8)),
     (b"P6 1 1 255#x", "truncated image header"),
+    (b"P3 # magic\n2 # width\n2\t# height\n255 # maxval\n0 0 0 # first pixel\n255 255 255\n"
+     b"# last two pixels\n10 20 30 200 100 50\n",
+     np.array([[[0, 0, 0], [255, 255, 255]], [[10, 20, 30], [200, 100, 50]]], np.uint8)),
 ], ids=["header-comments", "vt-ff-separators", "sample-comments", "p6-raster-starts-with-hash",
         "hash-in-sample", "comment-to-end-of-file", "hash-ends-header-token",
-        "p6-comment-after-maxval", "p6-comment-to-end-of-file"])
+        "p6-comment-after-maxval", "p6-comment-to-end-of-file", "commented-2x2"])
 def test_ppm_tokens_skip_comments_and_whitespace(tmp_path, data, expected):
     # A comment runs from "#" to the end of its line, but a "#" inside a
     # token belongs to the token; every ASCII whitespace byte separates.
