@@ -28,11 +28,17 @@ RefCO normalizes every branch before the sum, as the paper's training form
 does: each branch's stage output is multiplied by its BN scale and added
 to the stage's running sum, and the stage's BN shifts, summed once, are
 added at the end. That takes two passes over each branch's output, not
-three. Branch weights are never scaled or summed first, so RefCO stays an
-independent check of the weights that ``merge_refco`` folds into one
-SF-Conv. The merge is exact algebra over the set-up that the training form
-runs, so only float32 rounding separates the two forms, and
-``verify_equivalence`` measures it.
+three. Memory traffic, not arithmetic, sets the time of those passes, so
+each stage is computed in blocks along its stacked matmul axis (windows in
+stage 1, hidden channels in stage 2) of about 256 KiB of output, which
+every branch writes, scales and adds while the block stays in L2; the
+passes run under a small ufunc buffer, which numpy's per-channel broadcast
+passes take faster. A block makes the same BLAS products as the whole
+stage, so the bits do not depend on the blocks. Branch weights are never
+scaled or summed first, so RefCO stays an independent check of the
+weights that ``merge_refco`` folds into one SF-Conv. The merge is exact
+algebra over the set-up that the training form runs, so only float32
+rounding separates the two forms, and ``verify_equivalence`` measures it.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ops
 from .ops import BnParams, ShapeError, Tensor, _bn_scale_shift, as_f32
 
 __all__ = [
@@ -185,14 +192,15 @@ def _stage1(xw: np.ndarray, w1: np.ndarray, out=None) -> np.ndarray:
     return y.reshape(n, win, w1.shape[0], h, w).transpose(0, 2, 1, 3, 4)
 
 
-def _stage2(hidden: np.ndarray, w2: np.ndarray, spec: SFConvSpec, out=None) -> np.ndarray:
-    # Output channel o reads hidden channel o // width_multiplier at every window:
-    # (hid, m, win) @ (N, hid, win, H*W) -> (N, hid, m, H*W). ``out``, if
+def _stage2(hidden: np.ndarray, w2: np.ndarray, out=None) -> np.ndarray:
+    # Output channel o reads hidden channel o // m at every window, m =
+    # len(w2) // hid: (hid, m, win) @ (N, hid, win, H*W) -> (N, hid, m, H*W),
+    # viewed as (N, len(w2), H, W). ``hidden`` and ``w2`` may be a block of
+    # hidden channels and the rows of ``w2`` that read them. ``out``, if
     # given, is a (N, hid, m, H*W) buffer the products may be written into.
     n, hid, win, h, w = hidden.shape
-    w2r = w2.reshape(hid, spec.width_multiplier, win)
-    out = np.matmul(w2r, hidden.reshape(n, hid, win, h * w), out=out)
-    return out.reshape(n, spec.c_out, h, w)
+    y = np.matmul(w2.reshape(hid, -1, win), hidden.reshape(n, hid, win, h * w), out=out)
+    return y.reshape(n, len(w2), h, w)
 
 
 def sfconv_forward(x: Tensor, spec: SFConvSpec, w: SFConvWeights) -> Tensor:
@@ -207,13 +215,15 @@ def sfconv_forward(x: Tensor, spec: SFConvSpec, w: SFConvWeights) -> Tensor:
     if w.spec != spec:
         raise ShapeError("weights were built for a different SFConvSpec")
     xw = _split_windows(x, spec)
-    # Both stages return fresh matmul outputs, so the biases go in in place.
-    hidden = _stage1(xw, w.w1)
-    if w.bias1 is not None:
-        hidden += w.bias1[None, :, :, None, None]
-    out = _stage2(hidden, w.w2, spec)
-    if w.bias2 is not None:
-        out += w.bias2.reshape(1, -1, 1, 1)
+    # Both stages return fresh matmul outputs, so the biases go in in place,
+    # under the small ufunc buffer that per-channel adds take faster.
+    with ops._small_ufunc_buffer():
+        hidden = _stage1(xw, w.w1)
+        if w.bias1 is not None:
+            hidden += w.bias1[None, :, :, None, None]
+        out = _stage2(hidden, w.w2)
+        if w.bias2 is not None:
+            out += w.bias2.reshape(1, -1, 1, 1)
     return out
 
 
@@ -234,17 +244,18 @@ def _branch_rows(branches) -> tuple:
 def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
     """Both stages' branches, checked, as the ``(terms, shift)`` pairs that
     ``_refco`` runs and ``_merge_refco`` folds. ``terms`` holds per branch
-    its weight and its BN's scale, shaped to scale the stage's output along
-    its channel axis; ``shift`` is the stage's summed BN shift, the float32
-    sum of the branches' shifts from zeros in branch order, shaped the same.
+    its weight and its BN's scale, shaped to scale the stage's products as
+    ``_refco`` lays them out, (N, win, hid, H*W) and (N, hid, m, H*W);
+    ``shift`` is the stage's summed BN shift, the float32 sum of the
+    branches' shifts from zeros in branch order, shaped the same.
 
     A branch is ``(weight, gamma, beta, mean, var, eps)``. The branch counts
     are checked first. Then, stage 1 before stage 2, one ``_bn_scale_shift``
     call sets up the stage's BNs, and each branch's weight shape is checked.
     """
     w1, w2 = spec.weight_shapes()
-    stages = ((branches1, spec.windows, "C/K", w1, (1, -1, 1, 1, 1)),
-              (branches2, spec.kernel, "K", w2, (1, -1, 1, 1)))
+    stages = ((branches1, spec.windows, "C/K", w1, (1, 1, -1, 1)),
+              (branches2, spec.kernel, "K", w2, (1, spec.hidden_channels, -1, 1)))
     for i, (branches, count, law, _, _) in enumerate(stages, 1):
         if len(branches) != count:
             raise ShapeError(
@@ -284,33 +295,73 @@ def _refco(x, spec: SFConvSpec, stage1, stage2) -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError(f"refco_forward expects a rank-4 input, got rank {x.ndim}")
     xw = _split_windows(x, spec)
-    n, hw = x.shape[0], x.shape[2] * x.shape[3]
-    hid, win = spec.hidden_channels, spec.windows
-    hidden = _normalized_sum(lambda w, out: _stage1(xw, w, out), stage1, (n, win, hid, hw))
-    return _normalized_sum(lambda w, out: _stage2(hidden, w, spec, out), stage2,
-                           (n, hid, spec.width_multiplier, hw))
+    n, _, h, w = x.shape
+    hid, win, m = spec.hidden_channels, spec.windows, spec.width_multiplier
+    # Stage 1 in blocks p of windows, stage 2 in blocks p of hidden channels,
+    # which feed the output channels p.start*m to p.stop*m. Each stage's
+    # products are summed as the stacked matmul writes them, (N, win, hid,
+    # H*W) and (N, hid, m, H*W); the stages view them as (N, hid, win, H, W)
+    # and (N, c_out, H, W).
+    products1 = np.empty((n, win, hid, h * w), np.float32)
+
+    def windows(p):
+        xp = xw[:, p]
+        return lambda wt, buf: (
+            _stage1(xp, wt[:, p], buf).transpose(0, 2, 1, 3, 4).reshape(buf.shape))
+
+    _normalized_sum(stage1, products1, windows)
+    hidden = products1.reshape(n, win, hid, h, w).transpose(0, 2, 1, 3, 4)
+    products2 = np.empty((n, hid, m, h * w), np.float32)
+
+    def hidden_channels(p):
+        hp, c = hidden[:, p], slice(p.start * m, p.stop * m)
+        return lambda wt, buf: _stage2(hp, wt[c], buf).reshape(buf.shape)
+
+    _normalized_sum(stage2, products2, hidden_channels)
+    return products2.reshape(n, spec.c_out, h, w)
 
 
-def _normalized_sum(product, stage, scratch_shape) -> np.ndarray:
-    """The sum over ``stage``'s terms (w, s) of ``product(w, out) * s``, in
-    order, plus the stage's summed shift once. The first product is fresh
-    and becomes the running sum; the others go through one scratch buffer of
-    ``scratch_shape``, the layout ``product`` writes into. Each branch takes
-    two passes over its output and the stage one more, where adding each
-    branch's own shift would take a third pass per branch. Every step is in
-    place, so the bits are those of the same arithmetic out of place."""
+def _normalized_sum(stage, out, block) -> None:
+    """Write into ``out`` the sum over ``stage``'s terms (w, s) of w's
+    products times s, in order, plus the stage's summed shift once.
+
+    ``out`` is laid out as the stage's stacked matmul writes it, the stacked
+    axis second, and is computed in blocks along that axis: as many indices
+    as keep a block within ``ops._TILE_FLOATS`` floats, and one at least, so
+    that a block's sum and scratch stay in L2. ``block(p)`` gives, for the
+    slice ``p`` of that axis, the function ``product(w, buf)`` of w's
+    products there, laid out as ``buf`` and written into it where the stage
+    can. Scales and shifts that vary along the axis (stage 2's) are sliced
+    with the block; those that broadcast along it (stage 1's) are not.
+
+    In a block, the first product is written into ``out`` and scaled there;
+    each later one goes through one block-sized scratch buffer, is scaled
+    there and is added. The shift is added last. Each branch takes two
+    passes over its output and the stage one more, where adding each
+    branch's own shift would take a third pass per branch. A block makes the
+    BLAS calls that the whole stage makes, one per image and stacked index,
+    and every step is in place, so the bits are those of the same arithmetic
+    out of place over the whole stage. The scale and add passes run under
+    ``ops._small_ufunc_buffer``."""
     terms, shift = stage
-    total = None
-    scratch = np.empty(scratch_shape, np.float32) if len(terms) > 1 else None
-    for w, s in terms:
-        y = product(w, None if total is None else scratch)
-        y *= s
-        if total is None:
-            total = y
-        else:
-            total += y
-    total += shift
-    return total
+    size = out.shape[1]
+    step = max(1, ops._TILE_FLOATS // max(1, out[:, :1].size))
+    scratch = np.empty_like(out[:, :step])
+    along = shift.shape[1] > 1
+    with ops._small_ufunc_buffer():
+        for start in range(0, size, step):
+            p = slice(start, min(size, start + step))
+            sums, buf, product = out[:, p], scratch[:, :p.stop - start], block(p)
+            for k, (w, s) in enumerate(terms):
+                if along:
+                    s = s[:, p]
+                if k:
+                    y = product(w, buf)
+                    y *= s
+                    sums += y
+                else:
+                    np.multiply(product(w, sums), s, out=sums)
+            sums += shift[:, p] if along else shift
 
 
 def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:

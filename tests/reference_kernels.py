@@ -66,11 +66,10 @@ def sfconv_stage1_einsum(xw, w1, out=None):
     return np.einsum("hpt,nptij->nhpij", w1, xw, optimize=True)
 
 
-def sfconv_stage2_einsum(hidden, w2, spec, out=None):
-    n = hidden.shape[0]
-    w2r = w2.reshape(spec.hidden_channels, spec.width_multiplier, spec.windows)
-    y = np.einsum("hmp,nhpij->nhmij", w2r, hidden, optimize=True)
-    return y.reshape(n, spec.c_out, hidden.shape[3], hidden.shape[4])
+def sfconv_stage2_einsum(hidden, w2, out=None):
+    n, hid, win, h, w = hidden.shape
+    y = np.einsum("hmp,nhpij->nhmij", w2.reshape(hid, -1, win), hidden, optimize=True)
+    return y.reshape(n, len(w2), h, w)
 
 
 def linear_whole_batch(x, w, b):
@@ -145,7 +144,7 @@ def refco_per_branch(x, spec, branches1, branches2):
         return out + shift.reshape(axes)
 
     hidden = stage(branches1, lambda w: channel._stage1(xw, w), (1, -1, 1, 1, 1))
-    return stage(branches2, lambda w: channel._stage2(hidden, w, spec), (1, -1, 1, 1))
+    return stage(branches2, lambda w: channel._stage2(hidden, w), (1, -1, 1, 1))
 
 
 def receptive_range_loops(pattern):

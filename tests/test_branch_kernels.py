@@ -5,7 +5,9 @@ in place, walking all branches in one tiled pass. ``refco_forward``
 multiplies each branch's stage output by its BN scale and adds it into the
 running sum in place, then adds the stage's summed BN shift once. These
 tests pin both bitwise to the out-of-place per-branch composition in
-``reference_kernels`` and check that no array the caller owns is written.
+``reference_kernels``, RefCO also across its blocks, and check that no
+array the caller owns is written and that the caller's ufunc buffer size
+is restored.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from falconnet import (BnParams, ConvSpec, RepSOConfig, SFConvSpec, admissible_k
                        build_model, forward, fuse_model, init_weights, preset_config,
                        random_refco_branches, random_repso_weights, refco_forward,
                        repso_forward)
-from falconnet import ops
+from falconnet import channel, ops
 from falconnet.model import PRESET_NAMES
 from reference_kernels import refco_per_branch, repso_per_branch
 
@@ -163,6 +165,108 @@ def test_refco_empty_batch():
     got = refco_forward(x, spec, b1, b2)
     assert got.shape == (0, 16, 5, 5)
     assert got.tobytes() == refco_per_branch(x, spec, b1, b2).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(refco_cases(), st.integers(1, 64))
+def test_refco_bitwise_across_small_blocks(case, tile):
+    # A block of at most `tile` floats: most stages split into several
+    # blocks, the last one often partial.
+    spec, n, h, w, seed = case
+    x, b1, b2 = _refco_inputs(spec, n, h, w, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_TILE_FLOATS", tile)
+        got = refco_forward(x, spec, b1, b2)
+    assert got.tobytes() == refco_per_branch(x, spec, b1, b2).tobytes()
+
+
+# At 56x56 a stage-2 block of the first spec is one hidden channel of its
+# 8, and stage 1 of the second walks its 24 windows 5 at a time for one
+# image and one at a time for three.
+BLOCKED_SPECS = [SFConvSpec(32, 192, 16), SFConvSpec(192, 32, 8)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("spec", BLOCKED_SPECS)
+def test_refco_bitwise_across_blocks(spec, n):
+    x, b1, b2 = _refco_inputs(spec, n, 56, 56, 6)
+    assert refco_forward(x, spec, b1, b2).tobytes() == \
+        refco_per_branch(x, spec, b1, b2).tobytes()
+
+
+@pytest.mark.parametrize("spec", BLOCKED_SPECS)
+def test_refco_gives_each_image_its_bits_alone(spec):
+    # A batch of three takes other blocks than one image does, but the same
+    # BLAS product per image and stacked index.
+    x, b1, b2 = _refco_inputs(spec, 3, 56, 56, 5)
+    y = refco_forward(x, spec, b1, b2)
+    for r in range(3):
+        assert y[r].tobytes() == refco_forward(x[r:r + 1], spec, b1, b2)[0].tobytes()
+
+
+def test_refco_blocks_walk_the_stacked_axis(monkeypatch):
+    # One 2x2 image: a window's stage-1 products are 3 hidden channels x 4
+    # pixels, 12 floats, and a hidden channel's stage-2 products 4 outputs x
+    # 4 pixels, 16. Blocks of 40 floats take windows 3 and 1 at a time for
+    # each of the 4 stage-1 branches, and hidden channels 2 and 1 for each
+    # of the 6 stage-2 branches.
+    spec = SFConvSpec(24, 12, 6, 2)
+    x, b1, b2 = _refco_inputs(spec, 1, 2, 2, 3)
+    ref = refco_per_branch(x, spec, b1, b2)
+    sizes = {"_stage1": [], "_stage2": []}
+    for name in sizes:
+        def record(a, w, out=None, name=name, stage=getattr(channel, name)):
+            sizes[name].append(a.shape[1])
+            return stage(a, w, out)
+        monkeypatch.setattr(channel, name, record)
+    monkeypatch.setattr(ops, "_TILE_FLOATS", 40)
+    assert refco_forward(x, spec, b1, b2).tobytes() == ref.tobytes()
+    assert sizes == {"_stage1": [3] * 4 + [1] * 4, "_stage2": [2] * 6 + [1] * 6}
+
+
+@pytest.fixture
+def caller_bufsize():
+    """A ufunc buffer size of the caller's own, restored after the test."""
+    old = np.setbufsize(4096)
+    try:
+        yield 4096
+    finally:
+        np.setbufsize(old)
+
+
+def test_refco_restores_the_callers_ufunc_buffer(caller_bufsize, monkeypatch):
+    spec = SFConvSpec(24, 12, 6, 2)
+    x, b1, b2 = _refco_inputs(spec, 2, 3, 3, 2)
+    monkeypatch.setattr(ops, "_TILE_FLOATS", 40)
+    refco_forward(x, spec, b1, b2)
+    assert np.getbufsize() == caller_bufsize
+    calls = []
+    stage2 = channel._stage2
+
+    def fail_third(*args):
+        calls.append(np.getbufsize())
+        if len(calls) == 3:
+            raise RuntimeError("stage 2 failed")
+        return stage2(*args)
+
+    monkeypatch.setattr(channel, "_stage2", fail_third)
+    with pytest.raises(RuntimeError, match="stage 2 failed"):
+        refco_forward(x, spec, b1, b2)
+    assert calls == [ops._UFUNC_BUFSIZE] * 3
+    assert np.getbufsize() == caller_bufsize
+
+
+def test_batched_forward_restores_the_callers_ufunc_buffer(caller_bufsize, monkeypatch):
+    # One BLAS thread: forward runs the images on threads of its own where
+    # there are two CPUs or more. Both forms: RefCO and RepSO in the train
+    # form, SF-Conv and the grouped stem conv in the fused one.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    graph = build_model(replace(preset_config("falconnet"), input_resolution=32))
+    store = init_weights(graph, seed=1)
+    x = np.random.default_rng(3).standard_normal((3, 3, 32, 32)).astype(np.float32)
+    for g, s in ((graph, store), fuse_model(graph, store)):
+        forward(g, s, x)
+        assert np.getbufsize() == caller_bufsize
 
 
 def _digests(arrays):

@@ -376,7 +376,7 @@ def _branch_output(x, spec, branches1, stage2_branch):
         s, t = br.bn.scale_shift()
         y = y * s[None, :, None, None, None] + t[None, :, None, None, None]
         hidden = y if hidden is None else hidden + y
-    return batch_norm_infer(_stage2(hidden, stage2_branch.weight, spec), stage2_branch.bn)
+    return batch_norm_infer(_stage2(hidden, stage2_branch.weight), stage2_branch.bn)
 
 
 def test_weight_shapes_are_the_layout_everywhere():
