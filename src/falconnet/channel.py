@@ -25,20 +25,22 @@ summation order inside a product is the BLAS library's, so outputs are
 held to a stated bound against float64 rather than to fixed bits.
 
 RefCO normalizes every branch before the sum, as the paper's training form
-does: each branch's stage output is multiplied by its BN scale and added
-to the stage's running sum, and the stage's BN shifts, summed once, are
-added at the end. That takes two passes over each branch's output, not
-three. Memory traffic, not arithmetic, sets the time of those passes, so
-each stage is computed in blocks along its stacked matmul axis (windows in
-stage 1, hidden channels in stage 2) of about 256 KiB of output, which
-every branch writes, scales and adds while the block stays in L2; the
-passes run under a small ufunc buffer, which numpy's per-channel broadcast
-passes take faster. A block makes the same BLAS products as the whole
-stage, so the bits do not depend on the blocks. Branch weights are never
-scaled or summed first, so RefCO stays an independent check of the
-weights that ``merge_refco`` folds into one SF-Conv. The merge is exact
-algebra over the set-up that the training form runs, so only float32
-rounding separates the two forms, and ``verify_equivalence`` measures it.
+does: per stage, each branch's output is multiplied by its BN scale, the
+products are summed in branch order, and the stage's BN shifts, summed once,
+are added at the end. Memory traffic, not arithmetic, sets the time of that
+sum, so each stage is computed in blocks along its stacked matmul axis
+(windows in stage 1, hidden channels in stage 2) that keep every branch's
+products in L2: per block, one ``np.matmul`` of the branch weights, stacked
+for the call, writes all branches' products, and one ``np.einsum`` scales
+and sums them into the output in a single pass. The branch axis is a batch
+axis of the matmul, so a block makes the same BLAS products as one branch
+at a time, and einsum rounds each product before it adds it, in branch
+order, so the bits depend neither on the blocks nor on the stacking. Branch
+weights are never scaled or summed first, so RefCO stays an independent
+check of the weights that ``merge_refco`` folds into one SF-Conv. The merge
+is exact algebra over the set-up that the training form runs, so only
+float32 rounding separates the two forms, and ``verify_equivalence``
+measures it.
 """
 
 from __future__ import annotations
@@ -117,8 +119,11 @@ class SFConvSpec:
 
 
 def admissible_kernel_sizes(c_in: int, c_out: int, reduction: int) -> list[int]:
-    return [k for k in range(1, c_in + 1)
-            if c_in % k == 0 and k % reduction == 0 and c_out % (k // reduction) == 0]
+    """The divisors K of c_in, found in O(sqrt(c_in)) and ascending, that
+    the reduction divides and whose K/reduction divides c_out."""
+    low = [k for k in range(1, math.isqrt(max(c_in, 0)) + 1) if c_in % k == 0]
+    divisors = low + [c_in // k for k in reversed(low) if k * k != c_in]
+    return [k for k in divisors if k % reduction == 0 and c_out % (k // reduction) == 0]
 
 
 def choose_kernel_size(c_in: int, c_out: int, reduction: int = SFConvSpec.reduction) -> int:
@@ -184,23 +189,27 @@ def _split_windows(x: np.ndarray, spec: SFConvSpec) -> np.ndarray:
 
 
 def _stage1(xw: np.ndarray, w1: np.ndarray, out=None) -> np.ndarray:
-    # (win, hid, K) @ (N, win, K, H*W) -> (N, win, hid, H*W), one BLAS product
-    # per image and window, viewed as (N, hid, win, H, W). ``out``, if given,
-    # is a (N, win, hid, H*W) buffer the products may be written into.
+    # (..., win, hid, K) @ (N, win, K, H*W) -> (..., N, win, hid, H*W), one BLAS
+    # product per image and window (and branch, if w1 has a leading branch
+    # axis), viewed as (..., N, hid, win, H, W). ``out``, if given, is a
+    # (..., N, win, hid, H*W) buffer the products may be written into.
     n, win, k, h, w = xw.shape
-    y = np.matmul(w1.transpose(1, 0, 2), xw.reshape(n, win, k, h * w), out=out)
-    return y.reshape(n, win, w1.shape[0], h, w).transpose(0, 2, 1, 3, 4)
+    y = np.matmul(w1.swapaxes(-3, -2)[..., None, :, :, :], xw.reshape(n, win, k, h * w), out=out)
+    return y.reshape(*y.shape[:-1], h, w).swapaxes(-4, -3)
 
 
 def _stage2(hidden: np.ndarray, w2: np.ndarray, out=None) -> np.ndarray:
     # Output channel o reads hidden channel o // m at every window, m =
-    # len(w2) // hid: (hid, m, win) @ (N, hid, win, H*W) -> (N, hid, m, H*W),
-    # viewed as (N, len(w2), H, W). ``hidden`` and ``w2`` may be a block of
-    # hidden channels and the rows of ``w2`` that read them. ``out``, if
-    # given, is a (N, hid, m, H*W) buffer the products may be written into.
+    # w2.shape[-2] // hid: (..., hid, m, win) @ (N, hid, win, H*W) -> (..., N,
+    # hid, m, H*W), viewed as (..., N, c_out, H, W), with w2's leading branch
+    # axis if it has one. ``hidden`` and ``w2`` may be a block of hidden
+    # channels and the rows of ``w2`` that read them. ``out``, if given, is a
+    # (..., N, hid, m, H*W) buffer the products may be written into.
     n, hid, win, h, w = hidden.shape
-    y = np.matmul(w2.reshape(hid, -1, win), hidden.reshape(n, hid, win, h * w), out=out)
-    return y.reshape(n, len(w2), h, w)
+    lead = w2.shape[:-2]
+    y = np.matmul(w2.reshape(*lead, 1, hid, -1, win), hidden.reshape(n, hid, win, h * w),
+                  out=out)
+    return y.reshape(*lead, n, w2.shape[-2], h, w)
 
 
 def sfconv_forward(x: Tensor, spec: SFConvSpec, w: SFConvWeights) -> Tensor:
@@ -241,37 +250,43 @@ def _branch_rows(branches) -> tuple:
                  for br in branches)
 
 
-def _refco_terms(spec: SFConvSpec, branches1, branches2) -> tuple:
-    """Both stages' branches, checked, as the ``(terms, shift)`` pairs that
-    ``_refco`` runs and ``_merge_refco`` folds. ``terms`` holds per branch
-    its weight and its BN's scale, shaped to scale the stage's products as
-    ``_refco`` lays them out, (N, win, hid, H*W) and (N, hid, m, H*W);
-    ``shift`` is the stage's summed BN shift, the float32 sum of the
-    branches' shifts from zeros in branch order, shaped the same.
+def _refco_terms(spec: SFConvSpec, branches1, branches2, prefix=None) -> tuple:
+    """Both stages' branches, checked, as the ``(weights, scales, shift)``
+    triples that ``_refco`` runs and ``_merge_refco`` folds. ``weights``
+    holds each branch's weight; ``scales`` stacks their BN scales, shaped
+    (B1, hid) in stage 1 and (B2, hid, m) in stage 2; ``shift`` is the
+    stage's summed BN shift, the float32 sum of the branches' shifts from
+    zeros in branch order, shaped to add to the stage's products as
+    ``_refco`` lays them out, (N, win, hid, H*W) and (N, hid, m, H*W).
 
     A branch is ``(weight, gamma, beta, mean, var, eps)``. The branch counts
     are checked first. Then, stage 1 before stage 2, one ``_bn_scale_shift``
     call sets up the stage's BNs, and each branch's weight shape is checked.
+    ``prefix``, if given, maps a branch's index, stage 1's then stage 2's, to
+    the key prefix that the message of a failed BN value check leads with.
     """
     w1, w2 = spec.weight_shapes()
-    stages = ((branches1, spec.windows, "C/K", w1, (1, 1, -1, 1)),
-              (branches2, spec.kernel, "K", w2, (1, spec.hidden_channels, -1, 1)))
-    for i, (branches, count, law, _, _) in enumerate(stages, 1):
+    hid = spec.hidden_channels
+    stages = ((branches1, spec.windows, "C/K", w1, (-1,), (1, 1, -1, 1)),
+              (branches2, spec.kernel, "K", w2, (hid, -1), (1, hid, -1, 1)))
+    for i, (branches, count, law, *_) in enumerate(stages, 1):
         if len(branches) != count:
             raise ShapeError(
                 f"stage {i} needs exactly {count} branches ({law}), got {len(branches)}")
     terms = []
-    for i, (branches, _, _, shape, axes) in enumerate(stages, 1):
+    for i, (branches, _, _, shape, scale_axes, shift_axes) in enumerate(stages, 1):
+        first = 0 if i == 1 else len(branches1)
+        key = None if prefix is None else lambda j, first=first: prefix(first + j)
         s, t = _bn_scale_shift([br[1:] for br in branches], shape[0], f"stage-{i} branch {{}} "
-                               "normalization over {} channels, expected {}")
+                               "normalization over {} channels, expected {}", key)
         for j, br in enumerate(branches):
             if br[0].shape != shape:
                 raise ShapeError(f"stage-{i} branch {j} weight shape {br[0].shape}")
         shift = np.zeros(shape[0], np.float32)
         for tb in t:
             shift += tb
-        terms.append((tuple(zip((as_f32(br[0]) for br in branches), s.reshape(len(s), *axes))),
-                      shift.reshape(axes)))
+        terms.append((tuple(as_f32(br[0]) for br in branches),
+                      s.reshape(len(s), *scale_axes), shift.reshape(shift_axes)))
     return tuple(terms)
 
 
@@ -281,8 +296,8 @@ def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
 
     Stage-1 normalization runs over the K/R hidden channels (shared across
     window positions); stage-2 normalization runs over c_out. Per stage,
-    each branch's output is multiplied by its BN scale and added to the
-    running sum in branch order; the stage's BN shifts, summed once in
+    each branch's output is multiplied by its BN scale and the products are
+    summed in branch order from zeros; the stage's BN shifts, summed once in
     branch order, are added last. This is the same float32 arithmetic as
     the forward of a RefCO node.
     """
@@ -290,78 +305,45 @@ def refco_forward(x: Tensor, spec: SFConvSpec, branches1, branches2) -> Tensor:
 
 
 def _refco(x, spec: SFConvSpec, stage1, stage2) -> np.ndarray:
-    """RefCO of ``x`` given its branches as ``_refco_terms``."""
+    """RefCO of ``x`` given its branches as ``_refco_terms``. Each stage's
+    output is laid out as its stacked matmul writes it, (N, win, hid, H*W)
+    and (N, hid, m, H*W), and walked in ``_blocks`` of its stacked axis;
+    stage-2 block p feeds the output channels p.start*m to p.stop*m."""
     x = as_f32(x)
     if x.ndim != 4:
         raise ShapeError(f"refco_forward expects a rank-4 input, got rank {x.ndim}")
     xw = _split_windows(x, spec)
     n, _, h, w = x.shape
     hid, win, m = spec.hidden_channels, spec.windows, spec.width_multiplier
-    # Stage 1 in blocks p of windows, stage 2 in blocks p of hidden channels,
-    # which feed the output channels p.start*m to p.stop*m. Each stage's
-    # products are summed as the stacked matmul writes them, (N, win, hid,
-    # H*W) and (N, hid, m, H*W); the stages view them as (N, hid, win, H, W)
-    # and (N, c_out, H, W).
-    products1 = np.empty((n, win, hid, h * w), np.float32)
-
-    def windows(p):
-        xp = xw[:, p]
-        return lambda wt, buf: (
-            _stage1(xp, wt[:, p], buf).transpose(0, 2, 1, 3, 4).reshape(buf.shape))
-
-    _normalized_sum(stage1, products1, windows)
-    hidden = products1.reshape(n, win, hid, h, w).transpose(0, 2, 1, 3, 4)
-    products2 = np.empty((n, hid, m, h * w), np.float32)
-
-    def hidden_channels(p):
-        hp, c = hidden[:, p], slice(p.start * m, p.stop * m)
-        return lambda wt, buf: _stage2(hp, wt[c], buf).reshape(buf.shape)
-
-    _normalized_sum(stage2, products2, hidden_channels)
-    return products2.reshape(n, spec.c_out, h, w)
-
-
-def _normalized_sum(stage, out, block) -> None:
-    """Write into ``out`` the sum over ``stage``'s terms (w, s) of w's
-    products times s, in order, plus the stage's summed shift once.
-
-    ``out`` is laid out as the stage's stacked matmul writes it, the stacked
-    axis second, and is computed in blocks along that axis: as many indices
-    as keep a block within ``ops._TILE_FLOATS`` floats, and one at least, so
-    that a block's sum and scratch stay in L2. ``block(p)`` gives, for the
-    slice ``p`` of that axis, the function ``product(w, buf)`` of w's
-    products there, laid out as ``buf`` and written into it where the stage
-    can. Scales and shifts that vary along the axis (stage 2's) are sliced
-    with the block; those that broadcast along it (stage 1's) are not.
-
-    In a block, the first product is written into ``out`` and scaled there;
-    each later one goes through one block-sized scratch buffer, is scaled
-    there and is added. The shift is added last. Each branch takes two
-    passes over its output and the stage one more, where adding each
-    branch's own shift would take a third pass per branch. A block makes the
-    BLAS calls that the whole stage makes, one per image and stacked index,
-    and every step is in place, so the bits are those of the same arithmetic
-    out of place over the whole stage. The scale and add passes run under
-    ``ops._small_ufunc_buffer``."""
-    terms, shift = stage
-    size = out.shape[1]
-    step = max(1, ops._TILE_FLOATS // max(1, out[:, :1].size))
-    scratch = np.empty_like(out[:, :step])
-    along = shift.shape[1] > 1
+    (w1, s1, t1), (w2, s2, t2) = stage1, stage2
+    # Stacked per call, as a plan would hold a second copy of them. Whole, so
+    # each branch's matrices keep their strides and each sgemm its operands.
+    w1, w2 = np.stack(w1), np.stack(w2)
+    out1 = np.empty((n, win, hid, h * w), np.float32)
+    out2 = np.empty((n, hid, m, h * w), np.float32)
     with ops._small_ufunc_buffer():
-        for start in range(0, size, step):
-            p = slice(start, min(size, start + step))
-            sums, buf, product = out[:, p], scratch[:, :p.stop - start], block(p)
-            for k, (w, s) in enumerate(terms):
-                if along:
-                    s = s[:, p]
-                if k:
-                    y = product(w, buf)
-                    y *= s
-                    sums += y
-                else:
-                    np.multiply(product(w, sums), s, out=sums)
-            sums += shift[:, p] if along else shift
+        for p, block, buf in _blocks(out1, len(w1)):
+            y = _stage1(xw[:, p], w1[:, :, p], buf).swapaxes(-4, -3).reshape(buf.shape)
+            np.einsum("bnphq,bh->nphq", y, s1, out=block)
+            block += t1
+        hidden = out1.reshape(n, win, hid, h, w).transpose(0, 2, 1, 3, 4)
+        for p, block, buf in _blocks(out2, len(w2)):
+            y = _stage2(hidden[:, p], w2[:, p.start * m:p.stop * m], buf).reshape(buf.shape)
+            np.einsum("bnpmq,bpm->npmq", y, s2[:, p], out=block)
+            block += t2[:, p]
+    return out2.reshape(n, spec.c_out, h, w)
+
+
+def _blocks(out: np.ndarray, branches: int):
+    """The slices ``p`` of ``out``'s second axis, in order, each with its
+    block ``out[:, p]`` and a (branches, *out[:, p].shape) scratch buffer of
+    at most ``ops._TILE_FLOATS`` floats, or of one index."""
+    size = out.shape[1]
+    step = max(1, ops._TILE_FLOATS // max(1, branches * out[:, :1].size))
+    scratch = np.empty((branches, *out[:, :step].shape), np.float32)
+    for start in range(0, size, step):
+        p = slice(start, min(size, start + step))
+        yield p, out[:, p], scratch[:, :, :p.stop - start]
 
 
 def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
@@ -378,15 +360,15 @@ def merge_refco(spec: SFConvSpec, branches1, branches2) -> SFConvWeights:
 
 def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
     """``merge_refco`` of the stages as ``_refco_terms`` gives them."""
-    (terms1, shift1), (terms2, shift2) = stages
+    (ws1, s1, shift1), (ws2, s2, shift2) = stages
     shape1, shape2 = spec.weight_shapes()
     w1 = np.zeros(shape1, dtype=np.float32)
-    for w, s in terms1:
+    for w, s in zip(ws1, s1):
         w1 += w * s.reshape(-1, 1, 1)
     b1 = np.repeat(shift1.reshape(-1, 1), spec.windows, axis=1)
 
     w2 = np.zeros(shape2, dtype=np.float32)
-    for w, s in terms2:
+    for w, s in zip(ws2, s2):
         w2 += w * s.reshape(-1, 1)
     return SFConvWeights(spec, w1, w2, b1, shift2.reshape(-1))
 

@@ -23,6 +23,7 @@ import weakref
 from concurrent import futures
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
@@ -316,6 +317,12 @@ def _bn_entries(prefix: str, channels: int):
         yield ParamEntry(f"{prefix}.{part}", (channels,), role)
 
 
+def _bn_prefix(node, i: int) -> str:
+    """The key prefix of ``node``'s ``i``-th BN in entry order, which its
+    set-up errors lead with; found only then, as it walks every entry."""
+    return [e.key.removesuffix(".gamma") for e in node.entries() if e.role == "bn_gamma"][i]
+
+
 @dataclass(frozen=True)
 class _Leaf:
     """A weightless leaf that keeps its input's shape."""
@@ -375,7 +382,10 @@ class BnNode(_Leaf):
         return _bn_entries(self.name, self.channels)
 
     def params(self, w) -> BnParams:
-        return BnParams(*w, self.eps)
+        try:
+            return BnParams(*w, self.eps)
+        except ValueError as e:  # `w` has its entries' shapes, so a value check failed
+            raise ValueError(f"{self.name}.{e}") from None
 
     def bind(self, w, owned):
         s, t = self.params(w).scale_shift()
@@ -454,7 +464,7 @@ class RepSONode(_Leaf):
         if self.cfg.include_identity:
             w.insert(len(w) - 4, None)
         return _repso_terms([(*w[j:j + 5], BnParams.eps) for j in range(0, len(w), 5)],
-                            self.cfg)
+                            self.cfg, partial(_bn_prefix, self))
 
     def bind(self, w, owned):
         terms = self._terms(w)
@@ -528,7 +538,8 @@ class RefCONode(_Leaf):
         """Both stages, checked, as ``_refco`` runs them; each branch is a
         weight and its four BN arrays."""
         b = [(*w[j:j + 5], BnParams.eps) for j in range(0, len(w), 5)]
-        return _refco_terms(self.spec, b[:self.spec.windows], b[self.spec.windows:])
+        return _refco_terms(self.spec, b[:self.spec.windows], b[self.spec.windows:],
+                            partial(_bn_prefix, self))
 
     def bind(self, w, owned):
         terms = self._terms(w)

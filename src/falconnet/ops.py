@@ -191,11 +191,13 @@ class BnParams:
 _BN_STATS = ("gamma", "beta", "mean", "var")
 
 
-def _bn_scale_shift(rows, channels: int, misfit: str = "") -> tuple[np.ndarray, np.ndarray]:
+def _bn_scale_shift(rows, channels: int, misfit: str = "", prefix=None) -> tuple[np.ndarray, np.ndarray]:
     """The float32 (B, C) scale s = gamma / sqrt(var + eps) and shift t = beta - mean * s
     of B BNs of ``channels`` channels, each a row (gamma, beta, mean, var, eps).
     Checked in turn, each at its first failure in row-major order: the lengths, the
-    widths (worded by ``misfit``), var + eps > 0, finite statistics, finite s and t."""
+    widths (worded by ``misfit``), var + eps > 0, finite statistics, finite s and t.
+    ``prefix``, if given, maps a row's index to its key prefix, which then leads the
+    message of a failed value check: ``{prefix}.mean must be finite``."""
     stats = [[as_f32(a).reshape(-1) for a in row[:4]] for row in rows]
     for i, row in enumerate(stats):
         c = len(row[0])
@@ -206,21 +208,23 @@ def _bn_scale_shift(rows, channels: int, misfit: str = "") -> tuple[np.ndarray, 
             raise ShapeError(misfit.format(i, c, channels))
     stats = np.array(stats, np.float32)  # (B, 4, C)
     denom = stats[:, 3] + np.array([row[4] for row in rows], np.float32)[:, None]
-    _check_bn(denom > 0, "var + eps must be positive")  # `not > 0` rejects a NaN var too
-    _check_bn(np.isfinite(stats), "{} must be finite")
+    _check_bn(denom > 0, "var + eps must be positive", prefix)  # `not > 0` rejects a NaN var too
+    _check_bn(np.isfinite(stats), "{} must be finite", prefix)
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below reject overflow
         s = np.divide(stats[:, 0], np.sqrt(denom, out=denom), out=denom)  # no third (B, C)
         t = stats[:, 1] - stats[:, 2] * s
-    _check_bn(np.isfinite(s), "scale must be finite")
-    _check_bn(np.isfinite(t), "shift must be finite")
+    _check_bn(np.isfinite(s), "scale must be finite", prefix)
+    _check_bn(np.isfinite(t), "shift must be finite", prefix)
     return s, t
 
 
-def _check_bn(ok: np.ndarray, what: str) -> None:
-    """Raise ``what`` (naming the statistic if ``ok`` is (B, 4, C)) at ``ok``'s first False."""
+def _check_bn(ok: np.ndarray, what: str, prefix=None) -> None:
+    """Raise ``what`` (naming the statistic if ``ok`` is (B, 4, C), after the
+    row's ``prefix`` if given) at ``ok``'s first False."""
     if not ok.all():
         bad = np.argwhere(~ok)[0]
         what = what.format(_BN_STATS[bad[1]]) if ok.ndim == 3 else what
+        what = what if prefix is None else f"{prefix(bad[0])}.{what}"
         raise ValueError(f"{what}, violated at channel {bad[-1]}")
 
 

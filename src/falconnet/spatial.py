@@ -125,14 +125,15 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     return _repso(x, cfg, _repso_terms(_repso_rows(w, cfg), cfg))
 
 
-def _repso_terms(branches, cfg: RepSOConfig) -> list:
+def _repso_terms(branches, cfg: RepSOConfig, prefix=None) -> list:
     """The branches, each ``(kernel, gamma, beta, mean, var, eps)`` and of
     the kinds ``cfg`` lists, checked, as the ``_branch_sum`` terms that
     ``_repso`` runs and ``_merge_repso`` folds: per branch its
     ``_grid_window``, kernel and BN scale and shift. One ``_bn_scale_shift``
-    call sets up every branch's BN; then each kernel's shape is checked."""
+    call sets up every branch's BN, naming a failing one by the key
+    ``prefix`` of its index if given; then each kernel's shape is checked."""
     s, t = _bn_scale_shift([br[1:] for br in branches], cfg.channels,
-                           "branch {} normalization has {} channels, expected {}")
+                           "branch {} normalization has {} channels, expected {}", prefix)
     terms = []
     for i, (kind, (kernel, *_)) in enumerate(zip(cfg.branch_kinds(), branches)):
         expect = branch_kernel_shape(kind, cfg.channels)

@@ -2,11 +2,12 @@
 
 ``conv2d_per_tap`` sums one product per kernel tap in (i, j) order into a
 zero accumulator; ``sfconv_stage1_einsum``/``sfconv_stage2_einsum`` contract
-the SF-Conv stages with ``einsum``; ``linear_whole_batch`` is one matrix
-product over the batch. Tests swap them into the model executor to check
-the library's logits against this arithmetic. The stage references take the
-library stages' optional ``out`` buffer and leave it unused: a stage returns
-its result, which need not live in ``out``.
+the SF-Conv stages with ``einsum``, with the library stages' optional
+leading branch axis; ``linear_whole_batch`` is one matrix product over the
+batch. Tests swap them into the model executor to check the library's
+logits against this arithmetic. The stage references take the library
+stages' optional ``out`` buffer and leave it unused: a stage returns its
+result, which need not live in ``out``.
 
 ``repso_per_branch`` and ``refco_per_branch`` are the training-form
 operators composed branch by branch, out of place. ``repso_per_branch``
@@ -63,13 +64,15 @@ def conv2d_per_tap(x, w, b, spec):
 
 
 def sfconv_stage1_einsum(xw, w1, out=None):
-    return np.einsum("hpt,nptij->nhpij", w1, xw, optimize=True)
+    return np.einsum("...hpt,nptij->...nhpij", w1, xw, optimize=True)
 
 
 def sfconv_stage2_einsum(hidden, w2, out=None):
     n, hid, win, h, w = hidden.shape
-    y = np.einsum("hmp,nhpij->nhmij", w2.reshape(hid, -1, win), hidden, optimize=True)
-    return y.reshape(n, len(w2), h, w)
+    lead = w2.shape[:-2]
+    y = np.einsum("...hmp,nhpij->...nhmij", w2.reshape(*lead, hid, -1, win), hidden,
+                  optimize=True)
+    return y.reshape(*lead, n, w2.shape[-2], h, w)
 
 
 def linear_whole_batch(x, w, b):

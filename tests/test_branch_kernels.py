@@ -1,13 +1,13 @@
 """Training-form RepSO and RefCO kernels: bits and purity.
 
 ``repso_forward`` normalizes each branch and adds it into the running sum
-in place, walking all branches in one tiled pass. ``refco_forward``
-multiplies each branch's stage output by its BN scale and adds it into the
-running sum in place, then adds the stage's summed BN shift once. These
-tests pin both bitwise to the out-of-place per-branch composition in
-``reference_kernels``, RefCO also across its blocks, and check that no
-array the caller owns is written and that the caller's ufunc buffer size
-is restored.
+in place, walking all branches in one tiled pass. ``refco_forward`` writes
+all branches' stage products in one stacked matmul per block and sums them,
+each times its BN scale, in one einsum, then adds the stage's summed BN
+shift once. These tests pin both bitwise to the out-of-place per-branch
+composition in ``reference_kernels``, RefCO also across its blocks, and
+check that no array the caller owns is written and that the caller's ufunc
+buffer size is restored.
 """
 
 import hashlib
@@ -194,6 +194,21 @@ def test_refco_bitwise_across_blocks(spec, n):
         refco_per_branch(x, spec, b1, b2).tobytes()
 
 
+@pytest.mark.parametrize("spec", [SFConvSpec(8, 16, 4, 2), *BLOCKED_SPECS])
+def test_refco_signed_zero_sums(spec):
+    # A zero input and gamma -1 give each branch scaled products of either
+    # sign of zero. RefCO sums them from +0.0, where the per-branch sum
+    # starts at the first branch's product; the summed shift, beta - mean *
+    # s = +0.0, makes both sums +0.0.
+    rng = np.random.default_rng(4)
+    b1, b2 = random_refco_branches(spec, rng, gamma_range=(-1, -1), beta_range=(0, 0),
+                                   mean_range=(0, 0))
+    x = np.zeros((2, spec.c_in, 7, 7), np.float32)
+    got = refco_forward(x, spec, b1, b2)
+    assert got.tobytes() == refco_per_branch(x, spec, b1, b2).tobytes()
+    assert not np.signbit(got).any()
+
+
 @pytest.mark.parametrize("spec", BLOCKED_SPECS)
 def test_refco_gives_each_image_its_bits_alone(spec):
     # A batch of three takes other blocks than one image does, but the same
@@ -205,23 +220,23 @@ def test_refco_gives_each_image_its_bits_alone(spec):
 
 
 def test_refco_blocks_walk_the_stacked_axis(monkeypatch):
-    # One 2x2 image: a window's stage-1 products are 3 hidden channels x 4
-    # pixels, 12 floats, and a hidden channel's stage-2 products 4 outputs x
-    # 4 pixels, 16. Blocks of 40 floats take windows 3 and 1 at a time for
-    # each of the 4 stage-1 branches, and hidden channels 2 and 1 for each
-    # of the 6 stage-2 branches.
-    spec = SFConvSpec(24, 12, 6, 2)
+    # One 2x2 image: a window's stage-1 products are 5 branches x 3 hidden
+    # channels x 4 pixels, 60 floats, and a hidden channel's stage-2 products
+    # 6 branches x 4 outputs x 4 pixels, 96. Blocks of 200 floats take the 5
+    # windows 3 and 2 at a time and the 3 hidden channels 2 and 1 at a time,
+    # one stage call per block for all branches at once.
+    spec = SFConvSpec(30, 12, 6, 2)
     x, b1, b2 = _refco_inputs(spec, 1, 2, 2, 3)
     ref = refco_per_branch(x, spec, b1, b2)
     sizes = {"_stage1": [], "_stage2": []}
     for name in sizes:
         def record(a, w, out=None, name=name, stage=getattr(channel, name)):
-            sizes[name].append(a.shape[1])
+            sizes[name].append((len(w), a.shape[1]))
             return stage(a, w, out)
         monkeypatch.setattr(channel, name, record)
-    monkeypatch.setattr(ops, "_TILE_FLOATS", 40)
+    monkeypatch.setattr(ops, "_TILE_FLOATS", 200)
     assert refco_forward(x, spec, b1, b2).tobytes() == ref.tobytes()
-    assert sizes == {"_stage1": [3] * 4 + [1] * 4, "_stage2": [2] * 6 + [1] * 6}
+    assert sizes == {"_stage1": [(5, 3), (5, 2)], "_stage2": [(6, 2), (6, 1)]}
 
 
 @pytest.fixture
@@ -243,16 +258,18 @@ def test_refco_restores_the_callers_ufunc_buffer(caller_bufsize, monkeypatch):
     calls = []
     stage2 = channel._stage2
 
-    def fail_third(*args):
+    def fail_second(*args):
+        # Stage 2 takes one call per hidden channel, 3 here; the second is
+        # neither the first nor the last block.
         calls.append(np.getbufsize())
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise RuntimeError("stage 2 failed")
         return stage2(*args)
 
-    monkeypatch.setattr(channel, "_stage2", fail_third)
+    monkeypatch.setattr(channel, "_stage2", fail_second)
     with pytest.raises(RuntimeError, match="stage 2 failed"):
         refco_forward(x, spec, b1, b2)
-    assert calls == [ops._UFUNC_BUFSIZE] * 3
+    assert calls == [ops._UFUNC_BUFSIZE] * 2
     assert np.getbufsize() == caller_bufsize
 
 

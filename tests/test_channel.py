@@ -1,13 +1,17 @@
 """Factorized pointwise convolution and receptive-range tests."""
 
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from falconnet import (BnParams, ChannelPattern, RefCOBranch, SFConvSpec, SFConvWeights,
-                       ShapeError, admissible_kernel_sizes, choose_kernel_size,
-                       random_refco_branches, receptive_range, refco_forward,
+                       ShapeError, admissible_kernel_sizes, choose_kernel_size, preset_config,
+                       random_refco_branches, receptive_range, refco_forward, save_config,
                        sfconv_forward, sfconv_param_count)
 from falconnet.model import RefCONode
 from reference_kernels import receptive_range_loops
@@ -39,6 +43,30 @@ class TestKernelSizeChoice:
     def test_no_admissible_size(self):
         with pytest.raises(ValueError, match="no admissible"):
             choose_kernel_size(3, 6, 2)
+
+    @pytest.mark.parametrize("reduction", range(1, 9))
+    def test_sizes_equal_the_linear_scan(self, reduction):
+        # Each candidate K from 1 to c_in in turn, as the sizes were first found.
+        for c_in in range(1, 257):
+            divisors = [k for k in range(1, c_in + 1) if c_in % k == 0]
+            for c_out in range(1, 257):
+                assert admissible_kernel_sizes(c_in, c_out, reduction) == [
+                    k for k in divisors if k % reduction == 0 and c_out % (k // reduction) == 0]
+
+    def test_summarize_at_a_huge_stem_width(self, tmp_path):
+        # A linear scan of the window lengths took 15 s at 2**20 channels, and
+        # would take hours at 2**30.
+        widths = tuple(2**30 << i for i in range(4))
+        cfg_path = tmp_path / "wide.json"
+        save_config(replace(preset_config("falconnet"), stem_channels=widths[0],
+                            stage_channels=widths), cfg_path)
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-m", "falconnet", "summarize", "--config",
+                              str(cfg_path)], capture_output=True, env=env, timeout=30)
+        assert run.returncode == 0, run.stderr
+        assert b"total\t" in run.stdout
 
     def test_optimal_over_enumeration(self):
         rng = np.random.default_rng(0)
@@ -324,8 +352,10 @@ class TestRefCO:
         # Entries 5*i to 5*i + 4 are branch i's weight, gamma, beta, mean and
         # var, the two stage-1 branches first; the first failing branch and
         # channel are reported.
-        ({24: (7, -5.0), 29: (1, np.nan)}, ValueError, "at channel 7"),
-        ({29: (1, np.nan), 4: (1, -1.0)}, ValueError, "at channel 1"),
+        ({24: (7, -5.0), 29: (1, np.nan)}, ValueError,
+         "^r.s2.2.var \\+ eps must be positive, violated at channel 7"),
+        ({29: (1, np.nan), 4: (1, -1.0)}, ValueError,
+         "^r.s1.0.var \\+ eps must be positive, violated at channel 1"),
         ({22: (slice(3), None)}, ShapeError, "BnParams.beta has length 3, expected 16"),
         ({21: (slice(3), None), 22: (slice(3), None), 23: (slice(3), None),
           24: (slice(3), None)},
@@ -334,22 +364,26 @@ class TestRefCO:
         ({0: (slice(1), None), 24: (7, -5.0)}, ShapeError, "stage-1 branch 0 weight shape"),
         # Non-finite statistics, after a stage's variances: the first in
         # branch, then statistic, then channel order.
-        ({1: (1, np.nan)}, ValueError, "gamma must be finite, violated at channel 1"),
-        ({21: (0, np.nan), 24: (7, -5.0)}, ValueError, "var \\+ eps .* at channel 7"),
-        ({3: (1, np.inf), 24: (7, -5.0)}, ValueError, "mean must be finite, violated at channel 1"),
+        ({1: (1, np.nan)}, ValueError, "^r.s1.0.gamma must be finite, violated at channel 1"),
+        ({21: (0, np.nan), 24: (7, -5.0)}, ValueError, "^r.s2.2.var \\+ eps .* at channel 7"),
+        ({3: (1, np.inf), 24: (7, -5.0)}, ValueError,
+         "^r.s1.0.mean must be finite, violated at channel 1"),
         ({27: (2, np.inf), 23: (5, -np.inf), 22: (9, np.nan)}, ValueError,
-         "beta must be finite, violated at channel 9"),
-        ({29: (4, np.inf)}, ValueError, "var must be finite, violated at channel 4"),
+         "^r.s2.2.beta must be finite, violated at channel 9"),
+        ({29: (4, np.inf)}, ValueError, "^r.s2.3.var must be finite, violated at channel 4"),
         # Finite statistics whose scale or shift overflows float32, after
         # every statistic is checked; the node's eps is 1e-5.
-        ({21: (3, 3e38), 24: (3, 0.0)}, ValueError, "scale must be finite, violated at channel 3"),
+        ({21: (3, 3e38), 24: (3, 0.0)}, ValueError,
+         "^r.s2.2.scale must be finite, violated at channel 3"),
         ({21: (3, 3e38), 24: (3, 0.0), 29: (4, np.inf)}, ValueError,
-         "var must be finite, violated at channel 4"),
-        ({1: (1, 2.0), 3: (1, 3e38)}, ValueError, "shift must be finite, violated at channel 1"),
+         "^r.s2.3.var must be finite, violated at channel 4"),
+        ({1: (1, 2.0), 3: (1, 3e38)}, ValueError,
+         "^r.s1.0.shift must be finite, violated at channel 1"),
     ])
     def test_node_checks_branch_statistics_as_bn_params(self, poison, error, message):
         # A RefCO node sets up each stage's BNs over the stacked statistics,
-        # with BnParams' checks and messages, for both its forward and its fuse.
+        # with BnParams' checks, for both its forward and its fuse; a value
+        # check's message leads with the failing branch's key prefix.
         spec = SFConvSpec(8, 16, 4, 2)
         node = RefCONode("r", spec)
         w = [np.full(e.shape, 1.0, np.float32) for e in node.entries()]

@@ -260,6 +260,50 @@ def test_einsum_rounds_each_product_before_the_add():
         f"baseline has FMA, so channels-last depthwise sums lose the per-tap bits")
 
 
+# RefCO's scaled sums over branches b: stage 1 as (B, N, win, hid, H*W)
+# products times (B, hid) scales, stage 2 as (B, N, hid, m, H*W) times (B,
+# hid, m).
+REFCO_SUMS = ["bnphq,bh->nphq", "bnpmq,bpm->npmq"]
+
+
+def _refco_sum(pattern, products, scales):
+    """``pattern``'s einsum of branch b's products, all ``products[b]``, and
+    its scales, all ``scales[b]``, written as RefCO writes it: into a block
+    of the stacked axis p of a larger output, with rows of 37 pixels."""
+    (y_axes, s_axes), (out_axes,) = (side.split(",") for side in pattern.split("->"))
+    extent = {"b": len(products), "n": 2, "p": 3, "h": 2, "m": 2, "q": 37}
+
+    def full(values, axes):
+        values = np.array(values, np.float32).reshape(-1, *[1] * (len(axes) - 1))
+        return np.broadcast_to(values, [extent[a] for a in axes]).copy()
+
+    out = np.empty([extent[a] + (a == "p") for a in out_axes], np.float32)[:, 1:]
+    np.einsum(pattern, full(products, y_axes), full(scales, s_axes), out=out)
+    return out
+
+
+@pytest.mark.parametrize("pattern", REFCO_SUMS)
+def test_refco_einsum_rounds_each_product_before_the_add(pattern):
+    # Branch products c * 1 and a * a: rounded before the add they sum to 0;
+    # fused into one FMA, to 2**-24.
+    a, c = np.float32(1 + 2 ** -12), np.float32(-(1 + 2 ** -11))
+    got = _refco_sum(pattern, [c, a], [1, a])
+    assert not got.any(), (
+        f"np.einsum({pattern!r}) fused a float32 multiply and add (got {np.unique(got)}): "
+        f"this numpy's SIMD baseline has FMA, so RefCO's sums lose the per-branch bits")
+
+
+@pytest.mark.parametrize("pattern", REFCO_SUMS)
+def test_refco_einsum_sums_branches_in_index_order(pattern):
+    # 1, then three half-ulps of 1: in branch order each add rounds back to
+    # 1, while reversed, pairwise or split sums add two half-ulps first.
+    half_ulp = 2.0 ** -24
+    got = _refco_sum(pattern, [1, half_ulp, half_ulp, half_ulp], [1, 1, 1, 1])
+    assert (got == 1).all(), (
+        f"np.einsum({pattern!r}) did not sum the branches in index order (got "
+        f"{np.unique(got)}), so RefCO's sums lose the per-branch bits")
+
+
 @pytest.mark.parametrize("spec, h, w", [
     (_dw(8, bias=True), 7, 7),                          # channels-last
     (_dw(4, bias=True), 60, 60),                        # NCHW rows

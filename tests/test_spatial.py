@@ -126,18 +126,22 @@ def test_repso_errors():
      ShapeError, "branch 1 normalization has 3 channels, expected 4"),
     # Every branch's var + eps is checked before any other statistic.
     ({1: (0, np.nan), 33: (2, -1.0)}, ValueError,
-     "var \\+ eps must be positive, violated at channel 2"),
-    ({18: (3, np.inf), 31: (1, np.nan)}, ValueError, "mean must be finite, violated at channel 3"),
+     "^r.identity.var \\+ eps must be positive, violated at channel 2"),
+    ({18: (3, np.inf), 31: (1, np.nan)}, ValueError,
+     "^r.dw1x3.mean must be finite, violated at channel 3"),
     # Finite statistics whose scale or shift overflows float32.
-    ({30: (2, 3e38), 33: (2, 0.0)}, ValueError, "scale must be finite, violated at channel 2"),
-    ({11: (3, 2.0), 13: (3, 3e38)}, ValueError, "shift must be finite, violated at channel 3"),
+    ({30: (2, 3e38), 33: (2, 0.0)}, ValueError,
+     "^r.identity.scale must be finite, violated at channel 2"),
+    ({11: (3, 2.0), 13: (3, 3e38)}, ValueError,
+     "^r.dw3x3_2.shift must be finite, violated at channel 3"),
     # Kernels are checked after the statistics.
-    ({5: (np.s_[:, :, :2], None), 1: (0, np.nan)}, ValueError, "gamma must be finite"),
+    ({5: (np.s_[:, :, :2], None), 1: (0, np.nan)}, ValueError, "^r.dw3x3_0.gamma must be finite"),
     ({5: (np.s_[:, :, :2], None)}, ShapeError, "branch 1 \\(3x3\\) kernel shape \\(4, 1, 2, 3\\)"),
 ])
 def test_node_sets_up_every_branch_bn_at_once(poison, error, message):
     # A RepSO node checks all its branches' BNs in one set-up, for both its
-    # forward and its fuse.
+    # forward and its fuse; a value check's message leads with the failing
+    # branch's key prefix.
     node = RepSONode("r", RepSOConfig(4))
     w = [np.full(e.shape, 1.0, np.float32) for e in node.entries()]
     for i, (at, value) in poison.items():
