@@ -1,5 +1,7 @@
 """Multi-branch spatial operator and magnitude analysis tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -126,23 +128,40 @@ def test_repso_errors():
      ShapeError, "branch 1 normalization has 3 channels, expected 4"),
     # Every branch's var + eps is checked before any other statistic.
     ({1: (0, np.nan), 33: (2, -1.0)}, ValueError,
-     "^r.identity.var \\+ eps must be positive, violated at channel 2"),
-    ({18: (3, np.inf), 31: (1, np.nan)}, ValueError,
-     "^r.dw1x3.mean must be finite, violated at channel 3"),
+     "var \\+ eps must be positive, violated at channel 2"),
+    ({18: (3, np.inf), 31: (1, np.nan)}, ValueError, "mean must be finite, violated at channel 3"),
     # Finite statistics whose scale or shift overflows float32.
-    ({30: (2, 3e38), 33: (2, 0.0)}, ValueError,
-     "^r.identity.scale must be finite, violated at channel 2"),
-    ({11: (3, 2.0), 13: (3, 3e38)}, ValueError,
-     "^r.dw3x3_2.shift must be finite, violated at channel 3"),
+    ({30: (2, 3e38), 33: (2, 0.0)}, ValueError, "scale must be finite, violated at channel 2"),
+    ({11: (3, 2.0), 13: (3, 3e38)}, ValueError, "shift must be finite, violated at channel 3"),
     # Kernels are checked after the statistics.
-    ({5: (np.s_[:, :, :2], None), 1: (0, np.nan)}, ValueError, "^r.dw3x3_0.gamma must be finite"),
+    ({5: (np.s_[:, :, :2], None), 1: (0, np.nan)}, ValueError, "gamma must be finite"),
     ({5: (np.s_[:, :, :2], None)}, ShapeError, "branch 1 \\(3x3\\) kernel shape \\(4, 1, 2, 3\\)"),
 ])
 def test_node_sets_up_every_branch_bn_at_once(poison, error, message):
     # A RepSO node checks all its branches' BNs in one set-up, for both its
-    # forward and its fuse; a value check's message leads with the failing
-    # branch's key prefix.
-    node = RepSONode("r", RepSOConfig(4))
+    # forward and its fuse.
+    _bind_and_fuse_raise(RepSONode("r", RepSOConfig(4)), poison, error, message)
+
+
+@pytest.mark.parametrize("poison, message", [
+    # The failing branch of the one BN set-up, with the rows above.
+    ({1: (0, np.nan), 33: (2, -1.0)}, "r.identity.var + eps must be positive, violated at channel 2"),
+    ({18: (3, np.inf), 31: (1, np.nan)}, "r.dw1x3.mean must be finite, violated at channel 3"),
+    ({30: (2, 3e38), 33: (2, 0.0)}, "r.identity.scale must be finite, violated at channel 2"),
+    ({11: (3, 2.0), 13: (3, 3e38)}, "r.dw3x3_2.shift must be finite, violated at channel 3"),
+    ({5: (np.s_[:, :, :2], None), 1: (0, np.nan)},
+     "r.dw3x3_0.gamma must be finite, violated at channel 0"),
+])
+def test_node_value_check_names_the_branch_key(poison, message):
+    # A failed value check leads with the failing branch's key prefix.
+    _bind_and_fuse_raise(RepSONode("r", RepSOConfig(4)), poison, ValueError,
+                         f"^{re.escape(message)}$")
+
+
+def _bind_and_fuse_raise(node, poison, error, message):
+    """Set ``poison``'s values (index -> (where, value), or a slice to keep if
+    value is None) in ``node``'s all-ones entries, and check that both its
+    bind and its fuse raise ``error`` matching ``message``."""
     w = [np.full(e.shape, 1.0, np.float32) for e in node.entries()]
     for i, (at, value) in poison.items():
         if value is None:
