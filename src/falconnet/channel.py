@@ -224,15 +224,13 @@ def sfconv_forward(x: Tensor, spec: SFConvSpec, w: SFConvWeights) -> Tensor:
     if w.spec != spec:
         raise ShapeError("weights were built for a different SFConvSpec")
     xw = _split_windows(x, spec)
-    # Both stages return fresh matmul outputs, so the biases go in in place,
-    # under the small ufunc buffer that per-channel adds take faster.
-    with ops._small_ufunc_buffer():
-        hidden = _stage1(xw, w.w1)
-        if w.bias1 is not None:
-            hidden += w.bias1[None, :, :, None, None]
-        out = _stage2(hidden, w.w2)
-        if w.bias2 is not None:
-            out += w.bias2.reshape(1, -1, 1, 1)
+    # Both stages return fresh matmul outputs, so the biases go in in place.
+    hidden = _stage1(xw, w.w1)
+    if w.bias1 is not None:
+        hidden += w.bias1[None, :, :, None, None]
+    out = _stage2(hidden, w.w2)
+    if w.bias2 is not None:
+        out += w.bias2.reshape(1, -1, 1, 1)
     return out
 
 
@@ -321,16 +319,15 @@ def _refco(x, spec: SFConvSpec, stage1, stage2) -> np.ndarray:
     w1, w2 = np.stack(w1), np.stack(w2)
     out1 = np.empty((n, win, hid, h * w), np.float32)
     out2 = np.empty((n, hid, m, h * w), np.float32)
-    with ops._small_ufunc_buffer():
-        for p, block, buf in _blocks(out1, len(w1)):
-            y = _stage1(xw[:, p], w1[:, :, p], buf).swapaxes(-4, -3).reshape(buf.shape)
-            np.einsum("bnphq,bh->nphq", y, s1, out=block)
-            block += t1
-        hidden = out1.reshape(n, win, hid, h, w).transpose(0, 2, 1, 3, 4)
-        for p, block, buf in _blocks(out2, len(w2)):
-            y = _stage2(hidden[:, p], w2[:, p.start * m:p.stop * m], buf).reshape(buf.shape)
-            np.einsum("bnpmq,bpm->npmq", y, s2[:, p], out=block)
-            block += t2[:, p]
+    for p, block, buf in _blocks(out1, len(w1)):
+        y = _stage1(xw[:, p], w1[:, :, p], buf).swapaxes(-4, -3).reshape(buf.shape)
+        np.einsum("bnphq,bh->nphq", y, s1, out=block)
+        block += t1
+    hidden = out1.reshape(n, win, hid, h, w).transpose(0, 2, 1, 3, 4)
+    for p, block, buf in _blocks(out2, len(w2)):
+        y = _stage2(hidden[:, p], w2[:, p.start * m:p.stop * m], buf).reshape(buf.shape)
+        np.einsum("bnpmq,bpm->npmq", y, s2[:, p], out=block)
+        block += t2[:, p]
     return out2.reshape(n, spec.c_out, h, w)
 
 
@@ -448,7 +445,7 @@ class ChannelPattern:
 def receptive_range(pattern: ChannelPattern) -> np.ndarray:
     """Per-output count of input neurons reachable directly or through hidden
     neurons: the row sums of the pattern's (c_out, c_in) connection matrix.
-    Each kind's matrix is its connection rule over every (o, i) pair."""
+    Each direct kind builds its matrix from its rule; SF-Conv counts windows."""
     c_in, c_out = pattern.c_in, pattern.c_out
     o, i = np.ogrid[:c_out, :c_in]
     if pattern.kind == "dense":
@@ -459,10 +456,12 @@ def receptive_range(pattern: ChannelPattern) -> np.ndarray:
     elif pattern.kind == "channel_wise":  # window of inputs from o*c_in//c_out, wrapped
         direct = (i - o * c_in // c_out) % c_in < pattern.window
     else:
-        # Hidden node (h, p) is r = h*windows + p: output o reads the nodes of
-        # hidden channel o // width_multiplier, and node r reads window p.
+        # Node r = h*windows + p of hidden channel h reads window p, K inputs
+        # no other window holds; output o reads hidden channel
+        # o // width_multiplier.
         spec = pattern.spec
         r = np.arange(spec.hidden_channels * spec.windows)
-        direct = ((o // spec.width_multiplier == r // spec.windows)
-                  @ (r[:, None] % spec.windows == i // spec.kernel))
+        reads = np.zeros((spec.hidden_channels, spec.windows), dtype=bool)
+        reads[r // spec.windows, r % spec.windows] = True
+        return reads.sum(axis=1)[o[:, 0] // spec.width_multiplier] * spec.kernel
     return direct.sum(axis=1)

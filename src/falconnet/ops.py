@@ -52,7 +52,6 @@ forward pass gives every image the bits it gets when run alone.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -292,29 +291,6 @@ def conv2d(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
 # 2-core x86 host gave the lowest latency at 64K.
 _TILE_FLOATS = 1 << 16
 
-# Elements of numpy's ufunc buffer while a kernel scales or shifts by a
-# per-channel vector. numpy 2.4 runs such a broadcast pass through its
-# buffer, 8192 elements by default, whenever a row is shorter than that;
-# with numpy 2.4.6 on a 2-core x86 host ``y *= s`` of (16, 4096) by (16, 1)
-# took 14.2 us with the default buffer and 5.5 us with this one, and a
-# (64, 784) bias add 10.9 against 5.3 us. Elementwise passes give the same
-# bits whatever the buffer size.
-_UFUNC_BUFSIZE = 1024
-
-
-@contextmanager
-def _small_ufunc_buffer():
-    """Run the ``with`` body with numpy's ufunc buffer at ``_UFUNC_BUFSIZE``
-    elements, and restore the caller's size after it, also on an error. The
-    size is per thread on numpy 1.24+ and per context on 2.x, so other
-    threads keep theirs."""
-    old = np.setbufsize(_UFUNC_BUFSIZE)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
-
-
 def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
     """Sum over ``branches`` of ``tap_sum * scale + shift``, in one tiled pass.
 
@@ -374,7 +350,10 @@ class _Planes(NamedTuple):
 # faster in 127 of 128 shapes up to 51x51 planes (2703 floats; median
 # speed-up 1.76, at most 3.4). From 52x52 (2808) on it was faster in 10 of
 # the 52 shapes of 64 or more channels (median speed-up 0.92, at least
-# 0.44) and in 24 of the 28 of 16 or 32 (median 1.17), which no preset has.
+# 0.44) and in 24 of the 28 of 16 or 32 (median 1.17). Every preset's
+# stem.dw is 32 channels at 112x112 (oh * wp = 12,768) and takes NCHW, where
+# the layouts run about even at batch 1; the sweep timed lone convs, not
+# forwards on image threads, whose best threshold is open (ROADMAP item 11).
 _CL_PLANE_FLOATS = 2750
 
 
@@ -500,7 +479,7 @@ def _conv2d_grouped(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     image's tap viewed as (g, cg, oh*ow), one product per group, whose
     result is already the image's NCHW output. The first tap is written into
     the output and later ones are added from one scratch buffer, in (i, j)
-    order; the bias is added in place last, under a small ufunc buffer.
+    order; the bias is added in place last.
     """
     n, c, h, width = x.shape
     ph, pw = spec.pad_h, spec.pad_w
@@ -516,20 +495,19 @@ def _conv2d_grouped(x, w, bias, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     out = np.empty((n, g, og, oh * ow), dtype=np.float32)
     scratch = np.empty((g, og, oh * ow), dtype=np.float32) if len(wt) > 1 else None
     xp = np.zeros((c, h + 2 * ph, width + 2 * pw), dtype=np.float32) if ph or pw else None
-    with _small_ufunc_buffer():
-        for image, y in zip(x, out):
-            if xp is not None:
-                xp[:, ph:ph + h, pw:pw + width] = image
-                image = xp
-            for k, w_k in enumerate(wt):
-                i, j = divmod(k, spec.kernel_w)
-                tap = image[:,
-                            i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
-                            j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
-                np.matmul(w_k, tap.reshape(g, cg, oh * ow), out=scratch if k else y)
-                if k:
-                    y += scratch
-            y += shift
+    for image, y in zip(x, out):
+        if xp is not None:
+            xp[:, ph:ph + h, pw:pw + width] = image
+            image = xp
+        for k, w_k in enumerate(wt):
+            i, j = divmod(k, spec.kernel_w)
+            tap = image[:,
+                        i: i + (oh - 1) * spec.stride_h + 1: spec.stride_h,
+                        j: j + (ow - 1) * spec.stride_w + 1: spec.stride_w]
+            np.matmul(w_k, tap.reshape(g, cg, oh * ow), out=scratch if k else y)
+            if k:
+                y += scratch
+        y += shift
     return out.reshape(n, spec.out_channels, oh, ow)
 
 

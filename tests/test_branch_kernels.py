@@ -6,24 +6,28 @@ all branches' stage products in one stacked matmul per block and sums them,
 each times its BN scale, in one einsum, then adds the stage's summed BN
 shift once. These tests pin both bitwise to the out-of-place per-branch
 composition in ``reference_kernels``, RefCO also across its blocks, and
-check that no array the caller owns is written and that the caller's ufunc
-buffer size is restored.
+check that no array the caller owns is written. ``forward`` runs every step
+under a small ufunc buffer and restores the caller's size; a kernel called
+directly runs at the caller's size, and gives the same bits under either.
 """
 
 import hashlib
+import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falconnet import (BnParams, ConvSpec, RepSOConfig, SFConvSpec, admissible_kernel_sizes,
-                       build_model, forward, fuse_model, init_weights, preset_config,
-                       random_refco_branches, random_repso_weights, refco_forward,
-                       repso_forward)
+import falconnet.model as model_mod
+from falconnet import (BnParams, ConvSpec, RepSOConfig, SFConvSpec, ShapeError,
+                       admissible_kernel_sizes, build_model, conv2d, forward, fuse_model,
+                       init_weights, merge_refco, preset_config, random_refco_branches,
+                       random_repso_weights, refco_forward, repso_forward, sfconv_forward)
 from falconnet import channel, ops
 from falconnet.model import PRESET_NAMES
-from reference_kernels import refco_per_branch, repso_per_branch
+from reference_kernels import conv2d_per_tap, refco_per_branch, repso_per_branch
 
 
 @st.composite
@@ -249,28 +253,116 @@ def caller_bufsize():
         np.setbufsize(old)
 
 
-def test_refco_restores_the_callers_ufunc_buffer(caller_bufsize, monkeypatch):
+def _small_falconnet():
+    """A fresh train-form graph and store, whose plans are not yet compiled,
+    with the fused form: RefCO and RepSO in one, SF-Conv and the grouped
+    stem conv in the other."""
+    graph = build_model(replace(preset_config("falconnet"), input_resolution=32))
+    store = init_weights(graph, seed=1)
+    return (graph, store), fuse_model(graph, store)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_step_of_forward_runs_under_the_small_buffer(caller_bufsize, workers,
+                                                           monkeypatch):
+    # The buffer size is per thread: each image thread must set its own.
+    compile_plan = model_mod._compile
+    seen = []
+
+    def recording(fn):
+        def step(*args):
+            seen.append((np.getbufsize(), threading.get_ident()))
+            return fn(*args)
+        return step
+
+    monkeypatch.setattr(model_mod, "_compile", lambda nodes, store: tuple(
+        s if s.fn is None else s._replace(fn=recording(s.fn))
+        for s in compile_plan(nodes, store)))
+    monkeypatch.setattr(model_mod, "_workers", lambda: workers)
+    x = np.random.default_rng(3).standard_normal((3, 3, 32, 32)).astype(np.float32)
+    for g, s in _small_falconnet():
+        seen.clear()
+        forward(g, s, x)
+        steps = sum(step.fn is not None for step in model_mod._plan(g, s))
+        assert len(seen) == steps * (1 if workers == 1 else len(x))  # one run per image
+        assert {size for size, _ in seen} == {model_mod._UFUNC_BUFSIZE}
+        on_caller = {thread == threading.get_ident() for _, thread in seen}
+        assert on_caller == ({True} if workers == 1 else {False})
+        assert np.getbufsize() == caller_bufsize
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_step_restores_the_callers_buffer(caller_bufsize, workers, monkeypatch):
+    # The third conv2d call on each thread raises, mid-plan, in either form.
+    real_conv2d, local = model_mod.conv2d, threading.local()
+    sizes = []
+
+    def failing_conv2d(inp, *args):
+        local.calls = getattr(local, "calls", 0) + 1
+        sizes.append(np.getbufsize())
+        if local.calls == 3:
+            raise ShapeError("conv2d failed")
+        return real_conv2d(inp, *args)
+
+    monkeypatch.setattr(model_mod, "conv2d", failing_conv2d)
+    monkeypatch.setattr(model_mod, "_workers", lambda: workers)
+    x = np.random.default_rng(4).standard_normal((3, 3, 32, 32)).astype(np.float32)
+    for g, s in _small_falconnet():
+        sizes.clear()
+        local.calls = 0
+        with pytest.raises(ShapeError, match=r": conv2d failed$"):
+            forward(g, s, x)
+        assert sizes and set(sizes) == {model_mod._UFUNC_BUFSIZE}
+        assert np.getbufsize() == caller_bufsize
+
+
+def test_direct_kernel_calls_keep_the_callers_buffer(caller_bufsize, monkeypatch):
+    # Outside forward, a kernel runs at whatever buffer size its caller set.
+    sizes = []
+    for name in ("_stage1", "_stage2"):
+        def record(*args, stage=getattr(channel, name)):
+            sizes.append(np.getbufsize())
+            return stage(*args)
+        monkeypatch.setattr(channel, name, record)
     spec = SFConvSpec(24, 12, 6, 2)
     x, b1, b2 = _refco_inputs(spec, 2, 3, 3, 2)
-    monkeypatch.setattr(ops, "_TILE_FLOATS", 40)
     refco_forward(x, spec, b1, b2)
+    sfconv_forward(x, spec, merge_refco(spec, b1, b2))
+    assert len(sizes) == 4 and set(sizes) == {caller_bufsize}
     assert np.getbufsize() == caller_bufsize
-    calls = []
-    stage2 = channel._stage2
 
-    def fail_second(*args):
-        # Stage 2 takes one call per hidden channel, 3 here; the second is
-        # neither the first nor the last block.
-        calls.append(np.getbufsize())
-        if len(calls) == 2:
-            raise RuntimeError("stage 2 failed")
-        return stage2(*args)
 
-    monkeypatch.setattr(channel, "_stage2", fail_second)
-    with pytest.raises(RuntimeError, match="stage 2 failed"):
-        refco_forward(x, spec, b1, b2)
-    assert calls == [ops._UFUNC_BUFSIZE] * 2
-    assert np.getbufsize() == caller_bufsize
+@pytest.mark.parametrize("bufsize", [1024, 8192])
+def test_kernels_keep_their_reference_bits_under_either_buffer(bufsize):
+    # forward runs every kernel under model._UFUNC_BUFSIZE, a direct call
+    # runs under its caller's size, numpy's default 8192 unless set. Both
+    # layouts of the branch sum, several RepSO row tiles, RefCO blocks.
+    rng = np.random.default_rng(9)
+    runs = []
+    for c, n, h, w, stride in ((24, 2, 14, 14, 1), (8, 1, 52, 53, 1), (32, 1, 112, 112, 1),
+                               (16, 2, 15, 15, 2)):
+        spec = ConvSpec(c, c, 3, 3, stride, stride, 1, 1, groups=c, has_bias=True)
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        wt = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+        b = rng.standard_normal(c).astype(np.float32)
+        runs.append((partial(conv2d, x, wt, b, spec), partial(conv2d_per_tap, x, wt, b, spec)))
+    for cfg, n, h, w in ((RepSOConfig(768), 1, 14, 14), (RepSOConfig(24), 2, 52, 54),
+                         (RepSOConfig(96), 2, 30, 34)):
+        x, weights = _repso_inputs(cfg, n, h, w, 7)
+        runs.append((partial(repso_forward, x, weights, cfg),
+                     partial(repso_per_branch, x, weights, cfg)))
+    for spec, n, h, w in ((SFConvSpec(64, 128, 8, 2), 2, 28, 28),
+                          (SFConvSpec(30, 12, 6, 2), 3, 5, 7)):
+        x, b1, b2 = _refco_inputs(spec, n, h, w, 5)
+        runs.append((partial(refco_forward, x, spec, b1, b2),
+                     partial(refco_per_branch, x, spec, b1, b2)))
+    refs = [ref().tobytes() for _, ref in runs]
+    old = np.setbufsize(bufsize)
+    try:
+        got = [kernel().tobytes() for kernel, _ in runs]
+    finally:
+        np.setbufsize(old)
+    assert got == refs
 
 
 def test_batched_forward_restores_the_callers_ufunc_buffer(caller_bufsize, monkeypatch):

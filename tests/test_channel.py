@@ -486,6 +486,18 @@ class TestReceptiveRange:
             assert got.dtype == want.dtype, p
             np.testing.assert_array_equal(got, want, err_msg=str(p))
 
+    def test_sf_range_at_a_huge_width(self):
+        # The boolean product of the two stages' rules took 54 s at 8192
+        # channels and grows with the cube of the width.
+        c = 2**16
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-m", "falconnet", "analyze-range", "--kind", "sf",
+                              "--c-in", str(c)], capture_output=True, env=env, timeout=30)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.endswith(f"summary\tmin\t{c}\tmax\t{c}\tmean\t{c}.00\n".encode())
+
     def test_pattern_validation(self):
         with pytest.raises(ShapeError):
             ChannelPattern.group(8, 3)

@@ -447,15 +447,13 @@ class TestForward:
             store.put(e.key, arr)
         block = next(n for n in graph.nodes
                      if isinstance(n, BlockNode) and n.name == "s1.b0")
-        from falconnet.model import _run
         x = np.random.default_rng(2).standard_normal((1, 4, 8, 8)).astype(np.float32)
         out = _apply_block(block, store, x)
         np.testing.assert_array_equal(out, x)
 
 
 def _apply_block(block, store, x):
-    from falconnet.model import _run
-    y = _run(block.body, store, x)
+    y = model_mod._execute(model_mod._compile(block.body, store), x)
     return x + y if block.residual else y
 
 
