@@ -445,7 +445,8 @@ class ChannelPattern:
 def receptive_range(pattern: ChannelPattern) -> np.ndarray:
     """Per-output count of input neurons reachable directly or through hidden
     neurons: the row sums of the pattern's (c_out, c_in) connection matrix.
-    Each direct kind builds its matrix from its rule; SF-Conv counts windows."""
+    Each direct kind builds its matrix from its rule; SF-Conv's follows from
+    its layout."""
     c_in, c_out = pattern.c_in, pattern.c_out
     o, i = np.ogrid[:c_out, :c_in]
     if pattern.kind == "dense":
@@ -456,12 +457,8 @@ def receptive_range(pattern: ChannelPattern) -> np.ndarray:
     elif pattern.kind == "channel_wise":  # window of inputs from o*c_in//c_out, wrapped
         direct = (i - o * c_in // c_out) % c_in < pattern.window
     else:
-        # Node r = h*windows + p of hidden channel h reads window p, K inputs
-        # no other window holds; output o reads hidden channel
-        # o // width_multiplier.
-        spec = pattern.spec
-        r = np.arange(spec.hidden_channels * spec.windows)
-        reads = np.zeros((spec.hidden_channels, spec.windows), dtype=bool)
-        reads[r // spec.windows, r % spec.windows] = True
-        return reads.sum(axis=1)[o[:, 0] // spec.width_multiplier] * spec.kernel
+        # Hidden node (h, p) reads window p, K inputs no other window holds,
+        # and output o reads hidden channel o // width_multiplier at every
+        # window, so each output reaches all windows of K inputs.
+        return np.full(c_out, pattern.spec.windows * pattern.spec.kernel)
     return direct.sum(axis=1)

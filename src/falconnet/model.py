@@ -21,7 +21,6 @@ import os
 import re
 import weakref
 from concurrent import futures
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -32,7 +31,7 @@ import numpy as np
 from .channel import (SFConvSpec, SFConvWeights, _merge_refco, _refco, _refco_terms,
                       choose_kernel_size, sfconv_forward)
 from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _channel_affine, _relu_in_place,
-                  as_f32, conv2d, fuse_bn_into_linear, global_avg_pool, linear, relu)
+                  as_f32, conv2d, fuse_bn_into_linear, global_avg_pool, linear)
 from .spatial import RepSOConfig, _merge_repso, _repso, _repso_terms, branch_kernel_shape
 from .store import WeightStore
 
@@ -289,13 +288,11 @@ def save_config(cfg: ModelConfig, path) -> None:
 #   shape(c, h, w)  the input channels it needs (or None), what it calls them,
 #                   and its output shape;
 #   entries()       its weight entries, the only place a weight key is spelled;
-#   bind(w, owned)  its step: the function of its input that gives its
+#   bind(w)         its step: the function of its input that gives its
 #                   output, with the arrays of its entries, in that order,
-#                   resolved once into what the kernel takes. With `owned`
-#                   the input is an array of the same run that nothing else
-#                   reads, and the step may write over it;
-#   view            whether its output may be its input, viewed (it is
-#                   otherwise an array no one else holds);
+#                   resolved once into what the kernel takes. The step may
+#                   write over its input only when the input is writable
+#                   (see `_execute`);
 #   fuse(w, bn)     on Conv, SF-Conv, RepSO and RefCO: the inference-form node
 #                   and its arrays, absorbing `bn`, the normalization that
 #                   follows (its BnParams; its BnNode when `w` is None), if any.
@@ -329,7 +326,6 @@ class _Leaf:
     """A weightless leaf that keeps its input's shape."""
     name: str
     cost = None
-    view = False
 
     def shape(self, c: int, h: int, w: int):
         return None, "", (c, h, w)
@@ -358,7 +354,7 @@ class ConvNode(_Leaf):
         if s.has_bias:
             yield ParamEntry(f"{self.name}.bias", (s.out_channels,), "bias")
 
-    def bind(self, w, owned):
+    def bind(self, w):
         bias = w[1] if self.spec.has_bias else None
         return lambda x: conv2d(x, w[0], bias, self.spec)
 
@@ -388,15 +384,15 @@ class BnNode(_Leaf):
         except ValueError as e:  # `w` has its entries' shapes, so a value check failed
             raise ValueError(f"{self.name}.{e}") from None
 
-    def bind(self, w, owned):
+    def bind(self, w):
         s, t = self.params(w).scale_shift()
-        return lambda x: _channel_affine(x, s, t, owned)
+        return lambda x: _channel_affine(x, s, t, x.flags.writeable)
 
 
 @dataclass(frozen=True)
 class ReluNode(_Leaf):
-    def bind(self, w, owned):
-        return _relu_in_place if owned else relu
+    def bind(self, w):
+        return _relu_in_place
 
 
 @dataclass(frozen=True)
@@ -404,18 +400,16 @@ class PoolNode(_Leaf):
     def shape(self, c, h, w):
         return None, "", (c, 1, 1)
 
-    def bind(self, w, owned):
+    def bind(self, w):
         return global_avg_pool
 
 
 @dataclass(frozen=True)
 class FlattenNode(_Leaf):
-    view = True
-
     def shape(self, c, h, w):
         return None, "", (c * h * w, 1, 1)
 
-    def bind(self, w, owned):
+    def bind(self, w):
         return lambda x: x.reshape(x.shape[0], math.prod(x.shape[1:]))
 
 
@@ -435,7 +429,7 @@ class LinearNode(_Leaf):
                          "linear_weight", self.in_features)
         yield ParamEntry(f"{self.name}.bias", (self.out_features,), "bias")
 
-    def bind(self, w, owned):
+    def bind(self, w):
         return lambda x: linear(x, *w)
 
 
@@ -467,7 +461,7 @@ class RepSONode(_Leaf):
         return _repso_terms([(*w[j:j + 5], BnParams.eps) for j in range(0, len(w), 5)],
                             self.cfg, partial(_bn_prefix, self))
 
-    def bind(self, w, owned):
+    def bind(self, w):
         terms = self._terms(w)
         return lambda x: _repso(x, self.cfg, terms)
 
@@ -505,7 +499,7 @@ class SFConvNode(_Leaf):
         return (w[0], w[1], next(it) if self.has_bias1 else None,
                 next(it) if self.has_bias2 else None)
 
-    def bind(self, w, owned):
+    def bind(self, w):
         weights = SFConvWeights(self.spec, *self._unpack(w))
         return lambda x: sfconv_forward(x, self.spec, weights)
 
@@ -542,7 +536,7 @@ class RefCONode(_Leaf):
         return _refco_terms(self.spec, b[:self.spec.windows], b[self.spec.windows:],
                             partial(_bn_prefix, self))
 
-    def bind(self, w, owned):
+    def bind(self, w):
         terms = self._terms(w)
         return lambda x: _refco(x, self.spec, *terms)
 
@@ -734,15 +728,16 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # order, and each leaf binds its arrays into the form its kernel takes (BN
 # statistics become a scale and shift), so a run only calls kernels. A step
 # looks its kernel up by name when it runs, so a kernel swapped into the
-# module afterwards is the one called. Steps write in place only into arrays
-# of the same run that nothing else reads (see `_emit`); a plan holds no
-# activation, so runs are reentrant. `forward` keeps one plan per (graph,
-# store) pair. Every kernel gives each image of a batch the bits it gets
-# alone, so `forward` may split a batch into one run per image, on threads
-# of its own for the CPUs that BLAS leaves idle (`_workers`), and join the
-# rows in order; the threads end with the call, and calls may still run
-# concurrently. A run sets one small ufunc buffer for all its steps, on its
-# own thread; a kernel called directly keeps its caller's buffer size.
+# module afterwards is the one called. ReLU, BN and the residual add write
+# over their input when it is writable, and `_execute` makes writable only
+# what the run owns; a plan holds no activation, so runs are reentrant.
+# `forward` keeps one plan per (graph, store) pair. Every kernel gives each
+# image of a batch the bits it gets alone, so `forward` may split a batch
+# into one run per image, on threads of its own for the CPUs that BLAS
+# leaves idle (`_workers`), and join the rows in order; the threads end
+# with the call, and calls may still run concurrently. A run sets one small
+# ufunc buffer for all its steps, on its own thread; a kernel called
+# directly keeps its caller's buffer size.
 
 def _weights(node, store: WeightStore) -> list:
     """The arrays of ``node``'s entries, in entry order, each checked against
@@ -778,63 +773,63 @@ class _Step(NamedTuple):
 _UFUNC_BUFSIZE = 1024
 
 
-@contextmanager
-def _small_ufunc_buffer():
-    """Run the ``with`` body with numpy's ufunc buffer at ``_UFUNC_BUFSIZE``
-    elements and restore the caller's size after it, also on an error. The
-    size is per thread (per context on numpy 2.x): other threads keep theirs."""
-    old = np.setbufsize(_UFUNC_BUFSIZE)
-    try:
-        yield
-    finally:
-        np.setbufsize(old)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    v = a.view()
+    v.flags.writeable = False
+    return v
 
 
 def _execute(plan: tuple, x: Tensor) -> Tensor:
+    """Run ``plan`` on ``x``. The first step gets ``x``, and a residual body
+    the array its shortcut keeps, as a read-only view, so every writable
+    array a step sees belongs to the run and nothing else reads it. The
+    steps run with numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements, on
+    this thread only (per context on numpy 2.x); the caller's size comes
+    back after them, also on an error."""
     saved = []
-    with _small_ufunc_buffer():
+    x = _read_only(x)
+    old = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
         for where, op, fn in plan:
             try:
                 if op == _CALL:
                     x = fn(x)
                 elif op == _SAVE:
                     saved.append(x)
+                    x = _read_only(x)
                 else:
                     x = fn(saved.pop(), x)
             except ShapeError as e:
                 raise ShapeError(f"{where}: {e}") from None
+    finally:
+        np.setbufsize(old)
     return x
 
 
 def _compile(nodes, store: WeightStore) -> tuple:
     """The plan of a node sequence against ``store``: its steps, in order."""
     steps: list = []
-    _emit(nodes, store, "", False, steps)
+    _emit(nodes, store, "", steps)
     return tuple(steps)
 
 
-def _emit(nodes, store: WeightStore, where: str, owned: bool, steps: list) -> bool:
+def _emit(nodes, store: WeightStore, where: str, steps: list) -> None:
     """Append the steps of ``nodes``, reading their entries from ``store`` in
-    entry order. ``owned`` tells whether the input is an array of the same
-    run that nothing else reads; returns that of the output. A residual
-    body's input is read again by its shortcut, so the body starts unowned."""
+    entry order."""
     for node in nodes:
         at = where + node.name
-        if isinstance(node, BlockNode) and not node.residual:
-            owned = _emit(node.body, store, at + ": ", owned, steps)
-        elif isinstance(node, BlockNode):
-            steps.append(_Step(at, _SAVE, None))
-            body_owned = _emit(node.body, store, at + ": ", False, steps)
-            steps.append(_Step(at, _ADD, _add_into_second if body_owned else np.add))
-            owned = True
+        if not isinstance(node, BlockNode):
+            steps.append(_Step(at, _CALL, node.bind(_weights(node, store))))
+        elif not node.residual:
+            _emit(node.body, store, at + ": ", steps)
         else:
-            steps.append(_Step(at, _CALL, node.bind(_weights(node, store), owned)))
-            owned = owned or not node.view
-    return owned
+            steps.append(_Step(at, _SAVE, None))
+            _emit(node.body, store, at + ": ", steps)
+            steps.append(_Step(at, _ADD, _add_into_second))
 
 
 def _add_into_second(x: Tensor, y: Tensor) -> Tensor:
-    return np.add(x, y, out=y)
+    return np.add(x, y, out=y if y.flags.writeable else None)
 
 
 # store -> {id(graph): (graph, plan)}, weakly keyed, so that plans live as
@@ -876,8 +871,9 @@ def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
     Purely functional over immutable inputs: the same input and weights
     produce bitwise-identical logits on a given machine. The first call on a
     (graph, store) pair compiles a plan that later calls reuse; ``x`` is
-    never written, and calls may run concurrently. A batch runs one image
-    per task, on as many threads as `_workers` allows; they are made for the
+    never written (its steps see it read-only, so one that would write over
+    it raises), and calls may run concurrently. A batch runs one image per
+    task, on as many threads as `_workers` allows; they are made for the
     call and end before it returns, or raises the error of the first failing
     image in batch order. Each image gets the bits it gets alone, so the
     logits do not depend on the thread count.

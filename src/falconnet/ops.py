@@ -533,7 +533,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _relu_in_place(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, np.float32(0), out=x)
+    """ReLU written over ``x`` when ``x`` is writable."""
+    return np.maximum(x, np.float32(0), out=x if x.flags.writeable else None)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -408,7 +408,7 @@ def _bind_and_fuse_raise(node, poison, error, message):
         else:
             w[i][at] = value
     with pytest.raises(error, match=message):
-        node.bind(w, False)
+        node.bind(w)
     with pytest.raises(error, match=message):
         node.fuse(w, None)
 

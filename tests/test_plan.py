@@ -16,7 +16,7 @@ import threading
 import time
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +27,7 @@ import falconnet.ops as ops_mod
 from falconnet import (BlockConfig, ChannelSlot, ConvSpec, LayerGraph, ModelConfig, ShapeError,
                        SpatialSlot, WeightStore, build_model, conv2d, forward, fuse_model,
                        init_weights, preset_config)
-from falconnet.model import PRESET_NAMES, BlockNode, ConvNode, ReluNode
+from falconnet.model import PRESET_NAMES, BlockNode, BnNode, ConvNode, ReluNode
 
 
 def tiny_falconnet(resolution=32):
@@ -139,6 +139,74 @@ def test_input_is_never_written():
         y = forward(LayerGraph(cfg, nodes), store, x)
         assert digest(x) == before
         assert y.tobytes() == expected.tobytes()
+
+
+@dataclass(frozen=True)
+class DoubleInPlace(model_mod._Leaf):
+    """A leaf whose step wrongly doubles its input in place, whatever it is."""
+
+    def bind(self, w):
+        return lambda x: np.multiply(x, np.float32(2), out=x)
+
+
+@pytest.mark.parametrize("nodes", [
+    (DoubleInPlace("bad"),),
+    (ReluNode("act"), BlockNode("b", (DoubleInPlace("b.bad"),), residual=True)),
+], ids=["first-step", "residual-body"])
+def test_a_step_that_writes_a_read_only_input_raises(nodes):
+    """The caller's input and a residual shortcut reach a step read-only, so
+    a step that writes over either raises rather than corrupting it (the
+    shortcut would give 4 * relu(x) where 3 * relu(x) is due)."""
+    x = images(2, 14, resolution=8)
+    before = digest(x)
+    with pytest.raises(ValueError, match="read-only"):
+        forward(LayerGraph(ModelConfig(input_resolution=8), nodes), WeightStore(), x)
+    assert digest(x) == before
+
+
+@pytest.fixture(scope="module")
+def small_presets():
+    """Train and fused forms of every preset at 32 px."""
+    forms = {}
+    for name in PRESET_NAMES:
+        graph = build_model(replace(preset_config(name), input_resolution=32))
+        store = init_weights(graph, seed=0)
+        forms[name, "train"] = graph, store
+        forms[name, "fused"] = fuse_model(graph, store)
+    return forms
+
+
+def _leaves(nodes):
+    for node in nodes:
+        yield from _leaves(node.body) if isinstance(node, BlockNode) else (node,)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("form", ["train", "fused"])
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_relu_bn_and_residual_add_write_in_place(small_presets, preset, form, workers,
+                                                 monkeypatch):
+    """Every ReLU, BN and residual-add step of a preset writes over its input
+    (the add over its second operand): none allocates."""
+    graph, store = small_presets[preset, form]
+    wrote = []
+
+    def recording(kernel, operand):
+        def call(*args):
+            out = kernel(*args)
+            wrote.append(out is args[operand])
+            return out
+        return call
+
+    for name, operand in (("_relu_in_place", 0), ("_channel_affine", 0),
+                          ("_add_into_second", 1)):
+        monkeypatch.setattr(model_mod, name, recording(getattr(model_mod, name), operand))
+    force_workers(monkeypatch, workers)
+    cold(graph, store, images(2, 15))
+    leaves = Counter(type(node) for node in _leaves(graph.nodes))
+    adds = sum(step.op == model_mod._ADD for step in model_mod._compile(graph.nodes, store))
+    steps = leaves[ReluNode] + leaves[BnNode] + adds
+    assert steps > 0 and wrote == [True] * (steps * workers)  # one run per image with 2
 
 
 def test_second_call_resolves_nothing(model, monkeypatch):
