@@ -370,12 +370,11 @@ def _merge_refco(spec: SFConvSpec, stages) -> SFConvWeights:
     return SFConvWeights(spec, w1, w2, b1, shift2.reshape(-1))
 
 
-def random_refco_branches(spec: SFConvSpec, rng: np.random.Generator, *,
-                          weight_scale: float | None = None, **bn):
+def random_refco_branches(spec: SFConvSpec, rng: np.random.Generator, **bn):
     """Draw the two branch lists; ``bn`` holds keywords of ``BnParams.random``.
-    Default weight scale keeps the summed branch outputs near unit variance:
-    1/sqrt(taps * branches) per stage."""
-    scale = weight_scale if weight_scale is not None else (spec.kernel * spec.windows) ** -0.5
+    Weights are drawn at 1/sqrt(taps * branches) per stage, which keeps the
+    summed branch outputs near unit variance."""
+    scale = (spec.kernel * spec.windows) ** -0.5
 
     def branches(count, shape):
         return tuple(
@@ -445,20 +444,18 @@ class ChannelPattern:
 def receptive_range(pattern: ChannelPattern) -> np.ndarray:
     """Per-output count of input neurons reachable directly or through hidden
     neurons: the row sums of the pattern's (c_out, c_in) connection matrix.
-    Each direct kind builds its matrix from its rule; SF-Conv's follows from
-    its layout."""
-    c_in, c_out = pattern.c_in, pattern.c_out
-    o, i = np.ogrid[:c_out, :c_in]
+    Every kind's rule reaches the same number of inputs from each output, so
+    the count is stated in closed form and no matrix is built: the range
+    costs O(c_out) at any width, where the matrix would take c_out * c_in."""
     if pattern.kind == "dense":
-        direct = np.ones((c_out, c_in), dtype=bool)
+        count = pattern.c_in
     elif pattern.kind == "group":
-        g = pattern.groups
-        direct = o // (c_out // g) == i // (c_in // g)
-    elif pattern.kind == "channel_wise":  # window of inputs from o*c_in//c_out, wrapped
-        direct = (i - o * c_in // c_out) % c_in < pattern.window
+        count = pattern.c_in // pattern.groups
+    elif pattern.kind == "channel_wise":  # window <= c_in, so the wrapped window has no repeats
+        count = pattern.window
     else:
         # Hidden node (h, p) reads window p, K inputs no other window holds,
         # and output o reads hidden channel o // width_multiplier at every
         # window, so each output reaches all windows of K inputs.
-        return np.full(c_out, pattern.spec.windows * pattern.spec.kernel)
-    return direct.sum(axis=1)
+        count = pattern.spec.windows * pattern.spec.kernel
+    return np.full(pattern.c_out, count)

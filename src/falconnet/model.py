@@ -290,9 +290,9 @@ def save_config(cfg: ModelConfig, path) -> None:
 #   entries()       its weight entries, the only place a weight key is spelled;
 #   bind(w)         its step: the function of its input that gives its
 #                   output, with the arrays of its entries, in that order,
-#                   resolved once into what the kernel takes. The step may
-#                   write over its input only when the input is writable
-#                   (see `_execute`);
+#                   resolved once into what the kernel takes. The step calls
+#                   its kernel by its name in this module, and may write over
+#                   its input only when the input is writable (see `_execute`);
 #   fuse(w, bn)     on Conv, SF-Conv, RepSO and RefCO: the inference-form node
 #                   and its arrays, absorbing `bn`, the normalization that
 #                   follows (its BnParams; its BnNode when `w` is None), if any.
@@ -392,7 +392,7 @@ class BnNode(_Leaf):
 @dataclass(frozen=True)
 class ReluNode(_Leaf):
     def bind(self, w):
-        return _relu_in_place
+        return lambda x: _relu_in_place(x)
 
 
 @dataclass(frozen=True)
@@ -401,7 +401,7 @@ class PoolNode(_Leaf):
         return None, "", (c, 1, 1)
 
     def bind(self, w):
-        return global_avg_pool
+        return lambda x: global_avg_pool(x)
 
 
 @dataclass(frozen=True)
@@ -726,9 +726,9 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # `forward` runs a plan: the graph compiled against one weight store into a
 # flat list of steps. Compiling reads every weight entry once, in entry
 # order, and each leaf binds its arrays into the form its kernel takes (BN
-# statistics become a scale and shift), so a run only calls kernels. A step
-# looks its kernel up by name when it runs, so a kernel swapped into the
-# module afterwards is the one called. ReLU, BN and the residual add write
+# statistics become a scale and shift), so a run only calls kernels. Every
+# step looks its kernel up by name when it runs, so a kernel swapped into
+# the module later is the one called. ReLU, BN and the residual add write
 # over their input when it is writable, and `_execute` makes writable only
 # what the run owns; a plan holds no activation, so runs are reentrant.
 # `forward` keeps one plan per (graph, store) pair. Every kernel gives each
@@ -825,7 +825,7 @@ def _emit(nodes, store: WeightStore, where: str, steps: list) -> None:
         else:
             steps.append(_Step(at, _SAVE, None))
             _emit(node.body, store, at + ": ", steps)
-            steps.append(_Step(at, _ADD, _add_into_second))
+            steps.append(_Step(at, _ADD, lambda s, x: _add_into_second(s, x)))
 
 
 def _add_into_second(x: Tensor, y: Tensor) -> Tensor:

@@ -209,8 +209,7 @@ def _merge_repso(cfg: RepSOConfig, terms) -> FusedDWConv:
     return FusedDWConv(kernel, bias)
 
 
-def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,
-                         kernel_scale: float = 0.3, **bn) -> RepSOWeights:
+def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, **bn) -> RepSOWeights:
     """Draw branch kernels and normalization statistics from a generator;
     ``bn`` holds keywords of ``BnParams.random``."""
     branches = []
@@ -218,7 +217,7 @@ def random_repso_weights(cfg: RepSOConfig, rng: np.random.Generator, *,
         shape = branch_kernel_shape(kind, cfg.channels)
         kernel = None
         if shape is not None:
-            kernel = (rng.standard_normal(shape) * kernel_scale).astype(np.float32)
+            kernel = (rng.standard_normal(shape) * 0.3).astype(np.float32)
         branches.append(RepSOBranch(kind, kernel, BnParams.random(cfg.channels, rng, **bn)))
     return RepSOWeights(tuple(branches))
 

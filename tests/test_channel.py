@@ -498,6 +498,30 @@ class TestReceptiveRange:
         assert run.returncode == 0, run.stderr
         assert run.stdout.endswith(f"summary\tmin\t{c}\tmax\t{c}\tmean\t{c}.00\n".encode())
 
+    @pytest.mark.parametrize("args, count", [
+        (["--kind", "dense"], 2**16),
+        (["--kind", "group", "--groups", "2"], 2**15),
+        (["--kind", "channelwise", "--window", "3"], 3),
+    ], ids=["dense", "group", "channelwise"])
+    def test_every_kind_answers_at_a_huge_width(self, args, count):
+        # Under a 1 GiB address space, so a kind that builds its (c_out, c_in)
+        # matrix, 4 to 32 GiB at this width, fails at once with MemoryError.
+        if not hasattr(pytest.importorskip("resource"), "RLIMIT_AS"):
+            pytest.skip("no address-space limit on this platform")
+        c = 2**16
+        child = ("import resource, runpy, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                 "sys.argv = ['falconnet', *sys.argv[1:]]; "
+                 "runpy.run_module('falconnet', run_name='__main__')")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", child, "analyze-range", "--c-in", str(c),
+                              *args], capture_output=True, env=env, timeout=30)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.endswith(
+            f"summary\tmin\t{count}\tmax\t{count}\tmean\t{count}.00\n".encode())
+
     def test_pattern_validation(self):
         with pytest.raises(ShapeError):
             ChannelPattern.group(8, 3)

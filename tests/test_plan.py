@@ -27,7 +27,7 @@ import falconnet.ops as ops_mod
 from falconnet import (BlockConfig, ChannelSlot, ConvSpec, LayerGraph, ModelConfig, ShapeError,
                        SpatialSlot, WeightStore, build_model, conv2d, forward, fuse_model,
                        init_weights, preset_config)
-from falconnet.model import PRESET_NAMES, BlockNode, BnNode, ConvNode, ReluNode
+from falconnet.model import PRESET_NAMES, BlockNode, BnNode, ConvNode, PoolNode, ReluNode
 
 
 def tiny_falconnet(resolution=32):
@@ -239,6 +239,34 @@ def test_second_call_resolves_nothing(model, monkeypatch):
     reads.clear()
     assert forward(graph, store, x).tobytes() == first.tobytes()
     assert calls == Counter() and reads == []
+
+
+@pytest.mark.parametrize("form", ["train", "fused"])
+def test_a_cached_plan_calls_relu_pool_and_add_by_name(small_presets, form, monkeypatch):
+    """Kernels swapped into the module after a plan is cached are the ones
+    its ReLU, pool and residual-add steps call."""
+    graph, store = small_presets["falconnet", form]
+    force_workers(monkeypatch, 1)
+    x = images(1, 16)
+    first = forward(graph, store, x)
+    calls = Counter()
+
+    def counting(name):
+        kernel = getattr(model_mod, name)
+
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    for name in ("_relu_in_place", "global_avg_pool", "_add_into_second"):
+        monkeypatch.setattr(model_mod, name, counting(name))
+    assert forward(graph, store, x).tobytes() == first.tobytes()
+    leaves = Counter(type(node) for node in _leaves(graph.nodes))
+    adds = sum(step.op == model_mod._ADD for step in model_mod._plan(graph, store))
+    assert calls == {"_relu_in_place": leaves[ReluNode], "global_avg_pool": leaves[PoolNode],
+                     "_add_into_second": adds}
+    assert leaves[ReluNode] and leaves[PoolNode] and adds
 
 
 def test_cached_plan_does_not_keep_the_store_alive(model):
