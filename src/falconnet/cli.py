@@ -136,11 +136,16 @@ def _check_finite(graph, store) -> None:
     """Raise at the first weight or bias of ``graph`` in ``store`` that is
     not finite; BN statistics are checked where they are set up."""
     for e in iter_param_entries(graph):
-        if e.role.startswith("bn_"):
-            continue
-        ok = np.isfinite(store.get(e.key))
-        if not ok.all():
-            raise ValueError(f"{e.key} must be finite, violated at index {ok.argmin()}")
+        if not e.role.startswith("bn_"):
+            _require_finite(e.key, store.get(e.key))
+
+
+def _require_finite(key: str, arr) -> None:
+    """Raise, naming ``key`` and the flat index of the first value of ``arr``
+    that is not finite."""
+    ok = np.isfinite(arr)
+    if not ok.all():
+        raise ValueError(f"{key} must be finite, violated at index {ok.argmin()}")
 
 
 def _load_model(args, train_form: bool):
@@ -229,9 +234,11 @@ def _cmd_analyze_range(args) -> int:
 
 
 def _cmd_analyze_magnitude(args) -> int:
-    store = load_weights(args.weights)
-    kernels = [arr for name, arr in store.items()
-               if arr.ndim == 4 and fnmatch.fnmatch(name, args.pattern)]
+    kernels = []
+    for name, arr in load_weights(args.weights).items():
+        if arr.ndim == 4 and fnmatch.fnmatch(name, args.pattern):
+            _require_finite(name, arr)
+            kernels.append(arr)
     if not kernels:
         raise ValueError(f"no rank-4 weight entries match '{args.pattern}'")
     kh, kw = kernels[0].shape[-2:]

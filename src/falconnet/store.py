@@ -85,7 +85,7 @@ class WeightStore:
     def equals_bitwise(self, other: "WeightStore") -> bool:
         if self.names() != other.names():
             return False
-        return all(a.shape == other.get(n).shape and a.tobytes() == other.get(n).tobytes()
+        return all(np.array_equal(a.view(np.uint32), other.get(n).view(np.uint32))
                    for n, a in self.items())
 
 
@@ -97,15 +97,13 @@ def save_weights(store: WeightStore, path) -> None:
             raw = name.encode("utf-8")
             f.write(struct.pack("<I", len(raw)))
             f.write(raw)
-            f.write(struct.pack("<I", arr.ndim))
-            if arr.ndim:
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype("<f4", copy=False).tobytes())
+            f.write(struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape))
+            f.write(arr.astype("<f4", copy=False))
 
 
 def load_weights(path) -> WeightStore:
-    # Read entry by entry, so that only one entry's bytes are held beside
-    # the arrays already loaded.
+    # Read field by field: each entry's array is a read-only view of the bytes
+    # read for it, so the file's data is held once, as the loaded arrays.
     with open(path, "rb") as f:
         return _read_weights(f, os.fstat(f.fileno()).st_size)
 
@@ -115,22 +113,13 @@ def _read_weights(f, size: int) -> WeightStore:
 
     def take(n: int) -> bytes:
         nonlocal pos
-        if pos + n > size:
+        if pos + n > size:  # checked before reading what a header claims
+            raise StoreError("truncated weight file")
+        data = f.read(n)
+        if len(data) != n:
             raise StoreError("truncated weight file")
         pos += n
-        return f.read(n)
-
-    def take_array(shape: tuple) -> np.ndarray:
-        """The next entry's data, read straight into a new array."""
-        nonlocal pos
-        n = 4 * math.prod(shape)
-        if pos + n > size:  # checked before allocating what the header claims
-            raise StoreError("truncated weight file")
-        arr = np.empty(shape, dtype="<f4")
-        if f.readinto(arr.reshape(-1).view(np.uint8)) != n:
-            raise StoreError("truncated weight file")
-        pos += n
-        return arr
+        return data
 
     magic = take(4)
     if magic != MAGIC:
@@ -150,8 +139,8 @@ def _read_weights(f, size: int) -> WeightStore:
         (rank,) = struct.unpack("<I", take(4))
         if rank > _MAX_RANK:
             raise StoreError(f"entry '{name}' has rank {rank}, maximum is {_MAX_RANK}")
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        store._adopt(name, take_array(shape))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        store._adopt(name, np.ndarray(shape, "<f4", take(4 * math.prod(shape))))
     if pos != size:
         raise StoreError(f"{size - pos} trailing bytes after last entry")
     return store

@@ -481,6 +481,23 @@ class TestAnalyzeMagnitude:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_kernel_is_one_error_line(self, workdir, capsys, bad):
+        wd, cfg, _, weights_path = workdir
+        _, fused = fuse_model(build_model(cfg), load_weights(weights_path))
+        key = next(k for k, a in fused.items() if a.ndim == 4 and k.endswith(".spatial.weight"))
+        poisoned = fused.get(key).copy()
+        poisoned.flat[poisoned.size // 2] = bad
+        fused_path, csv_path = wd / "poisoned.falc", wd / "grid.csv"
+        save_weights(WeightStore({k: poisoned if k == key else a for k, a in fused.items()}),
+                     fused_path)
+        code, out, err = run(capsys, "analyze-magnitude", "*.spatial.weight",
+                             "--weights", str(fused_path), "--out", str(csv_path))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {key} must be finite, violated at index "
+                       f"{poisoned.size // 2}\n")
+        assert not csv_path.exists()
+
 
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--config", "{config}", "--weights", "{incomplete}"),

@@ -106,6 +106,44 @@ def test_truncated_file(tmp_path):
         load_weights(path)
 
 
+@pytest.mark.parametrize("extents", [(1 << 24,), (2**31 - 1, 2**31 - 1)],
+                         ids=["64MiB", "u32-max-square"])
+def test_claimed_size_is_refused_before_it_is_read(tmp_path, extents):
+    # A header claiming more data than the file holds is refused before any
+    # of it is allocated or read.
+    path = tmp_path / "claim.falc"
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 1) + struct.pack("<I", 1) + b"w"
+                     + struct.pack(f"<{len(extents) + 1}I", len(extents), *extents))
+    tracemalloc.start()
+    try:
+        with pytest.raises(StoreError) as e:
+            load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == "truncated weight file"
+    assert peak < 1 << 20
+
+
+def test_rank_zero_empty_and_rank_eight_entries_round_trip(tmp_path):
+    rng = np.random.default_rng(2)
+    store = WeightStore()
+    store.put("scalar", np.float32(1.5))
+    store.put("empty", np.zeros((0, 3)))
+    store.put("rank8", rng.standard_normal((2, 1, 3, 1, 2, 1, 1, 2)))
+    path = tmp_path / "w.falc"
+    save_weights(store, path)
+    loaded = load_weights(path)
+    assert loaded.names() == ["scalar", "empty", "rank8"]
+    for name, arr in loaded.items():
+        assert arr.shape == store.get(name).shape
+        assert arr.tobytes() == store.get(name).tobytes()
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous
+        assert not arr.flags.writeable
+    save_weights(loaded, tmp_path / "again.falc")
+    assert (tmp_path / "again.falc").read_bytes() == path.read_bytes()
+
+
 def test_trailing_garbage(tmp_path):
     path = tmp_path / "trail.falc"
     save_weights(WeightStore(), path)
