@@ -238,21 +238,23 @@ def _cmd_analyze_magnitude(args) -> int:
     for name, arr in load_weights(args.weights).items():
         if arr.ndim == 4 and fnmatch.fnmatch(name, args.pattern):
             _require_finite(name, arr)
+            if not arr.size:
+                raise ValueError(f"{name} is an empty kernel of shape {arr.shape}")
             kernels.append(arr)
     if not kernels:
         raise ValueError(f"no rank-4 weight entries match '{args.pattern}'")
     kh, kw = kernels[0].shape[-2:]
     matrix = kernel_magnitude_matrix(kernels, kh, kw)
-    print(f"magnitude\tkernels\t{len(kernels)}\tsize\t{kh}x{kw}")
-    for r in range(kh):
-        print(" ".join(f"{matrix[r, c]:.4f}" for c in range(kw)))
-    if args.out is not None:
+    report = [f"magnitude\tkernels\t{len(kernels)}\tsize\t{kh}x{kw}"]
+    report += [" ".join(f"{matrix[r, c]:.4f}" for c in range(kw)) for r in range(kh)]
+    if args.out is not None:  # written first, so a failed write prints no report
         with open(args.out, "w", encoding="utf-8") as f:
             f.write("r,c,value\n")
             for r in range(kh):
                 for c in range(kw):
                     f.write(f"{r},{c},{matrix[r, c]:.6f}\n")
-        print(f"wrote {args.out}")
+        report.append(f"wrote {args.out}")
+    print("\n".join(report))
     return 0
 
 

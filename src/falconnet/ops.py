@@ -18,28 +18,36 @@ branch's tap sum times a scale plus a shift. Depthwise ``conv2d`` is its
 one-branch case (every tap, the bias as the shift); ``spatial.repso_forward``
 runs all its branches through it in one pass. The kernel picks the memory
 layout from the input shape, and only it knows the layout and tiling. Large
-planes, and planes of one channel, are padded into NCHW planes stored row
-after row, so at stride 1 a kernel tap is one contiguous slice covering a
-whole output plane; there every tap is a float32 multiply into scratch and
-an add into the accumulator. Small stride-1 planes of several channels with
-one output channel per group are padded and transposed channels-last, so
-each output row of a tap is one contiguous run over all channels, with each
-tap's weights tiled along the row; there a branch's taps are summed in one
-``np.einsum`` pass, which zero-fills the accumulator and adds each
-float32-rounded product in (i, j) order. Either way an image is walked in
-tiles of about 256 KiB of accumulator, so that it stays in L2, and both
-layouts give the bits of a plain tap-by-tap sum. Two properties of numpy's
-einsum hold that up, and ``tests/test_ops.py`` pins both:
+planes, and planes of one channel, are walked as NCHW planes stored row
+after row, one tile of channels at a time. At stride 1 the tile is written
+into one buffer that holds kw copies of its padded planes, and tap (i, j)
+is read from copy j, so each tap is one strided view covering a whole
+output plane per channel and no tap axis has the unit stride; there a
+branch's taps are summed in one ``np.einsum`` pass, the channel weights
+broadcast along the row. Strided convs keep one copy, and each of their
+taps is a float32 multiply into scratch and an add into the accumulator.
+Small stride-1 planes of several channels with one output channel per
+group are padded and transposed channels-last, so each output row of a tap
+is one contiguous run over all channels, with each tap's weights tiled
+along the row; there too a branch's taps are summed in one ``np.einsum``
+pass. einsum zero-fills the accumulator and adds each float32-rounded
+product in (i, j) order. Either way an image is walked in tiles of about
+256 KiB of accumulator, so that it stays in L2, and every stride-1 and
+strided path gives the bits of a plain tap-by-tap sum. Two properties of
+numpy's einsum hold that up for every stride-1 one-input-channel conv, and
+``tests/test_ops.py`` pins both in each layout:
 
 * its float32 loop rounds each product before the add only where numpy's
   SIMD baseline lacks FMA, as the ``X86_V2`` baseline of numpy 2.4.6's
   x86-64 wheel does; on a baseline with FMA (aarch64, for one) it fuses
   them and the bits change;
-* it keeps the (i, j) order only while the stride between tap columns, C
-  floats, exceeds the unit stride, so one channel takes NCHW.
+* it keeps the (i, j) order only while no tap axis has the unit stride of
+  a row: channels-last the tap columns are C floats apart, so one channel
+  takes NCHW, and in NCHW they are a copy apart.
 
-einsum raises no numpy ``RuntimeWarning``, so a channels-last overflow is a
-silent ``inf``; callers that care check their result for finiteness.
+einsum raises no numpy ``RuntimeWarning``, so an overflow in a stride-1
+depthwise sum is a silent ``inf``; callers that care check their result for
+finiteness.
 
 Groups that read several input channels (the stem, dense 1x1) take one
 ``matmul`` per tap, one product per group, written straight into the
@@ -318,16 +326,23 @@ def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
 
 
 class _Planes(NamedTuple):
-    """One image's zero-padded input and a view of every kernel tap on it.
+    """A zero-padded buffer for a batch's images and a view of every kernel tap on it.
 
-    ``image`` is the (C, H, W) interior of the padded buffer, viewed in
-    channel-first order whatever the buffer's layout: writing an image there
+    ``image`` is the interior of the padded buffer: writing an image there
     pads it, since the border stays zero. ``grid[i, j]`` is a read-only view
-    of tap (i, j), with ``aw`` columns per output row. In the NCHW layout a
-    tap is (C, 1, oh, aw), one row per channel plane, and at stride 1 the
-    last ``aw - ow`` columns are not part of the output. In the
-    channels-last layout it is (oh, ow*C), one row per output row, with the
-    channels innermost, and ``aw == ow``.
+    of tap (i, j), with ``aw`` columns per output row.
+
+    Channels-last, the buffer holds one whole image, ``image`` is it viewed
+    (C, H, W), and a tap is (oh, ow*C), one row per output row with the
+    channels innermost; ``aw == ow``.
+
+    In NCHW the buffer holds one tile of channels, and ``image`` is
+    (copies, tile, H, W): a tile's (k, H, W) images are written into
+    ``image[:, :k]``, every copy at once, and ``grid[:, :, :k]`` reads them.
+    At stride 1 there are kw copies and a tap is (tile, 1, oh*aw), each
+    channel's output plane as one run whose last ``aw - ow`` columns of
+    every row are not part of the output. At larger strides there is one
+    copy and a tap is (tile, 1, oh, ow).
     """
 
     image: np.ndarray
@@ -341,40 +356,40 @@ class _Planes(NamedTuple):
 
 # Stride-1 planes with one output channel per group, and more than one
 # channel, are walked channels-last when the padded output plane, oh * wp,
-# holds fewer floats than this. In NCHW a tap is one multiply per channel
-# plane by that plane's weight and one add; channels-last a branch's taps
-# are one einsum pass over output rows of ow * C floats under tiled weight
-# rows, at the cost of a transposing copy in and out. A sweep of 3x3
-# depthwise convs with bias (7x7 to 112x112 planes, 16 to 1536 channels,
-# batch 1 and 8, numpy 2.4 on a 2-core x86 host) found channels-last
-# faster in 127 of 128 shapes up to 51x51 planes (2703 floats; median
-# speed-up 1.76, at most 3.4). From 52x52 (2808) on it was faster in 10 of
-# the 52 shapes of 64 or more channels (median speed-up 0.92, at least
-# 0.44) and in 24 of the 28 of 16 or 32 (median 1.17). Every preset's
-# stem.dw is 32 channels at 112x112 (oh * wp = 12,768) and takes NCHW, where
-# the layouts run about even at batch 1; the sweep timed lone convs, not
-# forwards on image threads, whose best threshold is open (ROADMAP item 11).
-_CL_PLANE_FLOATS = 2750
+# holds fewer floats than this. In NCHW a branch's taps are one einsum pass
+# per tile of channel planes under a per-channel weight broadcast along the
+# plane; channels-last they are one einsum pass over output rows of ow * C
+# floats under tiled weight rows, at the cost of a transposing copy in and
+# out. A sweep of 3x3 depthwise convs with bias (7x7 to 112x112 planes, 16
+# to 1024 channels, batch 1 and 8, three processes, numpy 2.4 on a 2-core
+# x86 host, one thread) found channels-last faster in 47 of the 51 shapes
+# below 600 floats (up to 21x21; median speed-up 1.40, at most 3.9), in 16
+# of the 23 at 24x24 and 28x28 (median 1.09; it lost from 256 or 512
+# channels on), and in 26 of the 93 above (median 0.90, at least 0.28). The
+# presets' 28x28 steps have 384 channels (840 floats), where NCHW took 1.27
+# against 1.46 ms per depthwise conv and 4.2 against 4.9 ms per 7-branch
+# RepSO at batch 1, so the limit sits between 24x24 (624) and 28x28.
+_CL_PLANE_FLOATS = 800
 
 
 def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
-    """Zero one image's padded buffer for ``x``'s images, in the layout their
-    shape favours, and view every tap on it.
+    """Zero a padded buffer for ``x``'s images, in the layout their shape
+    favours, and view every tap on it.
 
     Channels-last is taken only at stride 1 with one output channel per
     group and at least two channels: einsum keeps the (i, j) order of the
     taps only while the stride between tap columns, C floats, exceeds the
     unit stride (with one channel the two layouts are the same memory
-    anyway). Every
-    other spec keeps NCHW planes, with one spare bottom row that keeps the
-    last tap's flat run (below) in bounds.
+    anyway). Every other spec keeps NCHW planes for one tile of channels,
+    each plane with one spare bottom row that keeps the last tap's flat run
+    (below) in bounds.
     """
     _, c, h, width = x.shape
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
     ph, pw = spec.pad_h, spec.pad_w
     wp = width + 2 * pw
-    if sh == sw == 1 and spec.out_channels == spec.groups > 1 \
-            and oh * wp < _CL_PLANE_FLOATS:
+    unit = sh == sw == 1
+    if unit and spec.out_channels == spec.groups > 1 and oh * wp < _CL_PLANE_FLOATS:
         # The channels are innermost, so row y of tap (i, j) is the run of
         # ow*c floats starting at padded pixel (i + y, j).
         xp = np.zeros((h + 2 * ph, wp, c), dtype=np.float32)
@@ -382,37 +397,52 @@ def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
         grid = as_strided(xp, (kh, kw, oh, ow * c), (s_row, s_col, s_row, s_c), writeable=False)
         image = xp[ph:ph + h, pw:pw + width].transpose(2, 0, 1)
         return _Planes(image, grid, c, oh, ow, ow, True)
-    xp = np.zeros((c, h + 2 * ph + 1, wp), dtype=np.float32)
-    s_c, s_row, s_col = xp.strides
-    # At stride 1 the padded planes are laid out row after row: tap (i, j)
-    # is then the flat run starting at i*wp + j, a whole output plane.
-    # Columns ow..wp-1 wrap into the next row and are cropped at the end.
-    aw = wp if sh == sw == 1 else ow
-    grid = as_strided(xp, (kh, kw, c, 1, oh, aw),
-                      (s_row, s_col, s_c, 0, s_row * sh, s_col * sw), writeable=False)
-    return _Planes(xp[:, ph:ph + h, pw:pw + width], grid, c, oh, ow, aw, False)
+    # A row of at least 2 floats keeps a one-column plane's row taps off the
+    # unit stride too.
+    wp = max(wp, 2) if unit else wp
+    aw = wp if unit else ow
+    og = spec.out_channels // spec.groups
+    tile = min(c, max(1, _TILE_FLOATS // (og * oh * aw)))
+    xp = np.zeros((kw if unit else 1, tile, h + 2 * ph + 1, wp), dtype=np.float32)
+    s_copy, s_c, s_row, s_col = xp.strides
+    if unit:
+        # kw copies of the tile's planes, each laid out row after row, G =
+        # tile * plane floats apart. Tap (i, j) is the flat run starting at
+        # i*wp + j in copy j, a whole output plane: its column stride is
+        # G + 1 floats, so no tap axis has the unit stride and einsum keeps
+        # the (i, j) order.
+        # Columns ow..wp-1 wrap into the next row and are cropped at the end.
+        grid = as_strided(xp, (kh, kw, tile, 1, oh * wp),
+                          (s_row, s_copy + s_col, s_c, 0, s_col), writeable=False)
+    else:
+        grid = as_strided(xp, (kh, kw, tile, 1, oh, ow),
+                          (s_row, s_col, s_c, 0, s_row * sh, s_col * sw), writeable=False)
+    return _Planes(xp[:, :, ph:ph + h, pw:pw + width], grid, c, oh, ow, aw, False)
 
 
 def _row_weights(planes: _Planes, w: np.ndarray) -> np.ndarray:
     """Per-tap weights (C, og, kh, kw) laid out to multiply a tile of ``planes``.
 
-    NCHW: (kh, kw, C, og, 1, 1), one weight per channel row.
+    NCHW: (kh, kw, C, og, 1, ...), one weight per channel row, with as many
+    trailing unit axes as a tap has row axes.
     Channels-last (og == 1): (kh, kw, ow*C), the channel weights tiled
     along the output row.
     """
     if planes.channels_last:
         return np.tile(w[:, 0].transpose(1, 2, 0), (1, 1, planes.ow))
-    return np.ascontiguousarray(w.transpose(2, 3, 0, 1))[..., None, None]
+    w = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
+    return w.reshape(w.shape + (1,) * (planes.grid.ndim - 4))
 
 
 def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
     """Compute the (N, C*og, oh, ow) branch sum of ``x``, one image at a time.
 
-    Each image is written into the padded buffer of ``planes`` and walked
-    one tile of rows at a time. ``plan`` holds per branch its taps, and its
-    weights, scale and shift laid out by ``_row_weights``. Each NCHW
-    tile's sum is cropped to ``ow`` columns into the image's output; each
-    channels-last tile's is transposed into it.
+    ``plan`` holds per branch its taps, and its weights, scale and shift
+    laid out by ``_row_weights``. A channels-last image is written into the
+    padded buffer of ``planes`` and walked one tile of rows at a time, each
+    tile's sum transposed into the image's output. An NCHW image is walked
+    one tile of channels at a time, each written into every copy of the
+    padded planes and its sum cropped to ``ow`` columns into the output.
     """
     n, c, oh, ow, aw = len(x), planes.c, planes.oh, planes.ow, planes.aw
     if planes.channels_last:
@@ -429,36 +459,41 @@ def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
                 y[:, y0:y1] = acc.reshape(y1 - y0, ow, c).transpose(2, 0, 1)
         return out
     out = np.empty((n, c, og, oh, ow), dtype=np.float32)
-    tile = max(1, _TILE_FLOATS // (og * oh * aw))
-    # The running sum, a second sum for later branches and a scratch buffer
-    # for each tap's products.
-    bufs = [np.empty((min(tile, c), og, oh, aw), dtype=np.float32) for _ in range(3)]
+    tile, rows = planes.grid.shape[2], planes.grid.shape[4:]
+    # The running sum, a second sum for later branches and, where a tap's
+    # rows are strided, a scratch buffer for each tap's products.
+    bufs = [np.empty((tile, og, *rows), dtype=np.float32)
+            for _ in range(min(2, len(plan)) if len(rows) == 1 else 3)]
     for image, y in zip(x, out):
-        planes.image[...] = image
         for r0 in range(0, c, tile):
             sel = slice(r0, min(c, r0 + tile))
-            y[sel] = _tile_sum(plan, sel, sel, *(b[:sel.stop - r0] for b in bufs))[..., :ow]
+            k = sel.stop - r0
+            planes.image[:, :k] = image[sel]
+            acc = _tile_sum(plan, slice(0, k), sel, *(b[:k] for b in bufs))
+            y[sel] = acc.reshape(k, og, oh, aw)[..., :ow]
     return out.reshape(n, c * og, oh, ow)
 
 
 def _tile_sum(plan, rows, wrows, total, y=None, scratch=None) -> np.ndarray:
     """The branch sum over one tile: ``rows`` indexes the taps, ``wrows`` the
     weights. The first branch is computed straight into ``total``, the
-    others into ``y`` and then added. NCHW tiles pass a ``scratch`` buffer;
-    channels-last tiles sum each branch's taps in one einsum."""
+    others into ``y`` and then added. Tiles whose taps have strided rows
+    pass a ``scratch`` buffer for the per-tap products; every other tile
+    sums each branch's taps in one einsum."""
     for k, (taps, wt, s, t) in enumerate(plan):
         y_k = y if k else total
         taps = taps[:, :, rows]
         if wt is None:
             np.multiply(taps[0, 0], s[wrows], out=y_k)
         else:
+            wt = wt[:, :, wrows]
             if scratch is None:
                 # Zero-fills y_k, then adds each rounded product in (i, j)
                 # order: the bits of the per-tap loop below, in one pass.
-                np.einsum("ijyr,ijr->yr", taps, wt, out=y_k)
+                np.einsum("ij...,ij...->...", taps, wt, out=y_k)
             else:
                 y_k.fill(0)
-                for tap_row, w_row in zip(taps, wt[:, :, wrows]):
+                for tap_row, w_row in zip(taps, wt):
                     for tap, w in zip(tap_row, w_row):
                         np.multiply(tap, w, out=scratch)
                         y_k += scratch

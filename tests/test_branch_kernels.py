@@ -67,7 +67,8 @@ def test_repso_bitwise_across_row_tiles(channels, n, h, w):
 
 
 @pytest.mark.parametrize("channels, n, h, w, channels_last", [
-    (768, 2, 14, 14, True), (384, 1, 28, 28, True), (24, 2, 52, 54, False)])
+    (768, 2, 14, 14, True), (384, 1, 21, 21, True), (24, 2, 52, 54, False),
+    (384, 1, 28, 28, False)])
 def test_repso_bitwise_in_both_layouts(channels, n, h, w, channels_last):
     # RepSO walks the layout that conv2d picks for its 3x3 grid.
     cfg = RepSOConfig(channels)
@@ -76,6 +77,23 @@ def test_repso_bitwise_in_both_layouts(channels, n, h, w, channels_last):
     assert ops._plane_taps(x, grid, h, w).channels_last == channels_last
     assert repso_forward(x, weights, cfg).tobytes() == \
         repso_per_branch(x, weights, cfg).tobytes()
+
+
+def test_nchw_tiles_bitwise_with_a_partial_last_tile():
+    # 40 channels of 56x58 planes walk NCHW tiles of 19, 19 and 2 channels,
+    # each summed by one einsum per branch; a depthwise conv2d and the
+    # 7-branch RepSO keep their per-tap bits across them, at batch 2.
+    cfg = RepSOConfig(40)
+    x, weights = _repso_inputs(cfg, 2, 56, 58, 11)
+    grid = ConvSpec(40, 40, 3, 3, 1, 1, 1, 1, groups=40, has_bias=True)
+    planes = ops._plane_taps(x, grid, 56, 58)
+    tile = planes.grid.shape[2]
+    assert not planes.channels_last and 2 * tile < 40 < 3 * tile
+    assert cfg.branch_count == 7
+    assert repso_forward(x, weights, cfg).tobytes() == \
+        repso_per_branch(x, weights, cfg).tobytes()
+    w, b = weights.branches[0].kernel, weights.branches[0].bn.beta
+    assert conv2d(x, w, b, grid).tobytes() == conv2d_per_tap(x, w, b, grid).tobytes()
 
 
 def test_repso_nchw_rows_on_small_planes(monkeypatch):

@@ -498,6 +498,26 @@ class TestAnalyzeMagnitude:
                        f"{poisoned.size // 2}\n")
         assert not csv_path.exists()
 
+    def test_unwritable_out_prints_no_report(self, workdir, capsys):
+        wd, _, _, weights_path = workdir
+        csv_path = wd / "missing" / "grid.csv"
+        code, out, err = run(capsys, "analyze-magnitude", "*.dw3x3_0.kernel",
+                             "--weights", str(weights_path), "--out", str(csv_path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: [Errno 2] ")
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 1, 3, 3), (2, 1, 0, 3)])
+    def test_empty_kernel_is_one_error_line(self, tmp_path, capsys, shape):
+        weights_path, csv_path = tmp_path / "empty.falc", tmp_path / "grid.csv"
+        save_weights(WeightStore({"a.weight": np.ones((2, 1, 3, 3), np.float32),
+                                  "b.weight": np.zeros(shape, np.float32)}), weights_path)
+        code, out, err = run(capsys, "analyze-magnitude", "*.weight",
+                             "--weights", str(weights_path), "--out", str(csv_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: b.weight is an empty kernel of shape {shape}\n"
+        assert not csv_path.exists()
+
 
 @pytest.mark.parametrize("argv, message", [
     (("verify", "--config", "{config}", "--weights", "{incomplete}"),

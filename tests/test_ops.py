@@ -192,9 +192,10 @@ def _takes_channels_last(spec, h, w):
 @pytest.mark.parametrize("spec, n, h, w, channels_last", [
     (_dw(1536, bias=True), 2, 7, 7, True),
     (_dw(768, bias=True), 2, 14, 14, True),
-    (_dw(384), 1, 28, 28, True),            # several row tiles of one image
+    (_dw(384), 1, 21, 21, True),            # several row tiles of one image
     (_dw(96, bias=True), 3, 9, 23, True),   # non-square, several images per tile
     (_dw(64, bias=True), 1, 56, 60, False),  # large plane: NCHW row tiles
+    (_dw(384), 1, 28, 28, False),           # the presets' 28x28 steps: NCHW tiles
 ])
 def test_conv2d_layout_bits(spec, n, h, w, channels_last):
     # The layout follows the plane size; both give the per-tap bits.
@@ -258,6 +259,62 @@ def test_einsum_rounds_each_product_before_the_add():
     assert not got.any(), (
         f"np.einsum fused a float32 multiply and add (got {got.ravel()}): this numpy's SIMD "
         f"baseline has FMA, so channels-last depthwise sums lose the per-tap bits")
+
+
+def _nchw_tap_sum(rows, weights):
+    """The library's einsum of a one-channel stride-1 NCHW tile: image row i
+    holds ``rows[i]`` in each of 40 columns, so every output pixel sums the
+    products ``rows[i] * weights[i][j]``. The taps are ``_plane_taps``'s grid
+    and the weights ``_row_weights``'s, one per channel broadcast along the
+    row (a stride-0 operand)."""
+    kh, kw = np.shape(weights)
+    x = np.repeat(np.array(rows, np.float32)[:, None], 40, axis=1)[None, None]
+    spec = ConvSpec(1, 1, kh, kw)
+    planes = ops._plane_taps(x, spec, *spec.out_hw(kh, 40))
+    assert not planes.channels_last
+    planes.image[:, :1] = x[0]
+    wt = ops._row_weights(planes, np.array(weights, np.float32).reshape(1, 1, kh, kw))
+    return np.einsum("ij...,ij...->...", planes.grid, wt)[..., :planes.ow]
+
+
+def test_nchw_einsum_rounds_each_product_before_the_add():
+    # Tap products c * 1 and a * a: rounded before the add they sum to 0;
+    # fused into one FMA, to 2**-24.
+    a, c = np.float32(1 + 2 ** -12), np.float32(-(1 + 2 ** -11))
+    got = _nchw_tap_sum([c, a], [[1], [a]])
+    assert not got.any(), (
+        f"np.einsum fused a float32 multiply and add (got {np.unique(got)}): this numpy's "
+        f"SIMD baseline has FMA, so stride-1 NCHW depthwise sums lose the per-tap bits")
+
+
+def test_nchw_einsum_sums_taps_in_index_order():
+    # Tap products h, 1, h, h with h half an ulp of 1: in (i, j) order each
+    # add after the 1 rounds back to 1, while in (j, i) order, pairwise or
+    # reversed two h are added first.
+    h = 2.0 ** -24
+    got = _nchw_tap_sum([1, 1], [[h, 1], [h, h]])
+    assert (got == 1).all(), (
+        f"np.einsum did not sum the taps in (i, j) order (got {np.unique(got)}), so "
+        f"stride-1 NCHW depthwise sums lose the per-tap bits")
+
+
+@pytest.mark.parametrize("spec, h, w", [
+    (_dw(32, bias=True), 112, 112),                           # every preset's stem.dw
+    (_dw(1), 9, 9),                                           # one channel
+    (ConvSpec(2, 2, 5, 5, 1, 1, 2, 2, groups=2), 40, 41),     # 5x5
+    (ConvSpec(3, 6, 3, 3, 1, 1, 1, 1, groups=3), 30, 30),     # channel multiplier
+    (ConvSpec(1, 1, 3, 1, 1, 1, 1, 0, groups=1), 40, 1),      # one-column planes
+    (ConvSpec(2, 4, 4, 1, 1, 1, 0, 0, groups=2), 60, 1),      # ... with a multiplier
+])
+def test_nchw_tap_axes_are_off_the_unit_stride(spec, h, w):
+    # einsum keeps the (i, j) order of the taps only while neither tap axis
+    # has a row's unit stride: tap columns are a copy of the tile apart, and
+    # a row of one column is padded to two floats.
+    x = np.zeros((1, spec.in_channels, h, w), np.float32)
+    planes = ops._plane_taps(x, spec, *spec.out_hw(h, w))
+    assert not planes.channels_last and planes.grid.strides[-1] == 4
+    assert 4 not in planes.grid.strides[:2]
+    _assert_nchw_bits(spec, 2, h, w, h + w)
 
 
 # RefCO's scaled sums over branches b: stage 1 as (B, N, win, hid, H*W)
