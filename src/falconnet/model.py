@@ -966,9 +966,12 @@ def verify_equivalence(reference, candidate, trials: int, input_shape,
                        tolerance: float = 1e-4, seed: int = 0) -> FusionReport:
     """Run both callables on fixed-seed pseudo-random inputs and record the
     worst absolute output discrepancy. A non-finite output from either side
-    makes that discrepancy non-finite, and the report fails."""
+    makes that discrepancy non-finite, and the report fails. A tolerance
+    that no discrepancy can meet (negative or NaN) is an error."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not tolerance >= 0:  # `not >= 0` rejects a NaN tolerance too
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     shape = tuple(int(d) for d in input_shape)
     rng = np.random.default_rng(seed)
     worst = 0.0

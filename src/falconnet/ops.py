@@ -18,23 +18,21 @@ branch's tap sum times a scale plus a shift. Depthwise ``conv2d`` is its
 one-branch case (every tap, the bias as the shift); ``spatial.repso_forward``
 runs all its branches through it in one pass. The kernel picks the memory
 layout from the input shape, and only it knows the layout and tiling. Large
-planes, and planes of one channel, are walked as NCHW planes stored row
-after row, one tile of channels at a time. At stride 1 the tile is written
-into one buffer that holds kw copies of its padded planes, and tap (i, j)
-is read from copy j, so each tap is one strided view covering a whole
-output plane per channel and no tap axis has the unit stride; there a
-branch's taps are summed in one ``np.einsum`` pass, the channel weights
-broadcast along the row. Strided convs keep one copy, and each of their
-taps is a float32 multiply into scratch and an add into the accumulator.
-Small stride-1 planes of several channels with one output channel per
-group are padded and transposed channels-last, so each output row of a tap
-is one contiguous run over all channels, with each tap's weights tiled
-along the row; there too a branch's taps are summed in one ``np.einsum``
-pass. einsum zero-fills the accumulator and adds each float32-rounded
-product in (i, j) order. Either way an image is walked in tiles of about
-256 KiB of accumulator, so that it stays in L2, and every stride-1 and
-strided path gives the bits of a plain tap-by-tap sum. Two properties of
-numpy's einsum hold that up for every stride-1 one-input-channel conv, and
+planes, strided convs and planes of one channel are walked as NCHW planes
+stored row after row, one tile of channels at a time. The tile is written
+into one buffer that holds kw copies of its padded planes, copy j holding
+the padded columns j, j + sw, j + 2*sw, ..., and tap (i, j) is read from
+row i of copy j. So each tap is one flat run per channel, whose rows
+``::sh`` and first ``ow`` columns are its output plane, and no tap axis has
+the unit stride. Small stride-1 planes of several channels with one output
+channel per group are padded and transposed channels-last, so each output
+row of a tap is one contiguous run over all channels, with each tap's
+weights tiled along the row. In either layout a branch's taps are summed
+in one ``np.einsum`` pass, which zero-fills the accumulator and adds each
+float32-rounded product in (i, j) order, and an image is walked in tiles
+of about 256 KiB of accumulator, so that it stays in L2. Every path gives
+the bits of a plain tap-by-tap sum. Two properties of numpy's einsum hold
+that up for every one-input-channel conv, stride 1 or strided, and
 ``tests/test_ops.py`` pins both in each layout:
 
 * its float32 loop rounds each product before the add only where numpy's
@@ -43,10 +41,11 @@ numpy's einsum hold that up for every stride-1 one-input-channel conv, and
   them and the bits change;
 * it keeps the (i, j) order only while no tap axis has the unit stride of
   a row: channels-last the tap columns are C floats apart, so one channel
-  takes NCHW, and in NCHW they are a copy apart.
+  takes NCHW, and in NCHW they are a copy apart and the tap rows a row of
+  at least two floats apart.
 
-einsum raises no numpy ``RuntimeWarning``, so an overflow in a stride-1
-depthwise sum is a silent ``inf``; callers that care check their result for
+einsum raises no numpy ``RuntimeWarning``, so an overflow in a depthwise
+sum is a silent ``inf``; callers that care check their result for
 finiteness.
 
 Groups that read several input channels (the stem, dense 1x1) take one
@@ -295,8 +294,8 @@ def conv2d(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
 
 
 # Accumulator floats per tile of the branch sum: 256 KiB, so the
-# accumulator and its scratch stay in L2. A sweep of 16K, 64K and 256K on a
-# 2-core x86 host gave the lowest latency at 64K.
+# accumulator and a later branch's sum stay in L2. A sweep of 16K, 64K and
+# 256K on a 2-core x86 host gave the lowest latency at 64K.
 _TILE_FLOATS = 1 << 16
 
 def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
@@ -328,30 +327,35 @@ def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
 class _Planes(NamedTuple):
     """A zero-padded buffer for a batch's images and a view of every kernel tap on it.
 
-    ``image`` is the interior of the padded buffer: writing an image there
-    pads it, since the border stays zero. ``grid[i, j]`` is a read-only view
-    of tap (i, j), with ``aw`` columns per output row.
+    ``copies`` lists pairs (interior, columns): ``fill`` writes a tile's
+    image columns ``columns`` into ``interior``, a view of the buffer whose
+    border stays zero, so the buffer holds the padded tile. ``grid[i, j]``
+    is a read-only view of tap (i, j), with ``aw`` columns per row.
 
-    Channels-last, the buffer holds one whole image, ``image`` is it viewed
-    (C, H, W), and a tap is (oh, ow*C), one row per output row with the
-    channels innermost; ``aw == ow``.
+    Channels-last, the buffer holds one whole image, the one interior is it
+    viewed (C, H, W), and a tap is (oh, ow*C), one row per output row with
+    the channels innermost; ``aw == ow`` and ``sh == 1``.
 
-    In NCHW the buffer holds one tile of channels, and ``image`` is
-    (copies, tile, H, W): a tile's (k, H, W) images are written into
-    ``image[:, :k]``, every copy at once, and ``grid[:, :, :k]`` reads them.
-    At stride 1 there are kw copies and a tap is (tile, 1, oh*aw), each
-    channel's output plane as one run whose last ``aw - ow`` columns of
-    every row are not part of the output. At larger strides there is one
-    copy and a tap is (tile, 1, oh, ow).
+    In NCHW the buffer holds kw copies of one tile of channels, copy j the
+    padded columns j, j + sw, ... of each plane, ``aw`` of them per row. A
+    tap is (tile, 1, rows*aw), with rows = (oh - 1) * sh + 1: each
+    channel's run from row i of copy j, whose rows ``::sh`` and first ``ow``
+    columns are the tap's output plane.
     """
 
-    image: np.ndarray
+    copies: list
     grid: np.ndarray
     c: int
     oh: int
     ow: int
     aw: int
+    sh: int
     channels_last: bool
+
+    def fill(self, images: np.ndarray) -> None:
+        """Write ``images``, (k, H, W), as the first k channels of the buffer."""
+        for interior, columns in self.copies:
+            interior[:len(images)] = images[..., columns]
 
 
 # Stride-1 planes with one output channel per group, and more than one
@@ -380,69 +384,64 @@ def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
     group and at least two channels: einsum keeps the (i, j) order of the
     taps only while the stride between tap columns, C floats, exceeds the
     unit stride (with one channel the two layouts are the same memory
-    anyway). Every other spec keeps NCHW planes for one tile of channels,
-    each plane with one spare bottom row that keeps the last tap's flat run
-    (below) in bounds.
+    anyway). Every other spec keeps NCHW planes for one tile of channels.
     """
     _, c, h, width = x.shape
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
     ph, pw = spec.pad_h, spec.pad_w
     wp = width + 2 * pw
-    unit = sh == sw == 1
-    if unit and spec.out_channels == spec.groups > 1 and oh * wp < _CL_PLANE_FLOATS:
+    if sh == sw == 1 and spec.out_channels == spec.groups > 1 and oh * wp < _CL_PLANE_FLOATS:
         # The channels are innermost, so row y of tap (i, j) is the run of
         # ow*c floats starting at padded pixel (i + y, j).
         xp = np.zeros((h + 2 * ph, wp, c), dtype=np.float32)
         s_row, s_col, s_c = xp.strides
         grid = as_strided(xp, (kh, kw, oh, ow * c), (s_row, s_col, s_row, s_c), writeable=False)
         image = xp[ph:ph + h, pw:pw + width].transpose(2, 0, 1)
-        return _Planes(image, grid, c, oh, ow, ow, True)
+        return _Planes([(image, slice(None))], grid, c, oh, ow, ow, 1, True)
     # A row of at least 2 floats keeps a one-column plane's row taps off the
     # unit stride too.
-    wp = max(wp, 2) if unit else wp
-    aw = wp if unit else ow
+    aw, rows = max(ow, 2), (oh - 1) * sh + 1
     og = spec.out_channels // spec.groups
-    tile = min(c, max(1, _TILE_FLOATS // (og * oh * aw)))
-    xp = np.zeros((kw if unit else 1, tile, h + 2 * ph + 1, wp), dtype=np.float32)
+    tile = min(c, max(1, _TILE_FLOATS // (og * rows * aw)))
+    xp = np.zeros((kw, tile, h + 2 * ph, aw), dtype=np.float32)
+    copies = []
+    for j in range(kw):
+        # Copy column u is padded column j + u*sw, image column j - pw + u*sw;
+        # columns u0 to u1 - 1 are on the image.
+        u0, u1 = max(0, -((j - pw) // sw)), min(ow, -((j - pw - width) // sw))
+        copies.append((xp[j, :, ph:ph + h, u0:u1], slice(j - pw + u0 * sw, j - pw + u1 * sw, sw)))
+    # kw copies of the tile's planes, each laid out row after row. Tap (i,
+    # j) is the flat run starting at row i of copy j: its tap axes are a
+    # row (aw >= 2 floats) and a copy apart, so neither has the unit stride
+    # and einsum keeps the (i, j) order.
     s_copy, s_c, s_row, s_col = xp.strides
-    if unit:
-        # kw copies of the tile's planes, each laid out row after row, G =
-        # tile * plane floats apart. Tap (i, j) is the flat run starting at
-        # i*wp + j in copy j, a whole output plane: its column stride is
-        # G + 1 floats, so no tap axis has the unit stride and einsum keeps
-        # the (i, j) order.
-        # Columns ow..wp-1 wrap into the next row and are cropped at the end.
-        grid = as_strided(xp, (kh, kw, tile, 1, oh * wp),
-                          (s_row, s_copy + s_col, s_c, 0, s_col), writeable=False)
-    else:
-        grid = as_strided(xp, (kh, kw, tile, 1, oh, ow),
-                          (s_row, s_col, s_c, 0, s_row * sh, s_col * sw), writeable=False)
-    return _Planes(xp[:, :, ph:ph + h, pw:pw + width], grid, c, oh, ow, aw, False)
+    grid = as_strided(xp, (kh, kw, tile, 1, rows * aw),
+                      (s_row, s_copy, s_c, 0, s_col), writeable=False)
+    return _Planes(copies, grid, c, oh, ow, aw, sh, False)
 
 
 def _row_weights(planes: _Planes, w: np.ndarray) -> np.ndarray:
     """Per-tap weights (C, og, kh, kw) laid out to multiply a tile of ``planes``.
 
-    NCHW: (kh, kw, C, og, 1, ...), one weight per channel row, with as many
-    trailing unit axes as a tap has row axes.
+    NCHW: (kh, kw, C, og, 1), one weight per channel run.
     Channels-last (og == 1): (kh, kw, ow*C), the channel weights tiled
     along the output row.
     """
     if planes.channels_last:
         return np.tile(w[:, 0].transpose(1, 2, 0), (1, 1, planes.ow))
-    w = np.ascontiguousarray(w.transpose(2, 3, 0, 1))
-    return w.reshape(w.shape + (1,) * (planes.grid.ndim - 4))
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1))[..., None]
 
 
 def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
     """Compute the (N, C*og, oh, ow) branch sum of ``x``, one image at a time.
 
     ``plan`` holds per branch its taps, and its weights, scale and shift
-    laid out by ``_row_weights``. A channels-last image is written into the
+    laid out by ``_row_weights``. A channels-last image is filled into the
     padded buffer of ``planes`` and walked one tile of rows at a time, each
     tile's sum transposed into the image's output. An NCHW image is walked
-    one tile of channels at a time, each written into every copy of the
-    padded planes and its sum cropped to ``ow`` columns into the output.
+    one tile of channels at a time, each filled into every copy of the
+    padded planes and its sum cropped to rows ``::sh`` and ``ow`` columns
+    into the output.
     """
     n, c, oh, ow, aw = len(x), planes.c, planes.oh, planes.ow, planes.aw
     if planes.channels_last:
@@ -452,51 +451,39 @@ def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
         # The running sum and, for later branches, a second sum.
         bufs = [np.empty((ys, row), dtype=np.float32) for _ in range(min(2, len(plan)))]
         for image, y in zip(x, out):
-            planes.image[...] = image
+            planes.fill(image)
             for y0 in range(0, oh, ys):
                 y1 = min(oh, y0 + ys)
                 acc = _tile_sum(plan, slice(y0, y1), ..., *(b[:y1 - y0] for b in bufs))
                 y[:, y0:y1] = acc.reshape(y1 - y0, ow, c).transpose(2, 0, 1)
         return out
     out = np.empty((n, c, og, oh, ow), dtype=np.float32)
-    tile, rows = planes.grid.shape[2], planes.grid.shape[4:]
-    # The running sum, a second sum for later branches and, where a tap's
-    # rows are strided, a scratch buffer for each tap's products.
-    bufs = [np.empty((tile, og, *rows), dtype=np.float32)
-            for _ in range(min(2, len(plan)) if len(rows) == 1 else 3)]
+    tile, run = planes.grid.shape[2], planes.grid.shape[4]
+    bufs = [np.empty((tile, og, run), dtype=np.float32) for _ in range(min(2, len(plan)))]
     for image, y in zip(x, out):
         for r0 in range(0, c, tile):
             sel = slice(r0, min(c, r0 + tile))
             k = sel.stop - r0
-            planes.image[:, :k] = image[sel]
+            planes.fill(image[sel])
             acc = _tile_sum(plan, slice(0, k), sel, *(b[:k] for b in bufs))
-            y[sel] = acc.reshape(k, og, oh, aw)[..., :ow]
+            y[sel] = acc.reshape(k, og, -1, aw)[..., ::planes.sh, :ow]
     return out.reshape(n, c * og, oh, ow)
 
 
-def _tile_sum(plan, rows, wrows, total, y=None, scratch=None) -> np.ndarray:
+def _tile_sum(plan, rows, wrows, total, y=None) -> np.ndarray:
     """The branch sum over one tile: ``rows`` indexes the taps, ``wrows`` the
     weights. The first branch is computed straight into ``total``, the
-    others into ``y`` and then added. Tiles whose taps have strided rows
-    pass a ``scratch`` buffer for the per-tap products; every other tile
-    sums each branch's taps in one einsum."""
+    others into ``y`` and then added. Each branch's taps are summed in one
+    einsum."""
     for k, (taps, wt, s, t) in enumerate(plan):
         y_k = y if k else total
         taps = taps[:, :, rows]
         if wt is None:
             np.multiply(taps[0, 0], s[wrows], out=y_k)
         else:
-            wt = wt[:, :, wrows]
-            if scratch is None:
-                # Zero-fills y_k, then adds each rounded product in (i, j)
-                # order: the bits of the per-tap loop below, in one pass.
-                np.einsum("ij...,ij...->...", taps, wt, out=y_k)
-            else:
-                y_k.fill(0)
-                for tap_row, w_row in zip(taps, wt):
-                    for tap, w in zip(tap_row, w_row):
-                        np.multiply(tap, w, out=scratch)
-                        y_k += scratch
+            # Zero-fills y_k, then adds each rounded product in (i, j)
+            # order: the bits of a per-tap multiply-add loop, in one pass.
+            np.einsum("ij...,ij...->...", taps, wt[:, :, wrows], out=y_k)
             if s is not None:
                 y_k *= s[wrows]
         if t is not None:

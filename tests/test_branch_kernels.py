@@ -80,13 +80,13 @@ def test_repso_bitwise_in_both_layouts(channels, n, h, w, channels_last):
 
 
 def test_nchw_tiles_bitwise_with_a_partial_last_tile():
-    # 40 channels of 56x58 planes walk NCHW tiles of 19, 19 and 2 channels,
+    # 40 channels of 56x60 planes walk NCHW tiles of 19, 19 and 2 channels,
     # each summed by one einsum per branch; a depthwise conv2d and the
     # 7-branch RepSO keep their per-tap bits across them, at batch 2.
     cfg = RepSOConfig(40)
-    x, weights = _repso_inputs(cfg, 2, 56, 58, 11)
+    x, weights = _repso_inputs(cfg, 2, 56, 60, 11)
     grid = ConvSpec(40, 40, 3, 3, 1, 1, 1, 1, groups=40, has_bias=True)
-    planes = ops._plane_taps(x, grid, 56, 58)
+    planes = ops._plane_taps(x, grid, 56, 60)
     tile = planes.grid.shape[2]
     assert not planes.channels_last and 2 * tile < 40 < 3 * tile
     assert cfg.branch_count == 7

@@ -295,6 +295,20 @@ class TestFuseAndVerify:
         assert fields[0] == "fusion"
         assert "passed" in fields
 
+    @pytest.mark.parametrize("command", ["verify", "fuse"])
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_tolerance_no_error_can_meet_is_one_error_line(self, workdir, capsys, command,
+                                                           tolerance):
+        tmp_path, _, cfg_path, weights_path = workdir
+        out_path = tmp_path / "fused.falc"
+        args = ["--out", str(out_path)] if command == "fuse" else []
+        code, out, err = run(capsys, command, *args, "--config", str(cfg_path),
+                             "--weights", str(weights_path), "--trials", "1",
+                             "--tolerance", tolerance)
+        assert (code, out) == (1, "")
+        assert err == f"error: tolerance must be >= 0, got {float(tolerance)}\n"
+        assert not out_path.exists()
+
     def test_verify_fails_on_unreachable_tolerance(self, workdir, capsys):
         _, _, cfg_path, weights_path = workdir
         code, out, _ = run(capsys, "verify", "--config", str(cfg_path),

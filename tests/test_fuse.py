@@ -372,6 +372,18 @@ class TestVerifyEquivalence:
         with pytest.raises(ValueError):
             verify_equivalence(lambda x: x, lambda x: x, 0, (1, 1, 1, 1))
 
+    @pytest.mark.parametrize("tolerance", [np.nan, -1.0, -1e-30])
+    def test_tolerance_no_error_can_meet_is_rejected(self, tolerance):
+        # Checked before any trial runs: neither model is called.
+        def never(x):
+            raise AssertionError("a model ran")
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            verify_equivalence(never, never, 1, (1, 1, 1, 1), tolerance)
+
+    def test_zero_tolerance_is_allowed(self):
+        report = verify_equivalence(lambda x: x, lambda x: x, 1, (1, 1, 2, 2), 0.0)
+        assert report.passed and report.tolerance == 0.0
+
     def test_nan_candidate_fails(self):
         report = verify_equivalence(lambda x: x, lambda x: x * np.nan, 1, (1, 3, 4, 4))
         assert np.isnan(report.max_abs_error)

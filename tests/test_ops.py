@@ -272,7 +272,7 @@ def _nchw_tap_sum(rows, weights):
     spec = ConvSpec(1, 1, kh, kw)
     planes = ops._plane_taps(x, spec, *spec.out_hw(kh, 40))
     assert not planes.channels_last
-    planes.image[:, :1] = x[0]
+    planes.fill(x[0])
     wt = ops._row_weights(planes, np.array(weights, np.float32).reshape(1, 1, kh, kw))
     return np.einsum("ij...,ij...->...", planes.grid, wt)[..., :planes.ow]
 
@@ -305,16 +305,42 @@ def test_nchw_einsum_sums_taps_in_index_order():
     (ConvSpec(3, 6, 3, 3, 1, 1, 1, 1, groups=3), 30, 30),     # channel multiplier
     (ConvSpec(1, 1, 3, 1, 1, 1, 1, 0, groups=1), 40, 1),      # one-column planes
     (ConvSpec(2, 4, 4, 1, 1, 1, 0, 0, groups=2), 60, 1),      # ... with a multiplier
+    (ConvSpec(32, 32, 3, 3, 2, 2, 1, 1, groups=32, has_bias=True), 112, 112),  # stem.down
+    (ConvSpec(4, 8, 2, 2, 2, 2, 0, 0, groups=4), 14, 14),     # a sub conv, multiplier 2
+    (ConvSpec(2, 2, 3, 3, 3, 2, 2, 2, groups=2), 11, 10),     # unequal strides, padding 2
+    (ConvSpec(3, 3, 3, 3, 2, 2, 1, 1, groups=3), 9, 2),       # strided, one output column
 ])
 def test_nchw_tap_axes_are_off_the_unit_stride(spec, h, w):
     # einsum keeps the (i, j) order of the taps only while neither tap axis
-    # has a row's unit stride: tap columns are a copy of the tile apart, and
-    # a row of one column is padded to two floats.
+    # has a row's unit stride: tap columns are a copy of the tile apart, tap
+    # rows a row of the copy apart, and a row of one column is padded to two
+    # floats.
     x = np.zeros((1, spec.in_channels, h, w), np.float32)
     planes = ops._plane_taps(x, spec, *spec.out_hw(h, w))
     assert not planes.channels_last and planes.grid.strides[-1] == 4
     assert 4 not in planes.grid.strides[:2]
     _assert_nchw_bits(spec, 2, h, w, h + w)
+
+
+def test_nchw_one_input_convs_bitwise_sweep(monkeypatch):
+    # Every one-input conv walked as NCHW planes, strided ones included,
+    # against the per-tap reference: kernels 1-3, strides 1-3 (unequal
+    # too) and padding 0-2 per axis, 1-3 channels, multiplier 1-2, on
+    # planes of at most 9x9 down to 1x1.
+    monkeypatch.setattr(ops, "_CL_PLANE_FLOATS", 0)
+    cases = 0
+    for (kh, kw), (sh, sw), (ph, pw) in itertools.product(
+            itertools.product(range(1, 4), repeat=2), itertools.product(range(1, 4), repeat=2),
+            itertools.product(range(3), repeat=2)):
+        for c, m, (h, w) in itertools.product((1, 2, 3), (1, 2), ((1, 1), (5, 2), (9, 8))):
+            if h + 2 * ph < kh or w + 2 * pw < kw:
+                continue
+            spec = ConvSpec(c, c * m, kh, kw, sh, sw, ph, pw, groups=c, has_bias=cases % 2 == 0)
+            assert not _takes_channels_last(spec, h, w)
+            x, wt, b = _case(spec, 1, h, w, cases)
+            assert conv2d(x, wt, b, spec).tobytes() == conv2d_per_tap(x, wt, b, spec).tobytes()
+            cases += 1
+    assert cases == 10908
 
 
 # RefCO's scaled sums over branches b: stage 1 as (B, N, win, hid, H*W)
