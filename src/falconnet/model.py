@@ -731,7 +731,8 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # the module later is the one called. ReLU, BN and the residual add write
 # over their input when it is writable, and `_execute` makes writable only
 # what the run owns; a plan holds no activation, so runs are reentrant.
-# `forward` keeps one plan per (graph, store) pair. Every kernel gives each
+# `forward` keeps one plan per store and per equal set of nodes, so a graph
+# may be rebuilt and the store is the object to keep. Every kernel gives each
 # image of a batch the bits it gets alone, so `forward` may split a batch
 # into one run per image, on threads of its own for the CPUs that BLAS
 # leaves idle (`_workers`), and join the rows in order; the threads end
@@ -806,45 +807,38 @@ def _execute(plan: tuple, x: Tensor) -> Tensor:
     return x
 
 
-def _compile(nodes, store: WeightStore) -> tuple:
-    """The plan of a node sequence against ``store``: its steps, in order."""
-    steps: list = []
-    _emit(nodes, store, "", steps)
-    return tuple(steps)
-
-
-def _emit(nodes, store: WeightStore, where: str, steps: list) -> None:
-    """Append the steps of ``nodes``, reading their entries from ``store`` in
-    entry order."""
+def _compile(nodes, store: WeightStore, where: str = ""):
+    """Yield the steps of ``nodes``, in order, reading their entries from
+    ``store`` in entry order; ``where`` prefixes each step's name."""
     for node in nodes:
         at = where + node.name
         if not isinstance(node, BlockNode):
-            steps.append(_Step(at, _CALL, node.bind(_weights(node, store))))
+            yield _Step(at, _CALL, node.bind(_weights(node, store)))
         elif not node.residual:
-            _emit(node.body, store, at + ": ", steps)
+            yield from _compile(node.body, store, at + ": ")
         else:
-            steps.append(_Step(at, _SAVE, None))
-            _emit(node.body, store, at + ": ", steps)
-            steps.append(_Step(at, _ADD, lambda s, x: _add_into_second(s, x)))
+            yield _Step(at, _SAVE, None)
+            yield from _compile(node.body, store, at + ": ")
+            yield _Step(at, _ADD, lambda s, x: _add_into_second(s, x))
 
 
 def _add_into_second(x: Tensor, y: Tensor) -> Tensor:
     return np.add(x, y, out=y if y.flags.writeable else None)
 
 
-# store -> {id(graph): (graph, plan)}, weakly keyed, so that plans live as
-# long as their store and no longer. A plan cannot go stale: a store only
-# gains entries, and its arrays are read-only copies. Holding the graph keeps
-# its id from being reused while its plan is cached.
+# store -> {graph.nodes: plan}, weakly keyed, so that plans live as long as
+# their store and no longer. A plan is a function of the nodes and the store
+# alone, so equal graphs share one. It cannot go stale: a store only gains
+# entries, and its arrays are read-only copies.
 _PLANS = weakref.WeakKeyDictionary()
 
 
 def _plan(graph: LayerGraph, store: WeightStore) -> tuple:
     plans = _PLANS.setdefault(store, {})
-    cached = plans.get(id(graph))
-    if cached is None:  # threads that miss together each compile; any plan serves
-        cached = plans[id(graph)] = (graph, _compile(graph.nodes, store))
-    return cached[1]
+    plan = plans.get(graph.nodes)
+    if plan is None:  # threads that miss together each compile; any plan serves
+        plan = plans[graph.nodes] = tuple(_compile(graph.nodes, store))
+    return plan
 
 
 def _workers() -> int:
@@ -870,9 +864,11 @@ def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
 
     Purely functional over immutable inputs: the same input and weights
     produce bitwise-identical logits on a given machine. The first call on a
-    (graph, store) pair compiles a plan that later calls reuse; ``x`` is
-    never written (its steps see it read-only, so one that would write over
-    it raises), and calls may run concurrently. A batch runs one image per
+    store and the graph's nodes compiles a plan that later calls on that
+    store with equal nodes reuse, so the graph may be rebuilt (its nodes
+    must be hashable); ``x`` is never written (its steps see it read-only,
+    so one that would write over it raises), and calls may run
+    concurrently. A batch runs one image per
     task, on as many threads as `_workers` allows; they are made for the
     call and end before it returns, or raises the error of the first failing
     image in batch order. Each image gets the bits it gets alone, so the

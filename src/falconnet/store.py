@@ -154,15 +154,15 @@ _PPM_HEADER_TOKEN = re.compile(rb"#[^\n]*|[^\s#]+")
 _PPM_SAMPLE_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
-def _read_ppm_tokens(data: bytes, count: int, pos: int, token=_PPM_HEADER_TOKEN):
-    """Read whitespace-separated tokens, skipping # comments."""
+def _read_ppm_tokens(data: bytes, count: int, pos: int, token, what: str):
+    """Read ``count`` tokens of ``what``, skipping # comments."""
     tokens = []
     for m in token.finditer(data, pos):
         if m[0][:1] != b"#":
             tokens.append(m[0])
             if len(tokens) == count:
                 return tokens, m.end()
-    raise StoreError("truncated image header")
+    raise StoreError(f"truncated {what}")
 
 
 def _decode_ppm(path):
@@ -172,7 +172,7 @@ def _decode_ppm(path):
     if data[:2] not in (b"P6", b"P3"):
         raise StoreError(f"not a PPM image (magic {data[:2]!r})")
     binary = data[:2] == b"P6"
-    tokens, pos = _read_ppm_tokens(data, 3, 2)
+    tokens, pos = _read_ppm_tokens(data, 3, 2, _PPM_HEADER_TOKEN, "image header")
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -192,7 +192,7 @@ def _decode_ppm(path):
             raise StoreError("truncated PPM pixel data")
         pixels = np.frombuffer(data[pos:pos + n], dtype=np.uint8)
     else:
-        values, _ = _read_ppm_tokens(data, n, pos, _PPM_SAMPLE_TOKEN)
+        values, _ = _read_ppm_tokens(data, n, pos, _PPM_SAMPLE_TOKEN, "PPM pixel data")
         try:
             pixels = np.array([int(v) for v in values], dtype=np.int64)
         except (ValueError, OverflowError):

@@ -284,7 +284,7 @@ def _small_falconnet():
 def test_every_step_of_forward_runs_under_the_small_buffer(caller_bufsize, workers,
                                                            monkeypatch):
     # The buffer size is per thread: each image thread must set its own.
-    compile_plan = model_mod._compile
+    plan = model_mod._plan
     seen = []
 
     def recording(fn):
@@ -293,9 +293,9 @@ def test_every_step_of_forward_runs_under_the_small_buffer(caller_bufsize, worke
             return fn(*args)
         return step
 
-    monkeypatch.setattr(model_mod, "_compile", lambda nodes, store: tuple(
+    monkeypatch.setattr(model_mod, "_plan", lambda graph, store: tuple(
         s if s.fn is None else s._replace(fn=recording(s.fn))
-        for s in compile_plan(nodes, store)))
+        for s in plan(graph, store)))
     monkeypatch.setattr(model_mod, "_workers", lambda: workers)
     x = np.random.default_rng(3).standard_normal((3, 3, 32, 32)).astype(np.float32)
     for g, s in _small_falconnet():

@@ -1,10 +1,11 @@
 """The compiled execution plan behind ``forward``.
 
-``forward`` compiles each (graph, store) pair once and reuses the plan. These
-tests pin what that must not change: the bits, purity towards the caller's
-input and the returned logits, one plan per store, and reentrancy. A batch
-may run one image per task on a thread pool; the tests of that path force
-the worker count, so that the pool runs whatever the BLAS settings.
+``forward`` compiles a plan once per store and per equal set of nodes, and
+reuses it for any graph with those nodes. These tests pin what that must not
+change: the bits, purity towards the caller's input and the returned logits,
+one plan per store and nodes, and reentrancy. A batch may run one image per
+task on a thread pool; the tests of that path force the worker count, so
+that the pool runs whatever the BLAS settings.
 """
 
 import gc
@@ -26,7 +27,7 @@ import falconnet.model as model_mod
 import falconnet.ops as ops_mod
 from falconnet import (BlockConfig, ChannelSlot, ConvSpec, LayerGraph, ModelConfig, ShapeError,
                        SpatialSlot, WeightStore, build_model, conv2d, forward, fuse_model,
-                       init_weights, preset_config)
+                       fused_structure, init_weights, preset_config)
 from falconnet.model import PRESET_NAMES, BlockNode, BnNode, ConvNode, PoolNode, ReluNode
 
 
@@ -277,6 +278,88 @@ def test_cached_plan_does_not_keep_the_store_alive(model):
     del store
     gc.collect()
     assert ref() is None
+
+
+FALCON_32 = replace(preset_config("falconnet"), input_resolution=32)
+
+
+@pytest.fixture
+def falcon_store(small_presets):
+    """A copy of the 32 px falconnet train store, with no plan compiled yet."""
+    return WeightStore(small_presets["falconnet", "train"][1].items())
+
+
+def count_compiles(monkeypatch):
+    """A list that gets one count per `forward` once the caller appends a 0:
+    the calls of `model._compile`, which recurses through the module name."""
+    calls = []
+    compile_plan = model_mod._compile
+
+    def counting(*args):
+        calls[-1] += 1
+        return compile_plan(*args)
+
+    monkeypatch.setattr(model_mod, "_compile", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rebuilt_equal_graphs_share_one_plan(falcon_store, workers, monkeypatch):
+    """A graph built afresh for each call compiles only on the first: the
+    plan is cached by the graph's nodes, not by the graph object."""
+    force_workers(monkeypatch, workers)
+    calls = count_compiles(monkeypatch)
+    x = images(2, 17)
+    logits = []
+    for _ in range(5):
+        calls.append(0)
+        logits.append(forward(build_model(FALCON_32), falcon_store, x).tobytes())
+    assert calls[0] > 0 and calls[1:] == [0] * 4
+    assert len(model_mod._PLANS[falcon_store]) == 1
+    assert logits == logits[:1] * 5
+
+
+def test_a_rebuilt_graph_is_freed_after_forward(falcon_store):
+    graph = build_model(FALCON_32)
+    forward(graph, falcon_store, images(1, 18))
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
+
+
+def test_graphs_that_differ_only_in_resolution_share_one_plan(falcon_store):
+    graphs = {res: build_model(replace(FALCON_32, input_resolution=res)) for res in (32, 64)}
+    xs = {res: images(1, 19, resolution=res) for res in graphs}
+    expected = {res: cold(graphs[res], falcon_store, xs[res]).tobytes() for res in graphs}
+    for res, graph in graphs.items():
+        assert forward(graph, falcon_store, xs[res]).tobytes() == expected[res]
+    assert len(model_mod._PLANS[falcon_store]) == 1
+    for res, other in ((32, 64), (64, 32)):
+        with pytest.raises(ShapeError) as info:
+            forward(graphs[res], falcon_store, xs[other])
+        assert str(info.value) == f"model input is {other}x{other}, expected {res}x{res}"
+
+
+def test_train_and_fused_graphs_on_one_store_get_two_plans(falcon_store, small_presets,
+                                                           monkeypatch):
+    """One store holds the entries of both forms (the train values where a
+    key is in both): rebuilt train and fused graphs compile a plan each, on
+    their first call only."""
+    fused_store = small_presets["falconnet", "fused"][1]
+    for key, arr in fused_store.items():
+        if key not in falcon_store:
+            falcon_store.put(key, arr)
+    calls = count_compiles(monkeypatch)
+    x = images(1, 21)
+    logits = []
+    for _ in range(3):
+        for graph in (build_model(FALCON_32), fused_structure(build_model(FALCON_32))):
+            calls.append(0)
+            logits.append(forward(graph, falcon_store, x).tobytes())
+    assert calls[0] > 0 and calls[1] > 0 and calls[2:] == [0] * 4
+    assert len(model_mod._PLANS[falcon_store]) == 2
+    assert logits[0] != logits[1] and logits == logits[:2] * 3
 
 
 @pytest.fixture(scope="module")

@@ -283,7 +283,8 @@ PIXELS = np.array([[[1, 2, 3], [4, 5, 6]]], np.uint8)
     (b"P3\n2 1\n255\n1 2 3 # first pixel\n# second pixel\n4 5 6\n", PIXELS),
     (b"P6\n1 1\n255\n#\n\x05", np.array([[[35, 10, 5]]], np.uint8)),
     (b"P3\n1 1\n255\n12#3 0 0\n", "malformed PPM sample"),
-    (b"P3\n1 1\n255\n1 2 # 3", "truncated image header"),
+    (b"P3\n1 1\n255\n1 2 # 3", "truncated PPM pixel data"),
+    (b"P3\n2 1\n255\n1 2 3 4\n", "truncated PPM pixel data"),
     (b"P3\n1 1# h\n255\n1 2 3\n", np.array([[[1, 2, 3]]], np.uint8)),
     (b"P6 1 1 255#x\n\x01\x02\x03", np.array([[[1, 2, 3]]], np.uint8)),
     (b"P6 1 1 255#x", "truncated image header"),
@@ -291,7 +292,8 @@ PIXELS = np.array([[[1, 2, 3], [4, 5, 6]]], np.uint8)
      b"# last two pixels\n10 20 30 200 100 50\n",
      np.array([[[0, 0, 0], [255, 255, 255]], [[10, 20, 30], [200, 100, 50]]], np.uint8)),
 ], ids=["header-comments", "vt-ff-separators", "sample-comments", "p6-raster-starts-with-hash",
-        "hash-in-sample", "comment-to-end-of-file", "hash-ends-header-token",
+        "hash-in-sample", "comment-to-end-of-file", "p3-samples-cut-short",
+        "hash-ends-header-token",
         "p6-comment-after-maxval", "p6-comment-to-end-of-file", "commented-2x2"])
 def test_ppm_tokens_skip_comments_and_whitespace(tmp_path, data, expected):
     # A comment runs from "#" to the end of its line, but a "#" inside a
