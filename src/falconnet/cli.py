@@ -151,11 +151,13 @@ def _require_finite(key: str, arr) -> None:
 def _load_model(args, train_form: bool):
     """The config, graph and weights of ``args``. The graph is in train form
     when the weights hold its every entry, else in inference form; with
-    ``train_form``, inference-form weights are an error, as is a weight or
-    bias that is not finite."""
+    ``train_form``, inference-form weights are an error. So is an entry the
+    chosen form does not declare, since a file of one form holds exactly its
+    entries, and a weight or bias that is not finite."""
     cfg = load_config(args.config)
     graph = build_model(cfg)
     store = load_weights(args.weights)
+    form = "train"
     missing = [e.key for e in iter_param_entries(graph) if e.key not in store]
     if missing:
         fused = fused_structure(graph)
@@ -164,7 +166,12 @@ def _load_model(args, train_form: bool):
                              f"and {len(missing) - 1} more")
         if train_form:
             raise ValueError("no fusible slots: weights are already in inference form")
-        graph = fused
+        graph, form = fused, "inference"
+    declared = {e.key for e in iter_param_entries(graph)}
+    extra = next((key for key in store.names() if key not in declared), None)
+    if extra is not None:
+        raise ValueError(f"weights hold '{extra}', which the model's {form} form "
+                         f"does not declare")
     _check_finite(graph, store)
     return cfg, graph, store
 

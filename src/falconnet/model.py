@@ -30,9 +30,10 @@ import numpy as np
 
 from .channel import (SFConvSpec, SFConvWeights, _merge_refco, _refco, _refco_terms,
                       choose_kernel_size, sfconv_forward)
-from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _channel_affine, _relu_in_place,
-                  as_f32, conv2d, fuse_bn_into_linear, global_avg_pool, linear)
-from .spatial import RepSOConfig, _merge_repso, _repso, _repso_terms, branch_kernel_shape
+from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _bind_conv, _channel_affine,
+                  _relu_in_place, _run_branch_sum, as_f32, conv2d, fuse_bn_into_linear,
+                  global_avg_pool, linear)
+from .spatial import RepSOConfig, _bind_repso, _merge_repso, _repso_terms, branch_kernel_shape
 from .store import WeightStore
 
 __all__ = [
@@ -321,6 +322,20 @@ def _bn_prefix(node, i: int) -> str:
     return [e.key.removesuffix(".gamma") for e in node.entries() if e.role == "bn_gamma"][i]
 
 
+def _per_shape(bind):
+    """A step for a kernel bound per one-image shape: on its first input of
+    a shape ``x.shape[1:]`` it keeps ``bind(shape)``, and on each input it
+    runs the bound kernel by its name in this module."""
+    bound = {}
+
+    def step(x):
+        b = bound.get(x.shape[1:])
+        if b is None:  # threads that miss together each bind; any binding serves
+            b = bound[x.shape[1:]] = bind(x.shape[1:])
+        return _run_branch_sum(x, b)
+    return step
+
+
 @dataclass(frozen=True)
 class _Leaf:
     """A weightless leaf that keeps its input's shape."""
@@ -356,6 +371,8 @@ class ConvNode(_Leaf):
 
     def bind(self, w):
         bias = w[1] if self.spec.has_bias else None
+        if self.spec.is_depthwise:
+            return _per_shape(partial(_bind_conv, self.spec, w=w[0], bias=bias))
         return lambda x: conv2d(x, w[0], bias, self.spec)
 
     def fuse(self, w, bn):
@@ -454,7 +471,7 @@ class RepSONode(_Leaf):
 
     def _terms(self, w):
         """The checked branches, each a kernel (identity, the last, has none)
-        and four BN arrays, as ``_repso`` runs them."""
+        and four BN arrays, as ``_bind_repso`` binds them."""
         w = list(w)
         if self.cfg.include_identity:
             w.insert(len(w) - 4, None)
@@ -462,8 +479,7 @@ class RepSONode(_Leaf):
                             self.cfg, partial(_bn_prefix, self))
 
     def bind(self, w):
-        terms = self._terms(w)
-        return lambda x: _repso(x, self.cfg, terms)
+        return _per_shape(partial(_bind_repso, cfg=self.cfg, terms=self._terms(w)))
 
     def fuse(self, w, bn):
         c = self.cfg.channels
@@ -556,10 +572,25 @@ class BlockNode:
     residual: bool
 
 
+class _Nodes(tuple):
+    """A graph's nodes: a tuple that hashes its nodes once, on its first hash."""
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
 @dataclass(frozen=True)
 class LayerGraph:
     config: ModelConfig
     nodes: tuple
+
+    def __post_init__(self):
+        if type(self.nodes) is not _Nodes:  # `forward` looks its plan up by the nodes' hash
+            object.__setattr__(self, "nodes", _Nodes(self.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -728,17 +759,29 @@ def init_weights(graph: LayerGraph, seed: int = 0, *,
 # order, and each leaf binds its arrays into the form its kernel takes (BN
 # statistics become a scale and shift), so a run only calls kernels. Every
 # step looks its kernel up by name when it runs, so a kernel swapped into
-# the module later is the one called. ReLU, BN and the residual add write
+# the module later is the one called. The depthwise, subsampling and RepSO
+# steps go one further (`_per_shape`): on the first input of each one-image
+# shape they keep the branch sum bound to it, its layout, tiling and laid
+# out weights, and from then on only call `_run_branch_sum`, so the plan for
+# graphs that differ only in resolution keeps one binding per resolution. A
+# binding is made once: a plan that ran before `ops._CL_PLANE_FLOATS` or
+# `ops._TILE_FLOATS` is changed keeps the layout and tiles it bound. Bound
+# weights are at their kernel's size, and padded buffers are made per call,
+# so a plan stays small beside its store. ReLU, BN and the residual add write
 # over their input when it is writable, and `_execute` makes writable only
 # what the run owns; a plan holds no activation, so runs are reentrant.
 # `forward` keeps one plan per store and per equal set of nodes, so a graph
 # may be rebuilt and the store is the object to keep. Every kernel gives each
-# image of a batch the bits it gets alone, so `forward` may split a batch
-# into one run per image, on threads of its own for the CPUs that BLAS
-# leaves idle (`_workers`), and join the rows in order; the threads end
-# with the call, and calls may still run concurrently. A run sets one small
-# ufunc buffer for all its steps, on its own thread; a kernel called
-# directly keeps its caller's buffer size.
+# image of a batch the bits it gets alone, so `forward` runs a batch one
+# image per run, joining the rows in order: on the calling thread, or on
+# threads of its own for the CPUs that BLAS leaves idle (`_workers`); the
+# threads end with the call, and calls may still run concurrently. Against
+# whole-batch steps on one thread, one image per run gave the same bits and
+# ran 1.09x to 1.13x faster on fused `falconnet` at batch 8 and 1.34x to
+# 1.36x on its train form at batch 4 (2-core x86 host, one BLAS thread or
+# none set); fused `lightnet-repso` at batch 8 was within 3%. A run sets
+# one small ufunc buffer for all its steps, on its own thread; a kernel
+# called directly keeps its caller's buffer size.
 
 def _weights(node, store: WeightStore) -> list:
     """The arrays of ``node``'s entries, in entry order, each checked against
@@ -868,11 +911,17 @@ def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
     store with equal nodes reuse, so the graph may be rebuilt (its nodes
     must be hashable); ``x`` is never written (its steps see it read-only,
     so one that would write over it raises), and calls may run
-    concurrently. A batch runs one image per
-    task, on as many threads as `_workers` allows; they are made for the
-    call and end before it returns, or raises the error of the first failing
-    image in batch order. Each image gets the bits it gets alone, so the
-    logits do not depend on the thread count.
+    concurrently. A batch runs one image per task, on the calling thread or
+    on as many threads as `_workers` allows; they are made for the call and
+    end before it returns, or raises the error of the first failing image in
+    batch order. Each image gets the bits it gets alone, so the logits do
+    not depend on the thread count.
+
+    The plan reads the graph's entries and ignores any other in ``store``.
+    The fused form reuses five train-form keys (``stem.conv.weight``,
+    ``stem.down.weight`` and ``sub1`` to ``sub3`` ``.conv.weight``) for
+    BN-folded values, so one store cannot serve both forms; the CLI accepts
+    a weight file of exactly one form.
     """
     x = as_f32(x)
     res = graph.config.input_resolution
@@ -882,12 +931,14 @@ def forward(graph: LayerGraph, store: WeightStore, x: Tensor) -> np.ndarray:
         raise ShapeError(f"model input is {x.shape[2]}x{x.shape[3]}, expected {res}x{res}")
     plan = _plan(graph, store)
     workers = min(_workers(), len(x))
+    # An empty batch is one task, of no image.
+    images = range(max(1, len(x)))
     if workers < 2:
-        return _execute(plan, x)
+        return np.concatenate([_execute(plan, x[i:i + 1]) for i in images])
     # `map` yields rows in image order and, on an error, cancels the images
     # not yet started; leaving the block waits for those still running.
     with futures.ThreadPoolExecutor(workers) as pool:
-        return np.concatenate(list(pool.map(lambda i: _execute(plan, x[i:i + 1]), range(len(x)))))
+        return np.concatenate(list(pool.map(lambda i: _execute(plan, x[i:i + 1]), images)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,30 +7,38 @@ Winograd), which keeps the summation order fixed and the results
 reproducible on a given machine.
 
 Both convolution kernels walk a batch one image at a time and write each
-image's result straight into the batch output. A call zeroes one image's
-padded buffer once, rewrites its interior for each image, and lays out its
-weights once, so its temporaries are one image's whatever the batch size.
-An image's arithmetic is the same whatever batch it arrives in.
+image's result straight into the batch output. A call pads one buffer,
+zeroing only its border, rewrites its interior for each image, and lays out
+its weights at most once, so its temporaries are one image's whatever the
+batch size. An image's arithmetic is the same whatever batch it arrives in.
 
 Convolutions whose groups read one input channel each (depthwise, channel
 multiplier) run on one branch-sum kernel: the sum over branches of a
 branch's tap sum times a scale plus a shift. Depthwise ``conv2d`` is its
 one-branch case (every tap, the bias as the shift); ``spatial.repso_forward``
-runs all its branches through it in one pass. The kernel picks the memory
-layout from the input shape, and only it knows the layout and tiling. Large
-planes, strided convs and planes of one channel are walked as NCHW planes
-stored row after row, one tile of channels at a time. The tile is written
-into one buffer that holds kw copies of its padded planes, copy j holding
-the padded columns j, j + sw, j + 2*sw, ..., and tap (i, j) is read from
-row i of copy j. So each tap is one flat run per channel, whose rows
+runs all its branches through it in one pass. The kernel has two steps. Its
+bind step, ``_bind_branch_sum``, is a pure function of the spec, the
+one-image shape and the branches: it picks the memory layout and tiling and
+lays out each branch's weights, scale and shift at their own size. Its run
+step, ``_run_branch_sum``, only allocates, fills, sums and writes. The
+public kernels bind on every call; a compiled plan binds once per input
+shape and then only runs (see ``model``).
+
+Large planes, strided convs and planes of one channel are walked as NCHW
+planes stored row after row, one tile of channels at a time. The tile is
+written into one buffer that holds kw copies of its padded planes, copy j
+holding the padded columns j, j + sw, j + 2*sw, ..., and tap (i, j) is read
+from row i of copy j. So each tap is one flat run per channel, whose rows
 ``::sh`` and first ``ow`` columns are its output plane, and no tap axis has
-the unit stride. Small stride-1 planes of several channels with one output
-channel per group are padded and transposed channels-last, so each output
-row of a tap is one contiguous run over all channels, with each tap's
-weights tiled along the row. In either layout a branch's taps are summed
-in one ``np.einsum`` pass, which zero-fills the accumulator and adds each
-float32-rounded product in (i, j) order, and an image is walked in tiles
-of about 256 KiB of accumulator, so that it stays in L2. Every path gives
+the unit stride; at stride 1 the run is the output plane itself, and the
+first branch is summed straight into the output. Small stride-1 planes of
+several channels with one output channel per group are padded and
+transposed channels-last, so a tap is (oh, ow, C) with the channels
+innermost, and each tap's (1, C) weights are broadcast along its rows and
+columns. In either layout a branch's taps are summed in one ``np.einsum``
+pass, which zero-fills the accumulator and adds each float32-rounded
+product in (i, j) order, and an image is walked in tiles of about 256 KiB
+of accumulator, so that it stays in L2. Every path gives
 the bits of a plain tap-by-tap sum. Two properties of numpy's einsum hold
 that up for every one-input-channel conv, stride 1 or strided, and
 ``tests/test_ops.py`` pins both in each layout:
@@ -64,7 +72,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -285,12 +292,17 @@ def conv2d(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
         bias = as_f32(b).reshape(-1)
         if bias.shape[0] != spec.out_channels:
             raise ShapeError(f"conv2d bias has length {bias.shape[0]}, expected {spec.out_channels}")
-    oh, ow = spec.out_hw(h, width)
+    if spec.is_depthwise:
+        return _run_branch_sum(x, _bind_conv(spec, x.shape[1:], w, bias))
+    return _conv2d_grouped(x, w, bias, spec, *spec.out_hw(h, width))
 
-    if spec.is_depthwise:  # one branch: every tap, with the bias as its shift
-        window = (slice(0, spec.kernel_h), slice(0, spec.kernel_w))
-        return _branch_sum(x, spec, oh, ow, [(window, w, None, bias)])
-    return _conv2d_grouped(x, w, bias, spec, oh, ow)
+
+def _bind_conv(spec: ConvSpec, shape, w, bias) -> "_BranchSum":
+    """A conv whose groups read one input channel each, bound to the
+    one-image ``shape``: the one-branch case of the branch sum, every tap,
+    with the bias as its shift."""
+    window = (slice(0, spec.kernel_h), slice(0, spec.kernel_w))
+    return _bind_branch_sum(spec, shape, [(window, w, None, bias)])
 
 
 # Accumulator floats per tile of the branch sum: 256 KiB, so the
@@ -298,175 +310,215 @@ def conv2d(x: Tensor, w: Tensor, b, spec: ConvSpec) -> Tensor:
 # 256K on a 2-core x86 host gave the lowest latency at 64K.
 _TILE_FLOATS = 1 << 16
 
-def _branch_sum(x, spec: ConvSpec, oh: int, ow: int, branches) -> np.ndarray:
-    """Sum over ``branches`` of ``tap_sum * scale + shift``, in one tiled pass.
-
-    For groups that read one input channel each. A branch is ``(window, w,
-    scale, shift)``: ``window``, a (rows, columns) pair of slices, is the
-    rectangle of ``spec``'s kernel grid whose taps it reads; ``w``,
-    reshapable to (C, og, rows, columns), holds their weights, or is None
-    for one bare tap, which then needs a scale; ``scale`` and ``shift``,
-    reshapable to (C, og), may be None. A branch sums its taps' products
-    from zero in (i, j) order, and the branches are added in order into the
-    first one's sum, so the bits are those of that plain per-tap,
-    per-branch arithmetic.
-    """
-    planes = _plane_taps(x, spec, oh, ow)
-    c, og = planes.c, spec.out_channels // spec.groups
-    plan = []
-    for window, w, scale, shift in branches:
-        taps = planes.grid[window]
-        plan.append((taps,
-                     None if w is None else _row_weights(planes, as_f32(w).reshape(
-                         c, og, *taps.shape[:2])),
-                     *(None if v is None else _row_weights(planes, as_f32(v).reshape(
-                         c, og, 1, 1))[0, 0] for v in (scale, shift))))
-    return _walk_row_tiles(x, planes, og, plan)
+# Stride-1 planes with one output channel per group, and more than one
+# channel, are walked channels-last when the padded output plane, oh * wp,
+# holds fewer floats than this. In NCHW a branch's taps are one einsum pass
+# per tile of channel planes under a per-channel weight broadcast along the
+# plane; channels-last they are one einsum pass over (rows, ow, C) taps under
+# (1, C) weights broadcast along the rows and columns, at the cost of a
+# transposing copy in and out. A sweep of 3x3 depthwise convs with bias (7x7
+# to 112x112 planes, 16 to 1024 channels, batch 1 and 8, three processes,
+# numpy 2.4 on a 2-core x86 host, one thread; weights then tiled along the
+# row) found channels-last faster in 47 of the 51 shapes below 600 floats
+# (up to 21x21; median speed-up 1.40, at most 3.9), in 16 of the 23 at 24x24
+# and 28x28 (median 1.09; it lost from 256 or 512 channels on), and in 26 of
+# the 93 above (median 0.90, at least 0.28). The presets' 28x28 steps have
+# 384 channels (840 floats), where NCHW took 1.27 against 1.46 ms per
+# depthwise conv and 4.2 against 4.9 ms per 7-branch RepSO at batch 1, so
+# the limit sits between 24x24 (624) and 28x28. On the same host the
+# broadcast weights gave the bits of weights tiled along the row, and were
+# faster at 768 channels or more (0.226 against 0.282 ms, tiling included,
+# at 768@14x14) but slower at 256 or fewer (0.071 against 0.048 ms at
+# 128@14x14); the presets' channels-last steps have 768 channels or more.
+_CL_PLANE_FLOATS = 800
 
 
-class _Planes(NamedTuple):
-    """A zero-padded buffer for a batch's images and a view of every kernel tap on it.
+class _BranchSum(NamedTuple):
+    """A branch sum bound to one spec, one-image shape (C, H, W) and set of
+    branches: everything but the arrays that one call fills and writes.
 
-    ``copies`` lists pairs (interior, columns): ``fill`` writes a tile's
-    image columns ``columns`` into ``interior``, a view of the buffer whose
-    border stays zero, so the buffer holds the padded tile. ``grid[i, j]``
-    is a read-only view of tap (i, j), with ``aw`` columns per row.
+    ``buffer`` is the shape of the padded float32 buffer, ``borders`` the
+    indexes of its padding, which a call zeroes, and ``copies`` the pairs
+    (interior, columns): a tile's image columns ``columns`` are written at
+    ``buffer[interior]``. ``grid`` is the (shape, strides) of the view of
+    every kernel tap on the buffer, ``tile`` the channels (NCHW) or output
+    rows (channels-last) summed at once, and ``branches`` each branch's
+    taps, as a (rows, columns) window of the grid, and its weights, scale
+    and shift laid out for the layout, each None where absent.
 
-    Channels-last, the buffer holds one whole image, the one interior is it
-    viewed (C, H, W), and a tap is (oh, ow*C), one row per output row with
-    the channels innermost; ``aw == ow`` and ``sh == 1``.
+    Channels-last, the buffer holds one whole image, (H + 2ph, W + 2pw, C),
+    and a tap is (oh, ow, C); ``aw == ow`` and ``sh == 1``. A branch's
+    weights are (rows, columns, 1, C), and its scale and shift (C,), all
+    broadcast along a tap's rows and columns.
 
     In NCHW the buffer holds kw copies of one tile of channels, copy j the
     padded columns j, j + sw, ... of each plane, ``aw`` of them per row. A
     tap is (tile, 1, rows*aw), with rows = (oh - 1) * sh + 1: each
     channel's run from row i of copy j, whose rows ``::sh`` and first ``ow``
-    columns are the tap's output plane.
+    columns are the tap's output plane. A branch's weights are (rows,
+    columns, C, og, 1), and its scale and shift (C, og, 1), each broadcast
+    along a channel's run.
     """
 
-    copies: list
-    grid: np.ndarray
+    channels_last: bool
     c: int
+    og: int
     oh: int
     ow: int
     aw: int
     sh: int
-    channels_last: bool
-
-    def fill(self, images: np.ndarray) -> None:
-        """Write ``images``, (k, H, W), as the first k channels of the buffer."""
-        for interior, columns in self.copies:
-            interior[:len(images)] = images[..., columns]
-
-
-# Stride-1 planes with one output channel per group, and more than one
-# channel, are walked channels-last when the padded output plane, oh * wp,
-# holds fewer floats than this. In NCHW a branch's taps are one einsum pass
-# per tile of channel planes under a per-channel weight broadcast along the
-# plane; channels-last they are one einsum pass over output rows of ow * C
-# floats under tiled weight rows, at the cost of a transposing copy in and
-# out. A sweep of 3x3 depthwise convs with bias (7x7 to 112x112 planes, 16
-# to 1024 channels, batch 1 and 8, three processes, numpy 2.4 on a 2-core
-# x86 host, one thread) found channels-last faster in 47 of the 51 shapes
-# below 600 floats (up to 21x21; median speed-up 1.40, at most 3.9), in 16
-# of the 23 at 24x24 and 28x28 (median 1.09; it lost from 256 or 512
-# channels on), and in 26 of the 93 above (median 0.90, at least 0.28). The
-# presets' 28x28 steps have 384 channels (840 floats), where NCHW took 1.27
-# against 1.46 ms per depthwise conv and 4.2 against 4.9 ms per 7-branch
-# RepSO at batch 1, so the limit sits between 24x24 (624) and 28x28.
-_CL_PLANE_FLOATS = 800
+    tile: int
+    buffer: tuple
+    borders: tuple
+    copies: tuple
+    grid: tuple
+    branches: tuple
 
 
-def _plane_taps(x, spec: ConvSpec, oh: int, ow: int) -> _Planes:
-    """Zero a padded buffer for ``x``'s images, in the layout their shape
-    favours, and view every tap on it.
+def _bind_branch_sum(spec: ConvSpec, shape, branches) -> _BranchSum:
+    """Bind the sum over ``branches`` of ``tap_sum * scale + shift`` to one
+    image of ``shape``, (C, H, W), for groups that read one input channel each.
 
-    Channels-last is taken only at stride 1 with one output channel per
-    group and at least two channels: einsum keeps the (i, j) order of the
-    taps only while the stride between tap columns, C floats, exceeds the
-    unit stride (with one channel the two layouts are the same memory
-    anyway). Every other spec keeps NCHW planes for one tile of channels.
+    A branch is ``(window, w, scale, shift)``: ``window``, a (rows, columns)
+    pair of slices, is the rectangle of ``spec``'s kernel grid whose taps it
+    reads; ``w``, reshapable to (C, og, rows, columns), holds their weights,
+    or is None for one bare tap, which then needs a scale; ``scale`` and
+    ``shift``, reshapable to (C, og), may be None.
+
+    The layout is the one the shape favours. Channels-last is taken only at
+    stride 1 with one output channel per group and at least two channels:
+    einsum keeps the (i, j) order of the taps only while the stride between
+    tap columns, C floats, exceeds the unit stride (with one channel the two
+    layouts are the same memory anyway). Every other spec keeps NCHW planes
+    for one tile of channels.
     """
-    _, c, h, width = x.shape
+    c, h, width = shape
+    oh, ow = spec.out_hw(h, width)
+    og = spec.out_channels // spec.groups
     kh, kw, sh, sw = spec.kernel_h, spec.kernel_w, spec.stride_h, spec.stride_w
     ph, pw = spec.pad_h, spec.pad_w
-    wp = width + 2 * pw
-    if sh == sw == 1 and spec.out_channels == spec.groups > 1 and oh * wp < _CL_PLANE_FLOATS:
+    hp, wp = h + 2 * ph, width + 2 * pw
+    on_image = slice(ph, ph + h)
+    channels_last = sh == sw == 1 and og == 1 < c and oh * wp < _CL_PLANE_FLOATS
+    if channels_last:
         # The channels are innermost, so row y of tap (i, j) is the run of
         # ow*c floats starting at padded pixel (i + y, j).
-        xp = np.zeros((h + 2 * ph, wp, c), dtype=np.float32)
-        s_row, s_col, s_c = xp.strides
-        grid = as_strided(xp, (kh, kw, oh, ow * c), (s_row, s_col, s_row, s_c), writeable=False)
-        image = xp[ph:ph + h, pw:pw + width].transpose(2, 0, 1)
-        return _Planes([(image, slice(None))], grid, c, oh, ow, ow, 1, True)
-    # A row of at least 2 floats keeps a one-column plane's row taps off the
-    # unit stride too.
-    aw, rows = max(ow, 2), (oh - 1) * sh + 1
-    og = spec.out_channels // spec.groups
-    tile = min(c, max(1, _TILE_FLOATS // (og * rows * aw)))
-    xp = np.zeros((kw, tile, h + 2 * ph, aw), dtype=np.float32)
-    copies = []
-    for j in range(kw):
-        # Copy column u is padded column j + u*sw, image column j - pw + u*sw;
-        # columns u0 to u1 - 1 are on the image.
-        u0, u1 = max(0, -((j - pw) // sw)), min(ow, -((j - pw - width) // sw))
-        copies.append((xp[j, :, ph:ph + h, u0:u1], slice(j - pw + u0 * sw, j - pw + u1 * sw, sw)))
-    # kw copies of the tile's planes, each laid out row after row. Tap (i,
-    # j) is the flat run starting at row i of copy j: its tap axes are a
-    # row (aw >= 2 floats) and a copy apart, so neither has the unit stride
-    # and einsum keeps the (i, j) order.
-    s_copy, s_c, s_row, s_col = xp.strides
-    grid = as_strided(xp, (kh, kw, tile, 1, rows * aw),
-                      (s_row, s_copy, s_c, 0, s_col), writeable=False)
-    return _Planes(copies, grid, c, oh, ow, aw, sh, False)
+        aw, tile, buffer = ow, min(oh, max(1, _TILE_FLOATS // (ow * c))), (hp, wp, c)
+        borders = ((slice(0, ph),), (slice(ph + h, hp),),
+                   (on_image, slice(0, pw)), (on_image, slice(pw + width, wp)))
+        copies = (((on_image, slice(pw, pw + width)), slice(None)),)
+        s_row, s_col = wp * c * 4, c * 4
+        grid = (kh, kw, oh, ow, c), (s_row, s_col, s_row, s_col, 4)
+    else:
+        # A row of at least 2 floats keeps a one-column plane's row taps off
+        # the unit stride too.
+        aw, rows = max(ow, 2), (oh - 1) * sh + 1
+        tile = min(c, max(1, _TILE_FLOATS // (og * rows * aw)))
+        buffer = (kw, tile, hp, aw)
+        borders = [(..., slice(0, ph), slice(None)), (..., slice(ph + h, hp), slice(None))]
+        copies = []
+        for j in range(kw):
+            # Copy column u is padded column j + u*sw, image column j - pw + u*sw;
+            # columns u0 to u1 - 1 are on the image.
+            u0, u1 = max(0, -((j - pw) // sw)), min(ow, -((j - pw - width) // sw))
+            borders += [(j, slice(None), on_image, slice(0, u0)),
+                        (j, slice(None), on_image, slice(max(u0, u1), aw))]
+            copies.append(((j, slice(None), on_image, slice(u0, u1)),
+                           slice(j - pw + u0 * sw, j - pw + u1 * sw, sw)))
+        # kw copies of the tile's planes, each laid out row after row. Tap
+        # (i, j) is the flat run starting at row i of copy j: its tap axes
+        # are a row (aw >= 2 floats) and a copy apart, so neither has the
+        # unit stride and einsum keeps the (i, j) order.
+        s_c = hp * aw * 4
+        grid = (kh, kw, tile, 1, rows * aw), (aw * 4, tile * s_c, s_c, 0, 4)
+    laid = tuple(
+        (window,
+         _lay_out(w, channels_last, c, og, len(range(kh)[window[0]]), len(range(kw)[window[1]])),
+         _lay_out(scale, channels_last, c, og), _lay_out(shift, channels_last, c, og))
+        for window, w, scale, shift in branches)
+    return _BranchSum(channels_last, c, og, oh, ow, aw, sh, tile, buffer, tuple(borders),
+                      tuple(copies), grid, laid)
 
 
-def _row_weights(planes: _Planes, w: np.ndarray) -> np.ndarray:
-    """Per-tap weights (C, og, kh, kw) laid out to multiply a tile of ``planes``.
+def _lay_out(a, channels_last: bool, c: int, og: int, *taps):
+    """``a`` laid out for a branch sum: a (C, og, rows, columns) weight when
+    ``taps`` gives its (rows, columns), else a (C, og) scale or shift; None
+    stays None. NCHW weights are a view of ``a``; channels-last ones, whose
+    channels are innermost, a contiguous copy."""
+    if a is None:
+        return None
+    a = as_f32(a).reshape(c, og, *taps)
+    if not taps:
+        return a[:, 0] if channels_last else a[..., None]
+    a = a.transpose(2, 3, 0, 1)
+    return np.ascontiguousarray(a[..., 0])[:, :, None] if channels_last else a[..., None]
 
-    NCHW: (kh, kw, C, og, 1), one weight per channel run.
-    Channels-last (og == 1): (kh, kw, ow*C), the channel weights tiled
-    along the output row.
+
+def _plane_taps(bound: _BranchSum) -> tuple[np.ndarray, np.ndarray]:
+    """A padded buffer for ``bound``, its padding zeroed, and a read-only
+    view of every tap on it."""
+    xp = np.empty(bound.buffer, np.float32)
+    for border in bound.borders:
+        xp[border] = 0
+    grid = np.ndarray(bound.grid[0], np.float32, xp, 0, bound.grid[1])
+    grid.flags.writeable = False
+    return xp, grid
+
+
+def _fill(bound: _BranchSum, xp: np.ndarray, images: np.ndarray) -> None:
+    """Write ``images``, (k, H, W), as the first k channels of the buffer ``xp``."""
+    for interior, columns in bound.copies:
+        if bound.channels_last:
+            xp[interior] = images.transpose(1, 2, 0)
+        else:
+            xp[interior][:len(images)] = images[..., columns]
+
+
+def _run_branch_sum(x, bound: _BranchSum) -> np.ndarray:
+    """The (N, C*og, oh, ow) branch sum of ``x``, one image at a time.
+
+    A branch sums its taps' products from zero in (i, j) order, and the
+    branches are added in order into the first one's sum, so the bits are
+    those of that plain per-tap, per-branch arithmetic. A channels-last image
+    is filled into the padded buffer and walked one tile of rows at a time,
+    each tile's sum transposed into the image's output. An NCHW image is
+    walked one tile of channels at a time, each filled into every copy of
+    the padded planes and its sum cropped to rows ``::sh`` and ``ow``
+    columns into the output; at stride 1 with ``aw == ow`` the run is
+    already the output plane, so the first branch is summed straight into
+    the output.
     """
-    if planes.channels_last:
-        return np.tile(w[:, 0].transpose(1, 2, 0), (1, 1, planes.ow))
-    return np.ascontiguousarray(w.transpose(2, 3, 0, 1))[..., None]
-
-
-def _walk_row_tiles(x, planes: _Planes, og: int, plan) -> np.ndarray:
-    """Compute the (N, C*og, oh, ow) branch sum of ``x``, one image at a time.
-
-    ``plan`` holds per branch its taps, and its weights, scale and shift
-    laid out by ``_row_weights``. A channels-last image is filled into the
-    padded buffer of ``planes`` and walked one tile of rows at a time, each
-    tile's sum transposed into the image's output. An NCHW image is walked
-    one tile of channels at a time, each filled into every copy of the
-    padded planes and its sum cropped to rows ``::sh`` and ``ow`` columns
-    into the output.
-    """
-    n, c, oh, ow, aw = len(x), planes.c, planes.oh, planes.ow, planes.aw
-    if planes.channels_last:
+    n, c, og, oh, ow, aw = len(x), bound.c, bound.og, bound.oh, bound.ow, bound.aw
+    xp, grid = _plane_taps(bound)
+    plan = [(grid[window], *rest) for window, *rest in bound.branches]
+    if bound.channels_last:
         out = np.empty((n, c, oh, ow), dtype=np.float32)
-        row = ow * c
-        ys = min(oh, max(1, _TILE_FLOATS // row))
+        ys = bound.tile
         # The running sum and, for later branches, a second sum.
-        bufs = [np.empty((ys, row), dtype=np.float32) for _ in range(min(2, len(plan)))]
+        bufs = [np.empty((ys, ow, c), dtype=np.float32) for _ in range(min(2, len(plan)))]
         for image, y in zip(x, out):
-            planes.fill(image)
+            _fill(bound, xp, image)
             for y0 in range(0, oh, ys):
                 y1 = min(oh, y0 + ys)
                 acc = _tile_sum(plan, slice(y0, y1), ..., *(b[:y1 - y0] for b in bufs))
-                y[:, y0:y1] = acc.reshape(y1 - y0, ow, c).transpose(2, 0, 1)
+                y[:, y0:y1] = acc.transpose(2, 0, 1)
         return out
     out = np.empty((n, c, og, oh, ow), dtype=np.float32)
-    tile, run = planes.grid.shape[2], planes.grid.shape[4]
-    bufs = [np.empty((tile, og, run), dtype=np.float32) for _ in range(min(2, len(plan)))]
+    tile, run = bound.tile, grid.shape[4]
+    direct = bound.sh == 1 and aw == ow
+    bufs = [np.empty((tile, og, run), dtype=np.float32)
+            for _ in range(min(2, len(plan)) - direct)]
     for image, y in zip(x, out):
         for r0 in range(0, c, tile):
             sel = slice(r0, min(c, r0 + tile))
             k = sel.stop - r0
-            planes.fill(image[sel])
-            acc = _tile_sum(plan, slice(0, k), sel, *(b[:k] for b in bufs))
-            y[sel] = acc.reshape(k, og, -1, aw)[..., ::planes.sh, :ow]
+            _fill(bound, xp, image[sel])
+            if direct:
+                _tile_sum(plan, slice(0, k), sel, y[sel].reshape(k, og, run),
+                          *(b[:k] for b in bufs))
+            else:
+                acc = _tile_sum(plan, slice(0, k), sel, *(b[:k] for b in bufs))
+                y[sel] = acc.reshape(k, og, -1, aw)[..., ::bound.sh, :ow]
     return out.reshape(n, c * og, oh, ow)
 
 

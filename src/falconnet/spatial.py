@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import BnParams, ConvSpec, ShapeError, Tensor, _bn_scale_shift, _branch_sum, as_f32
+from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _bn_scale_shift, _bind_branch_sum,
+                  _run_branch_sum, as_f32)
 
 __all__ = [
     "RepSOConfig",
@@ -114,7 +115,7 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     output shape equals the input shape. The branches are set up as rows by
     ``_repso_terms``, as a RepSO node sets up its own.
 
-    One pass of ``ops._branch_sum`` on the 3x3 depthwise grid, the kernel
+    One pass of the ``ops`` branch sum on the 3x3 depthwise grid, the kernel
     that depthwise ``conv2d`` runs as its one-branch case. A branch reads
     the grid taps of its ``_grid_window``, the window that ``merge_repso``
     folds its kernel into; identity is the bare centre tap. Each branch sums
@@ -122,13 +123,17 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     added into the output in branch order, so the bits equal those of the
     per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
     """
-    return _repso(x, cfg, _repso_terms(_repso_rows(w, cfg), cfg))
+    terms = _repso_terms(_repso_rows(w, cfg), cfg)
+    x = as_f32(x)
+    if x.ndim != 4:
+        raise ShapeError(f"repso_forward input has ? channels, expected {cfg.channels}")
+    return _run_branch_sum(x, _bind_repso(x.shape[1:], cfg, terms))
 
 
 def _repso_terms(branches, cfg: RepSOConfig, prefix=None) -> list:
     """The branches, each ``(kernel, gamma, beta, mean, var, eps)`` and of
-    the kinds ``cfg`` lists, checked, as the ``_branch_sum`` terms that
-    ``_repso`` runs and ``_merge_repso`` folds: per branch its
+    the kinds ``cfg`` lists, checked, as the branch-sum terms that
+    ``_bind_repso`` binds and ``_merge_repso`` folds: per branch its
     ``_grid_window``, kernel and BN scale and shift. One ``_bn_scale_shift``
     call sets up every branch's BN, naming a failing one by the key
     ``prefix`` of its index if given; then each kernel's shape is checked."""
@@ -145,16 +150,13 @@ def _repso_terms(branches, cfg: RepSOConfig, prefix=None) -> list:
     return terms
 
 
-def _repso(x, cfg: RepSOConfig, terms: list) -> np.ndarray:
-    """RepSO of ``x`` given its weights as ``_repso_terms``."""
-    x = as_f32(x)
-    if x.ndim != 4 or x.shape[1] != cfg.channels:
-        raise ShapeError(
-            f"repso_forward input has {x.shape[1] if x.ndim == 4 else '?'} channels, "
-            f"expected {cfg.channels}")
-    c, h, width = x.shape[1:]
-    grid = ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c)
-    return _branch_sum(x, grid, *grid.out_hw(h, width), terms)
+def _bind_repso(shape, cfg: RepSOConfig, terms: list):
+    """RepSO given its weights as ``_repso_terms``, bound to one image of
+    ``shape``, (C, H, W)."""
+    c = shape[0]
+    if c != cfg.channels:
+        raise ShapeError(f"repso_forward input has {c} channels, expected {cfg.channels}")
+    return _bind_branch_sum(ConvSpec(c, c, 3, 3, 1, 1, 1, 1, groups=c), shape, terms)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,9 @@ class WeightStore:
 
     Entries are only ever added. Each holds a private, read-only, C-contiguous
     copy of the array put, so neither the caller's array nor one handed out by
-    ``get`` can change it.
+    ``get`` can change it. A store may hold entries that a graph does not
+    read; the fused form of a model reuses five of its train form's keys for
+    other values, so a store holds the entries of one form.
     """
 
     def __init__(self, entries=None):

@@ -74,7 +74,7 @@ def test_repso_bitwise_in_both_layouts(channels, n, h, w, channels_last):
     cfg = RepSOConfig(channels)
     x, weights = _repso_inputs(cfg, n, h, w, 6)
     grid = ConvSpec(channels, channels, 3, 3, 1, 1, 1, 1, groups=channels)
-    assert ops._plane_taps(x, grid, h, w).channels_last == channels_last
+    assert ops._bind_branch_sum(grid, x.shape[1:], ()).channels_last == channels_last
     assert repso_forward(x, weights, cfg).tobytes() == \
         repso_per_branch(x, weights, cfg).tobytes()
 
@@ -86,8 +86,8 @@ def test_nchw_tiles_bitwise_with_a_partial_last_tile():
     cfg = RepSOConfig(40)
     x, weights = _repso_inputs(cfg, 2, 56, 60, 11)
     grid = ConvSpec(40, 40, 3, 3, 1, 1, 1, 1, groups=40, has_bias=True)
-    planes = ops._plane_taps(x, grid, 56, 60)
-    tile = planes.grid.shape[2]
+    planes = ops._bind_branch_sum(grid, x.shape[1:], ())
+    tile = planes.tile
     assert not planes.channels_last and 2 * tile < 40 < 3 * tile
     assert cfg.branch_count == 7
     assert repso_forward(x, weights, cfg).tobytes() == \
@@ -119,7 +119,7 @@ def test_repso_bitwise_channels_last_at_two_channels(cfg):
     grid = ConvSpec(2, 2, 3, 3, 1, 1, 1, 1, groups=2)
     for n, h, w in ((1, 1, 1), (2, 1, 9), (1, 9, 1), (3, 5, 7), (2, 9, 9)):
         x, weights = _repso_inputs(cfg, n, h, w, h * 10 + w)
-        assert ops._plane_taps(x, grid, h, w).channels_last
+        assert ops._bind_branch_sum(grid, x.shape[1:], ()).channels_last
         assert repso_forward(x, weights, cfg).tobytes() == \
             repso_per_branch(x, weights, cfg).tobytes()
 
@@ -302,7 +302,7 @@ def test_every_step_of_forward_runs_under_the_small_buffer(caller_bufsize, worke
         seen.clear()
         forward(g, s, x)
         steps = sum(step.fn is not None for step in model_mod._plan(g, s))
-        assert len(seen) == steps * (1 if workers == 1 else len(x))  # one run per image
+        assert len(seen) == steps * len(x)  # one run per image
         assert {size for size, _ in seen} == {model_mod._UFUNC_BUFSIZE}
         on_caller = {thread == threading.get_ident() for _, thread in seen}
         assert on_caller == ({True} if workers == 1 else {False})

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 from falconnet import (BlockConfig, ChannelSlot, ModelConfig, SpatialSlot, WeightStore,
-                       build_model, count_flops, count_params, fuse_model, init_weights,
-                       iter_param_entries, load_config, load_weights, save_config,
-                       save_weights)
+                       build_model, count_flops, count_params, forward, fuse_model,
+                       init_weights, iter_param_entries, load_config, load_input_tensor,
+                       load_weights, preset_config, save_config, save_weights)
 from falconnet.cli import main
 
 
@@ -406,6 +407,71 @@ class TestInfer:
                            "--config", str(cfg_path), "--weights", str(weights_path))
         assert code == 1
         assert err.startswith("error: ")
+
+
+@pytest.fixture
+def falcon_files(tmp_path):
+    """The 32 px falconnet preset's config, train file and fused file, and a
+    file of mixed form: the train entries, then the fused form's own."""
+    cfg = replace(preset_config("falconnet"), input_resolution=32)
+    cfg_path = tmp_path / "falconnet.json"
+    save_config(cfg, cfg_path)
+    train = init_weights(build_model(cfg), seed=3)
+    _, fused = fuse_model(build_model(cfg), train)
+    mixed = WeightStore(train.items())
+    for key, arr in fused.items():
+        if key not in mixed:
+            mixed.put(key, arr)
+    paths = {}
+    for name, store in (("train", train), ("fused", fused), ("mixed", mixed)):
+        paths[name] = tmp_path / f"{name}.falc"
+        save_weights(store, paths[name])
+    ppm = tmp_path / "img.ppm"
+    ppm.write_text("P3\n2 2\n255\n0 0 0 255 255 255 10 20 30 200 100 50\n")
+    return cfg, cfg_path, paths, ppm, train, mixed
+
+
+class TestWeightFileForm:
+    """A weight file holds exactly the entries of one form of the model."""
+
+    @pytest.mark.parametrize("command", ["infer", "verify", "fuse"])
+    def test_mixed_form_file_is_one_error_line(self, falcon_files, capsys, command):
+        # All the train entries are there, so the train form is chosen; the
+        # first entry it does not declare is the fused form's first own one.
+        cfg, cfg_path, paths, ppm, train, mixed = falcon_files
+        out_path = paths["mixed"].parent / "out.falc"
+        args = {"infer": [str(ppm)], "verify": ["--trials", "1"],
+                "fuse": ["--trials", "1", "--out", str(out_path)]}[command]
+        code, out, err = run(capsys, command, *args, "--config", str(cfg_path),
+                             "--weights", str(paths["mixed"]))
+        extra = next(key for key in mixed.names() if key not in train)
+        assert (code, out) == (1, "")
+        assert err == (f"error: weights hold '{extra}', which the model's train form "
+                       f"does not declare\n")
+        assert not out_path.exists()
+
+    def test_single_form_files_keep_their_output(self, falcon_files, capsys):
+        cfg, cfg_path, paths, ppm, train, _ = falcon_files
+        x = load_input_tensor(ppm, cfg.input_resolution)
+        fused_graph, fused = fuse_model(build_model(cfg), train)
+        for name, (graph, store) in (("train", (build_model(cfg), train)),
+                                     ("fused", (fused_graph, fused))):
+            scores = forward(graph, store, x)[0]
+            top = np.argsort(-scores, kind="stable")[:5]
+            expected = "rank\tclass\tscore\n" + "".join(
+                f"{rank}\t{int(i)}\t{scores[i]:.6f}\n" for rank, i in enumerate(top, 1))
+            code, out, err = run(capsys, "infer", str(ppm), "--config", str(cfg_path),
+                                 "--weights", str(paths[name]))
+            assert (code, out, err) == (0, expected, "")
+        out_path, expected_path = paths["train"].parent / "out.falc", ppm.parent / "expected.falc"
+        save_weights(fused, expected_path)
+        code, fuse_out, _ = run(capsys, "fuse", "--trials", "1", "--out", str(out_path),
+                                "--config", str(cfg_path), "--weights", str(paths["train"]))
+        assert code == 0 and out_path.read_bytes() == expected_path.read_bytes()
+        code, verify_out, _ = run(capsys, "verify", "--trials", "1", "--config", str(cfg_path),
+                                  "--weights", str(paths["train"]))
+        assert code == 0 and verify_out == fuse_out.splitlines(keepends=True)[0]
+        assert "\tpassed\tyes\n" in verify_out
 
 
 class TestAnalyzeRange:

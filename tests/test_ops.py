@@ -186,7 +186,7 @@ def _dw(c, bias=False):
 
 def _takes_channels_last(spec, h, w):
     x = np.zeros((1, spec.in_channels, h, w), np.float32)
-    return ops._plane_taps(x, spec, *spec.out_hw(h, w)).channels_last
+    return ops._bind_branch_sum(spec, x.shape[1:], ()).channels_last
 
 
 @pytest.mark.parametrize("spec, n, h, w, channels_last", [
@@ -265,16 +265,19 @@ def _nchw_tap_sum(rows, weights):
     """The library's einsum of a one-channel stride-1 NCHW tile: image row i
     holds ``rows[i]`` in each of 40 columns, so every output pixel sums the
     products ``rows[i] * weights[i][j]``. The taps are ``_plane_taps``'s grid
-    and the weights ``_row_weights``'s, one per channel broadcast along the
-    row (a stride-0 operand)."""
+    and the weights those ``_bind_branch_sum`` lays out, one per channel
+    broadcast along the row (a stride-0 operand)."""
     kh, kw = np.shape(weights)
     x = np.repeat(np.array(rows, np.float32)[:, None], 40, axis=1)[None, None]
     spec = ConvSpec(1, 1, kh, kw)
-    planes = ops._plane_taps(x, spec, *spec.out_hw(kh, 40))
+    planes = ops._bind_branch_sum(spec, x.shape[1:], [(
+        (slice(0, kh), slice(0, kw)), np.array(weights, np.float32).reshape(1, 1, kh, kw),
+        None, None)])
     assert not planes.channels_last
-    planes.fill(x[0])
-    wt = ops._row_weights(planes, np.array(weights, np.float32).reshape(1, 1, kh, kw))
-    return np.einsum("ij...,ij...->...", planes.grid, wt)[..., :planes.ow]
+    xp, grid = ops._plane_taps(planes)
+    ops._fill(planes, xp, x[0])
+    wt = planes.branches[0][1]
+    return np.einsum("ij...,ij...->...", grid, wt)[..., :planes.ow]
 
 
 def test_nchw_einsum_rounds_each_product_before_the_add():
@@ -298,6 +301,43 @@ def test_nchw_einsum_sums_taps_in_index_order():
         f"stride-1 NCHW depthwise sums lose the per-tap bits")
 
 
+def _channels_last_tap_sum(rows, weights):
+    """The library's einsum of a two-channel stride-1 channels-last image:
+    image row i holds ``rows[i]`` in each of 8 columns of both channels, so
+    every output pixel sums the products ``rows[i] * weights[i][j]``. The
+    taps are ``_plane_taps``'s grid, (kh, kw, oh, ow, C), and the weights
+    those ``_bind_branch_sum`` lays out, (kh, kw, 1, C), broadcast along the
+    tap's rows and columns."""
+    kh, kw = np.shape(weights)
+    x = np.repeat(np.array(rows, np.float32)[None, :, None], 8, axis=2).repeat(2, axis=0)[None]
+    spec = ConvSpec(2, 2, kh, kw, groups=2)
+    w = np.repeat(np.array(weights, np.float32)[None, None], 2, axis=0)
+    planes = ops._bind_branch_sum(spec, x.shape[1:], [
+        ((slice(0, kh), slice(0, kw)), w, None, None)])
+    assert planes.channels_last
+    xp, grid = ops._plane_taps(planes)
+    ops._fill(planes, xp, x[0])
+    return np.einsum("ij...,ij...->...", grid, planes.branches[0][1])
+
+
+def test_channels_last_einsum_rounds_each_product_before_the_add():
+    # As the NCHW probe: c * 1 + a * a is 0 rounded, 2**-24 fused.
+    a, c = np.float32(1 + 2 ** -12), np.float32(-(1 + 2 ** -11))
+    got = _channels_last_tap_sum([c, a], [[1], [a]])
+    assert got.size and not got.any(), (
+        f"np.einsum fused a float32 multiply and add (got {np.unique(got)}): this numpy's "
+        f"SIMD baseline has FMA, so channels-last depthwise sums lose the per-tap bits")
+
+
+def test_channels_last_einsum_sums_taps_in_index_order():
+    # As the NCHW probe: in (i, j) order the products h, 1, h, h sum to 1.
+    h = 2.0 ** -24
+    got = _channels_last_tap_sum([1, 1], [[h, 1], [h, h]])
+    assert got.size and (got == 1).all(), (
+        f"np.einsum did not sum the taps in (i, j) order (got {np.unique(got)}) over the "
+        f"broadcast channels-last weights, so channels-last depthwise sums lose the per-tap bits")
+
+
 @pytest.mark.parametrize("spec, h, w", [
     (_dw(32, bias=True), 112, 112),                           # every preset's stem.dw
     (_dw(1), 9, 9),                                           # one channel
@@ -316,9 +356,10 @@ def test_nchw_tap_axes_are_off_the_unit_stride(spec, h, w):
     # rows a row of the copy apart, and a row of one column is padded to two
     # floats.
     x = np.zeros((1, spec.in_channels, h, w), np.float32)
-    planes = ops._plane_taps(x, spec, *spec.out_hw(h, w))
-    assert not planes.channels_last and planes.grid.strides[-1] == 4
-    assert 4 not in planes.grid.strides[:2]
+    planes = ops._bind_branch_sum(spec, x.shape[1:], ())
+    _, grid = ops._plane_taps(planes)
+    assert not planes.channels_last and grid.strides[-1] == 4
+    assert 4 not in grid.strides[:2]
     _assert_nchw_bits(spec, 2, h, w, h + w)
 
 

@@ -15,6 +15,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -25,10 +26,13 @@ import pytest
 
 import falconnet.model as model_mod
 import falconnet.ops as ops_mod
-from falconnet import (BlockConfig, ChannelSlot, ConvSpec, LayerGraph, ModelConfig, ShapeError,
-                       SpatialSlot, WeightStore, build_model, conv2d, forward, fuse_model,
-                       fused_structure, init_weights, preset_config)
-from falconnet.model import PRESET_NAMES, BlockNode, BnNode, ConvNode, PoolNode, ReluNode
+from falconnet import (BlockConfig, ChannelSlot, ConvSpec, LayerGraph, ModelConfig, RepSOConfig,
+                       ShapeError, SpatialSlot, WeightStore, build_model, conv2d, forward,
+                       fuse_model, fused_structure, init_weights, preset_config,
+                       random_repso_weights, repso_forward)
+from falconnet.model import (PRESET_NAMES, BlockNode, BnNode, ConvNode, PoolNode, ReluNode,
+                             RepSONode)
+from reference_kernels import conv2d_per_tap, repso_per_branch
 
 
 def tiny_falconnet(resolution=32):
@@ -203,11 +207,12 @@ def test_relu_bn_and_residual_add_write_in_place(small_presets, preset, form, wo
                           ("_add_into_second", 1)):
         monkeypatch.setattr(model_mod, name, recording(getattr(model_mod, name), operand))
     force_workers(monkeypatch, workers)
-    cold(graph, store, images(2, 15))
+    x = images(2, 15)
+    cold(graph, store, x)
     leaves = Counter(type(node) for node in _leaves(graph.nodes))
     adds = sum(step.op == model_mod._ADD for step in model_mod._compile(graph.nodes, store))
     steps = leaves[ReluNode] + leaves[BnNode] + adds
-    assert steps > 0 and wrote == [True] * (steps * workers)  # one run per image with 2
+    assert steps > 0 and wrote == [True] * (steps * len(x))  # one run per image
 
 
 def test_second_call_resolves_nothing(model, monkeypatch):
@@ -556,3 +561,113 @@ def test_forked_child_runs_a_batch(model, workers, monkeypatch):
         if proc.is_alive():
             proc.kill()
             proc.join()
+
+
+def test_one_worker_runs_one_image_per_task(model, monkeypatch):
+    graph, store = model
+    serial = model_mod._execute
+    runs = []
+
+    def recording(plan, x):
+        runs.append(len(x))
+        return serial(plan, x)
+
+    force_workers(monkeypatch, 1)
+    monkeypatch.setattr(model_mod, "_execute", recording)
+    x = images(3, 40)
+    got = forward(graph, store, x)
+    assert runs == [1, 1, 1]
+    assert got.tobytes() == serial(model_mod._plan(graph, store), x).tobytes()
+
+
+# One-node graphs of a three-channel input. At 9 px a stride-1 step with one
+# output channel per group is walked channels-last, at 30 px in NCHW.
+def _one_node(node, resolution, arrays):
+    store = WeightStore({e.key: a for e, a in zip(node.entries(), arrays, strict=True)})
+    return LayerGraph(ModelConfig(input_resolution=resolution), (node,)), store
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("resolution", [9, 30])
+@pytest.mark.parametrize("multiplier", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_a_bound_conv_step_gives_the_kernel_bits(stride, multiplier, resolution, workers,
+                                                 monkeypatch):
+    spec = ConvSpec(3, 3 * multiplier, 3, 3, stride, stride, 1, 1, groups=3, has_bias=True)
+    rng = np.random.default_rng(100 * stride + 10 * multiplier + resolution)
+    w = rng.standard_normal(spec.weight_shape()).astype(np.float32)
+    b = rng.standard_normal(spec.out_channels).astype(np.float32)
+    graph, store = _one_node(ConvNode("dw", spec), resolution, [w, b])
+    x = images(3, resolution, resolution=resolution)
+    force_workers(monkeypatch, workers)
+    assert ops_mod._bind_conv(spec, x.shape[1:], w, b).channels_last == (
+        resolution == 9 and stride == multiplier == 1)
+    expected = conv2d_per_tap(x, w, b, spec).tobytes()
+    assert conv2d(x, w, b, spec).tobytes() == expected
+    for _ in range(2):  # binding, then bound
+        assert forward(graph, store, x).tobytes() == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("resolution", [9, 30])
+def test_a_bound_repso_step_gives_the_kernel_bits(resolution, workers, monkeypatch):
+    cfg = RepSOConfig(3)
+    weights = random_repso_weights(cfg, np.random.default_rng(resolution))
+    arrays = [a for br in weights.branches for a in ([] if br.kernel is None else [br.kernel])
+              + [br.bn.gamma, br.bn.beta, br.bn.mean, br.bn.var]]
+    graph, store = _one_node(RepSONode("r", cfg), resolution, arrays)
+    x = images(3, resolution + 1, resolution=resolution)
+    force_workers(monkeypatch, workers)
+    expected = repso_per_branch(x, weights, cfg).tobytes()
+    assert repso_forward(x, weights, cfg).tobytes() == expected
+    for _ in range(2):
+        assert forward(graph, store, x).tobytes() == expected
+
+
+def test_a_step_binds_once_per_input_shape(monkeypatch):
+    """Graphs that differ only in resolution share a plan, whose depthwise
+    step keeps one binding per input shape and runs it through the run
+    kernel by its name in the model module; a layout limit changed later
+    does not move a binding already made."""
+    spec = ConvSpec(3, 3, 3, 3, 1, 1, 1, 1, groups=3)
+    w = np.random.default_rng(42).standard_normal(spec.weight_shape()).astype(np.float32)
+    graphs = {res: _one_node(ConvNode("dw", spec), res, [w]) for res in (9, 30)}
+    store = graphs[9][1]
+    run, bound = model_mod._run_branch_sum, []
+
+    def recording(x, b):
+        bound.append(b)
+        return run(x, b)
+
+    monkeypatch.setattr(model_mod, "_run_branch_sum", recording)
+    for res in (9, 30, 9):
+        forward(graphs[res][0], store, images(1, res, resolution=res))
+    assert len(model_mod._PLANS[store]) == 1
+    assert [b.channels_last for b in bound] == [True, False, True]
+    assert bound[0] is bound[2]
+    monkeypatch.setattr(ops_mod, "_CL_PLANE_FLOATS", 0)
+    forward(graphs[9][0], store, images(1, 9, resolution=9))
+    assert bound[-1] is bound[0]
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_a_compiled_plan_retains_little_of_its_store(preset):
+    """After its first call a 224 px plan holds each step's weights at
+    their own size and no buffer, so it and whatever the call left alive
+    come to at most 15% of its store's bytes in either form. Weights tiled
+    along a channels-last row, or padded buffers kept per layout, would
+    exceed that."""
+    graph = build_model(preset_config(preset))
+    train = init_weights(graph, seed=0)
+    x = images(1, 43, resolution=224)
+    for form, (g, store) in (("train", (graph, train)), ("fused", fuse_model(graph, train))):
+        size = sum(a.nbytes for _, a in store.items())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            forward(g, store, x)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 0.15 * size, f"{form} plan keeps {kept} of the store's {size} bytes"
