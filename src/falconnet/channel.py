@@ -218,9 +218,7 @@ def sfconv_forward(x: Tensor, spec: SFConvSpec, w: SFConvWeights) -> Tensor:
     The two stages jointly replace one linear 1x1 convolution, which is
     what makes stage-wise branch fusion exact.
     """
-    x = as_f32(x)
-    if x.ndim != 4:
-        raise ShapeError(f"sfconv_forward expects a rank-4 input, got rank {x.ndim}")
+    x = ops._check_input(x, "sfconv_forward")
     if w.spec != spec:
         raise ShapeError("weights were built for a different SFConvSpec")
     xw = _split_windows(x, spec)
@@ -307,9 +305,7 @@ def _refco(x, spec: SFConvSpec, stage1, stage2) -> np.ndarray:
     output is laid out as its stacked matmul writes it, (N, win, hid, H*W)
     and (N, hid, m, H*W), and walked in ``_blocks`` of its stacked axis;
     stage-2 block p feeds the output channels p.start*m to p.stop*m."""
-    x = as_f32(x)
-    if x.ndim != 4:
-        raise ShapeError(f"refco_forward expects a rank-4 input, got rank {x.ndim}")
+    x = ops._check_input(x, "refco_forward")
     xw = _split_windows(x, spec)
     n, _, h, w = x.shape
     hid, win, m = spec.hidden_channels, spec.windows, spec.width_multiplier

@@ -2,9 +2,9 @@
 
 Arrays are float32 throughout, laid out batch, channel, height, width.
 Every function here is a pure function of its inputs. Convolution is
-computed tap by tap with plain array arithmetic (no im2col buffers, no
-Winograd), which keeps the summation order fixed and the results
-reproducible on a given machine.
+computed tap by tap with plain array arithmetic (no im2col matrix
+products, no Winograd), which keeps the summation order fixed and the
+results reproducible on a given machine.
 
 Both convolution kernels walk a batch one image at a time and write each
 image's result straight into the batch output. A call pads one buffer,
@@ -26,22 +26,24 @@ shape and then only runs (see ``model``).
 
 Large planes, strided convs and planes of one channel are walked as NCHW
 planes stored row after row, one tile of channels at a time. The tile is
-written into one buffer that holds kw copies of its padded planes, copy j
-holding the padded columns j, j + sw, j + 2*sw, ..., and tap (i, j) is read
-from row i of copy j. So each tap is one flat run per channel, whose rows
-``::sh`` and first ``ow`` columns are its output plane, and no tap axis has
-the unit stride; at stride 1 the run is the output plane itself, and the
-first branch is summed straight into the output. Small stride-1 planes of
-several channels with one output channel per group are padded and
-transposed channels-last, so a tap is (oh, ow, C) with the channels
-innermost, and each tap's (1, C) weights are broadcast along its rows and
-columns. In either layout a branch's taps are summed in one ``np.einsum``
-pass, which zero-fills the accumulator and adds each float32-rounded
-product in (i, j) order, and an image is walked in tiles of about 256 KiB
-of accumulator, so that it stays in L2. Every path gives
-the bits of a plain tap-by-tap sum. Two properties of numpy's einsum hold
-that up for every one-input-channel conv, stride 1 or strided, and
-``tests/test_ops.py`` pins both in each layout:
+written into one buffer of copies of its padded planes. At stride 1 there
+are kw copies, copy j holding the padded columns j, j + 1, ..., and tap
+(i, j) is read from row i of copy j. At a larger stride there are kh*kw,
+copy (i, j) holding the padded rows i, i + sh, ... and columns j, j + sw,
+..., and tap (i, j) is copy (i, j) (a per-row im2col, after Chellapilla,
+Puri and Simard, 2006). So each tap is one flat run per channel, its output
+plane, no tap axis has the unit stride, and the first branch is summed
+straight into the output. Small stride-1 planes of several channels with
+one output channel per group are padded and transposed channels-last, so a
+tap is (oh, ow, C) with the channels innermost, and each tap's (1, C)
+weights are broadcast along its rows and columns. In either layout a
+branch's taps are summed in one ``np.einsum`` pass, which zero-fills the
+accumulator and adds each float32-rounded product in (i, j) order, and an
+image is walked in tiles of about 256 KiB of accumulator, so that it stays
+in L2. Every path gives the bits of a plain tap-by-tap sum. Two
+properties of numpy's einsum hold that up for every one-input-channel
+conv, stride 1 or strided, and ``tests/test_ops.py`` pins both in each
+layout:
 
 * its float32 loop rounds each product before the add only where numpy's
   SIMD baseline lacks FMA, as the ``X86_V2`` baseline of numpy 2.4.6's
@@ -49,8 +51,8 @@ that up for every one-input-channel conv, stride 1 or strided, and
   them and the bits change;
 * it keeps the (i, j) order only while no tap axis has the unit stride of
   a row: channels-last the tap columns are C floats apart, so one channel
-  takes NCHW, and in NCHW they are a copy apart and the tap rows a row of
-  at least two floats apart.
+  takes NCHW, and in NCHW they are a copy apart and the tap rows a copy,
+  or at stride 1 a row of at least two floats, apart.
 
 einsum raises no numpy ``RuntimeWarning``, so an overflow in a depthwise
 sum is a silent ``inf``; callers that care check their result for
@@ -250,6 +252,8 @@ def fuse_bn_into_linear(weight: np.ndarray, bias, bn: BnParams):
     holds as an algebraic identity.
     """
     w = as_f32(weight)
+    if w.ndim == 0:
+        raise ShapeError("fuse_bn_into_linear weight must have an output axis, got rank 0")
     if w.shape[0] != bn.channels:
         raise ShapeError(
             f"normalization has {bn.channels} channels, operator has {w.shape[0]} outputs")
@@ -339,7 +343,7 @@ class _BranchSum(NamedTuple):
 
     ``buffer`` is the shape of the padded float32 buffer, ``borders`` the
     indexes of its padding, which a call zeroes, and ``copies`` the pairs
-    (interior, columns): a tile's image columns ``columns`` are written at
+    (interior, pixels): a tile's image pixels ``pixels`` are written at
     ``buffer[interior]``. ``grid`` is the (shape, strides) of the view of
     every kernel tap on the buffer, ``tile`` the channels (NCHW) or output
     rows (channels-last) summed at once, and ``branches`` each branch's
@@ -347,17 +351,18 @@ class _BranchSum(NamedTuple):
     and shift laid out for the layout, each None where absent.
 
     Channels-last, the buffer holds one whole image, (H + 2ph, W + 2pw, C),
-    and a tap is (oh, ow, C); ``aw == ow`` and ``sh == 1``. A branch's
-    weights are (rows, columns, 1, C), and its scale and shift (C,), all
-    broadcast along a tap's rows and columns.
+    and a tap is (oh, ow, C); ``aw == ow``. A branch's weights are (rows,
+    columns, 1, C), and its scale and shift (C,), all broadcast along a
+    tap's rows and columns.
 
-    In NCHW the buffer holds kw copies of one tile of channels, copy j the
-    padded columns j, j + sw, ... of each plane, ``aw`` of them per row. A
-    tap is (tile, 1, rows*aw), with rows = (oh - 1) * sh + 1: each
-    channel's run from row i of copy j, whose rows ``::sh`` and first ``ow``
-    columns are the tap's output plane. A branch's weights are (rows,
-    columns, C, og, 1), and its scale and shift (C, og, 1), each broadcast
-    along a channel's run.
+    In NCHW the buffer is (kh, kw, tile, oh, aw) copies of one tile of
+    channels, copy (i, j) the padded rows i, i + sh, ... and columns j,
+    j + sw, ... of each plane; at stride 1 it is (1, kw, tile, H + 2ph, aw),
+    copy (0, j) every padded row. A tap is (tile, 1, oh*aw), each channel's
+    run of ``aw`` floats per output row from copy (i, j), or from row i of
+    copy (0, j) at stride 1; its first ``ow`` columns are the tap's output
+    plane. A branch's weights are (rows, columns, C, og, 1), and its scale
+    and shift (C, og, 1), each broadcast along a channel's run.
     """
 
     channels_last: bool
@@ -366,7 +371,6 @@ class _BranchSum(NamedTuple):
     oh: int
     ow: int
     aw: int
-    sh: int
     tile: int
     buffer: tuple
     borders: tuple
@@ -390,7 +394,9 @@ def _bind_branch_sum(spec: ConvSpec, shape, branches) -> _BranchSum:
     einsum keeps the (i, j) order of the taps only while the stride between
     tap columns, C floats, exceeds the unit stride (with one channel the two
     layouts are the same memory anyway). Every other spec keeps NCHW planes
-    for one tile of channels.
+    for one tile of channels, in copies laid out so that every tap's run is
+    its output plane: kw copies of every padded row at stride 1, kh*kw
+    copies of oh rows each at a larger stride.
     """
     c, h, width = shape
     oh, ow = spec.out_hw(h, width)
@@ -406,37 +412,41 @@ def _bind_branch_sum(spec: ConvSpec, shape, branches) -> _BranchSum:
         aw, tile, buffer = ow, min(oh, max(1, _TILE_FLOATS // (ow * c))), (hp, wp, c)
         borders = ((slice(0, ph),), (slice(ph + h, hp),),
                    (on_image, slice(0, pw)), (on_image, slice(pw + width, wp)))
-        copies = (((on_image, slice(pw, pw + width)), slice(None)),)
+        copies = (((on_image, slice(pw, pw + width)), ...),)
         s_row, s_col = wp * c * 4, c * 4
         grid = (kh, kw, oh, ow, c), (s_row, s_col, s_row, s_col, 4)
     else:
         # A row of at least 2 floats keeps a one-column plane's row taps off
         # the unit stride too.
-        aw, rows = max(ow, 2), (oh - 1) * sh + 1
-        tile = min(c, max(1, _TILE_FLOATS // (og * rows * aw)))
-        buffer = (kw, tile, hp, aw)
-        borders = [(..., slice(0, ph), slice(None)), (..., slice(ph + h, hp), slice(None))]
-        copies = []
-        for j in range(kw):
-            # Copy column u is padded column j + u*sw, image column j - pw + u*sw;
-            # columns u0 to u1 - 1 are on the image.
+        aw, (kr, hr) = max(ow, 2), ((1, hp) if sh == 1 else (kh, oh))
+        tile = min(c, max(1, _TILE_FLOATS // (og * oh * aw)))
+        buffer = (kr, kw, tile, hr, aw)
+        borders, copies = [], []
+        for i, j in np.ndindex(kr, kw):
+            # Copy row v is image row i - ph + v*sh, copy column u image column
+            # j - pw + u*sw; rows v0 to v1 - 1 and columns u0 to u1 - 1, if
+            # any, are on the image. Empty border bands are dropped.
+            v0, v1 = max(0, -((i - ph) // sh)), min(hr, -((i - ph - h) // sh))
             u0, u1 = max(0, -((j - pw) // sw)), min(ow, -((j - pw - width) // sw))
-            borders += [(j, slice(None), on_image, slice(0, u0)),
-                        (j, slice(None), on_image, slice(max(u0, u1), aw))]
-            copies.append(((j, slice(None), on_image, slice(u0, u1)),
-                           slice(j - pw + u0 * sw, j - pw + u1 * sw, sw)))
-        # kw copies of the tile's planes, each laid out row after row. Tap
-        # (i, j) is the flat run starting at row i of copy j: its tap axes
-        # are a row (aw >= 2 floats) and a copy apart, so neither has the
-        # unit stride and einsum keeps the (i, j) order.
-        s_c = hp * aw * 4
-        grid = (kh, kw, tile, 1, rows * aw), (aw * 4, tile * s_c, s_c, 0, 4)
+            at, rows, cols = (i, j, slice(None)), slice(v0, max(v0, v1)), slice(u0, max(u0, u1))
+            borders += [at + b for b in [(slice(0, v0),), (slice(rows.stop, hr),),
+                                         (rows, slice(0, u0)), (rows, slice(cols.stop, aw))]
+                        if all(s.start < s.stop for s in b)]
+            copies.append((at + (rows, cols), (..., slice(i - ph + v0 * sh, i - ph + v1 * sh, sh),
+                                               slice(j - pw + u0 * sw, j - pw + u1 * sw, sw))))
+        # Tap (i, j) is the run of oh*aw floats from row i of copy (0, j) at
+        # stride 1, else from copy (i, j): its tap axes are a row (aw >= 2
+        # floats) or a copy apart and a copy apart, so neither has the unit
+        # stride and einsum keeps the (i, j) order.
+        s_c = hr * aw * 4
+        s_i = aw * 4 if sh == 1 else kw * tile * s_c
+        grid = (kh, kw, tile, 1, oh * aw), (s_i, tile * s_c, s_c, 0, 4)
     laid = tuple(
         (window,
          _lay_out(w, channels_last, c, og, len(range(kh)[window[0]]), len(range(kw)[window[1]])),
          _lay_out(scale, channels_last, c, og), _lay_out(shift, channels_last, c, og))
         for window, w, scale, shift in branches)
-    return _BranchSum(channels_last, c, og, oh, ow, aw, sh, tile, buffer, tuple(borders),
+    return _BranchSum(channels_last, c, og, oh, ow, aw, tile, buffer, tuple(borders),
                       tuple(copies), grid, laid)
 
 
@@ -467,11 +477,11 @@ def _plane_taps(bound: _BranchSum) -> tuple[np.ndarray, np.ndarray]:
 
 def _fill(bound: _BranchSum, xp: np.ndarray, images: np.ndarray) -> None:
     """Write ``images``, (k, H, W), as the first k channels of the buffer ``xp``."""
-    for interior, columns in bound.copies:
+    for interior, pixels in bound.copies:
         if bound.channels_last:
             xp[interior] = images.transpose(1, 2, 0)
         else:
-            xp[interior][:len(images)] = images[..., columns]
+            xp[interior][:len(images)] = images[pixels]
 
 
 def _run_branch_sum(x, bound: _BranchSum) -> np.ndarray:
@@ -483,10 +493,9 @@ def _run_branch_sum(x, bound: _BranchSum) -> np.ndarray:
     is filled into the padded buffer and walked one tile of rows at a time,
     each tile's sum transposed into the image's output. An NCHW image is
     walked one tile of channels at a time, each filled into every copy of
-    the padded planes and its sum cropped to rows ``::sh`` and ``ow``
-    columns into the output; at stride 1 with ``aw == ow`` the run is
-    already the output plane, so the first branch is summed straight into
-    the output.
+    the padded planes; a tap's run is its output plane, so the first
+    branch is summed straight into the output, whose rows are ``aw`` wide
+    and cut to ``ow`` columns at the end (a copy only where ``aw > ow``).
     """
     n, c, og, oh, ow, aw = len(x), bound.c, bound.og, bound.oh, bound.ow, bound.aw
     xp, grid = _plane_taps(bound)
@@ -503,23 +512,17 @@ def _run_branch_sum(x, bound: _BranchSum) -> np.ndarray:
                 acc = _tile_sum(plan, slice(y0, y1), ..., *(b[:y1 - y0] for b in bufs))
                 y[:, y0:y1] = acc.transpose(2, 0, 1)
         return out
-    out = np.empty((n, c, og, oh, ow), dtype=np.float32)
+    out = np.empty((n, c, og, oh, aw), dtype=np.float32)
     tile, run = bound.tile, grid.shape[4]
-    direct = bound.sh == 1 and aw == ow
-    bufs = [np.empty((tile, og, run), dtype=np.float32)
-            for _ in range(min(2, len(plan)) - direct)]
+    # A second sum, for later branches.
+    bufs = [np.empty((tile, og, run), dtype=np.float32) for _ in plan[1:2]]
     for image, y in zip(x, out):
         for r0 in range(0, c, tile):
             sel = slice(r0, min(c, r0 + tile))
             k = sel.stop - r0
             _fill(bound, xp, image[sel])
-            if direct:
-                _tile_sum(plan, slice(0, k), sel, y[sel].reshape(k, og, run),
-                          *(b[:k] for b in bufs))
-            else:
-                acc = _tile_sum(plan, slice(0, k), sel, *(b[:k] for b in bufs))
-                y[sel] = acc.reshape(k, og, -1, aw)[..., ::bound.sh, :ow]
-    return out.reshape(n, c * og, oh, ow)
+            _tile_sum(plan, slice(0, k), sel, y[sel].reshape(k, og, run), *(b[:k] for b in bufs))
+    return np.ascontiguousarray(out[..., :ow]).reshape(n, c * og, oh, ow)
 
 
 def _tile_sum(plan, rows, wrows, total, y=None) -> np.ndarray:
@@ -623,7 +626,7 @@ def linear(x, w, b) -> np.ndarray:
     """Affine map y = x @ w.T + b; ``x`` is a vector or a (N, in) batch."""
     x = as_f32(x)
     w = as_f32(w)
-    if x.ndim > 2:
+    if not 1 <= x.ndim <= 2:
         raise ShapeError(f"linear input must be rank 1 or 2, got rank {x.ndim}")
     if w.ndim != 2:
         raise ShapeError(f"linear weight must be rank 2, got rank {w.ndim}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (BnParams, ConvSpec, ShapeError, Tensor, _bn_scale_shift, _bind_branch_sum,
-                  _run_branch_sum, as_f32)
+                  _check_input, _run_branch_sum, as_f32)
 
 __all__ = [
     "RepSOConfig",
@@ -124,9 +124,7 @@ def repso_forward(x: Tensor, w: RepSOWeights, cfg: RepSOConfig) -> Tensor:
     per-branch ``conv2d``, ``batch_norm_infer`` and ``add``.
     """
     terms = _repso_terms(_repso_rows(w, cfg), cfg)
-    x = as_f32(x)
-    if x.ndim != 4:
-        raise ShapeError(f"repso_forward input has ? channels, expected {cfg.channels}")
+    x = _check_input(x, "repso_forward")
     return _run_branch_sum(x, _bind_repso(x.shape[1:], cfg, terms))
 
 

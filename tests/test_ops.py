@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falconnet import (BnParams, ConvSpec, ShapeError, add, batch_norm_infer, conv2d,
-                       fuse_bn_into_linear, global_avg_pool, linear, relu)
+from falconnet import (BnParams, ConvSpec, RepSOConfig, ShapeError, add, batch_norm_infer,
+                       conv2d, fuse_bn_into_linear, global_avg_pool, linear, random_repso_weights,
+                       relu, repso_forward)
 from falconnet import ops
 from reference_kernels import conv2d_per_tap
 
@@ -261,15 +262,16 @@ def test_einsum_rounds_each_product_before_the_add():
         f"baseline has FMA, so channels-last depthwise sums lose the per-tap bits")
 
 
-def _nchw_tap_sum(rows, weights):
-    """The library's einsum of a one-channel stride-1 NCHW tile: image row i
-    holds ``rows[i]`` in each of 40 columns, so every output pixel sums the
-    products ``rows[i] * weights[i][j]``. The taps are ``_plane_taps``'s grid
-    and the weights those ``_bind_branch_sum`` lays out, one per channel
-    broadcast along the row (a stride-0 operand)."""
+def _nchw_tap_sum(rows, weights, stride=1):
+    """The library's einsum of a one-channel NCHW tile at ``stride``: image
+    row i holds ``rows[i]`` in each of 40 columns, so every output pixel of
+    the one output row sums the products ``rows[i] * weights[i][j]``. The
+    taps are ``_plane_taps``'s grid and the weights those
+    ``_bind_branch_sum`` lays out, one per channel broadcast along the row (a
+    stride-0 operand)."""
     kh, kw = np.shape(weights)
     x = np.repeat(np.array(rows, np.float32)[:, None], 40, axis=1)[None, None]
-    spec = ConvSpec(1, 1, kh, kw)
+    spec = ConvSpec(1, 1, kh, kw, stride, stride)
     planes = ops._bind_branch_sum(spec, x.shape[1:], [(
         (slice(0, kh), slice(0, kw)), np.array(weights, np.float32).reshape(1, 1, kh, kw),
         None, None)])
@@ -299,6 +301,54 @@ def test_nchw_einsum_sums_taps_in_index_order():
     assert (got == 1).all(), (
         f"np.einsum did not sum the taps in (i, j) order (got {np.unique(got)}), so "
         f"stride-1 NCHW depthwise sums lose the per-tap bits")
+
+
+# Stride-2 probes: the tap rows are then a copy of the tile apart, not a row.
+A, C = np.float32(1 + 2 ** -12), np.float32(-(1 + 2 ** -11))
+HALF_ULP = 2.0 ** -24
+
+
+@pytest.mark.parametrize("rows, weights", [
+    ([C, A], [[1, 0], [A, 0]]),   # 2x2, the subsampling convs' kernel
+    ([C, A, 1], [[1], [A], [0]]),  # 3x1
+], ids=["2x2", "3x1"])
+def test_strided_nchw_einsum_rounds_each_product_before_the_add(rows, weights):
+    # As at stride 1: c * 1 + a * a is 0 rounded, 2**-24 fused.
+    got = _nchw_tap_sum(rows, weights, stride=2)
+    assert got.size and not got.any(), (
+        f"np.einsum fused a float32 multiply and add (got {np.unique(got)}): this numpy's "
+        f"SIMD baseline has FMA, so strided NCHW depthwise sums lose the per-tap bits")
+
+
+@pytest.mark.parametrize("rows, weights", [
+    ([1, 1], [[HALF_ULP, 1], [HALF_ULP, HALF_ULP]]),  # 2x2
+    ([1, 1, 1], [[1], [HALF_ULP], [HALF_ULP]]),         # 3x1
+], ids=["2x2", "3x1"])
+def test_strided_nchw_einsum_sums_taps_in_index_order(rows, weights):
+    # In (i, j) order each half-ulp added after the 1 rounds back to 1; in
+    # any order that adds two half-ulps first the sum is above 1.
+    got = _nchw_tap_sum(rows, weights, stride=2)
+    assert got.size and (got == 1).all(), (
+        f"np.einsum did not sum the taps in (i, j) order (got {np.unique(got)}), so "
+        f"strided NCHW depthwise sums lose the per-tap bits")
+
+
+@pytest.mark.parametrize("spec, h, w", [
+    (ConvSpec(32, 32, 3, 3, 2, 2, 1, 1, groups=32, has_bias=True), 112, 112),  # stem.down
+    (ConvSpec(4, 8, 2, 2, 2, 2, 0, 0, groups=4), 15, 14),     # a sub conv, multiplier 2
+    (ConvSpec(2, 2, 3, 1, 2, 1, 1, 0, groups=2), 9, 5),       # strided rows only
+    (ConvSpec(3, 3, 3, 3, 2, 2, 1, 1, groups=3), 9, 2),       # one output column
+    (ConvSpec(2, 2, 7, 7, 2, 2, 3, 3, groups=2), 2, 1),       # copies wholly in the padding
+])
+def test_nchw_tap_run_is_the_output_plane(spec, h, w):
+    # Every tap's flat run is oh rows of aw >= ow floats, at every stride,
+    # so the first branch is summed straight into the output.
+    planes = ops._bind_branch_sum(spec, (spec.in_channels, h, w), ())
+    _, grid = ops._plane_taps(planes)
+    oh, ow = spec.out_hw(h, w)
+    assert not planes.channels_last and planes.aw == max(ow, 2)
+    assert grid.shape[-1] == oh * planes.aw
+    _assert_nchw_bits(spec, 2, h, w, h * w)
 
 
 def _channels_last_tap_sum(rows, weights):
@@ -529,6 +579,8 @@ def test_conv2d_is_pure_unaliased_and_batch_invariant(spec, h, w):
 @pytest.mark.parametrize("spec, shape", [
     (_dw(192), (8, 192, 56, 56)),                                          # NCHW rows
     (ConvSpec(3, 32, 3, 3, 2, 2, 1, 1, has_bias=True), (8, 3, 224, 224)),  # the stem
+    (ConvSpec(32, 32, 3, 3, 2, 2, 1, 1, groups=32, has_bias=True), (8, 32, 112, 112)),  # stem.down
+    (ConvSpec(32, 64, 2, 2, 2, 2, 0, 0, groups=32, has_bias=True), (8, 32, 56, 56)),    # sub1
 ])
 def test_conv2d_temporaries_do_not_grow_with_the_batch(spec, shape):
     # A call's temporaries, all it allocates but its output, stay within a
@@ -770,9 +822,17 @@ def test_all_outputs_finite_on_finite_inputs():
      "normalization has 4 channels, operator has 3 outputs"),
     (lambda: fuse_bn_into_linear(np.zeros((4, 2)), np.zeros(3), BnParams.identity(4)),
      "bias has length 3, expected 4"),
+    (lambda: linear(np.float32(1), np.zeros((4, 1)), None),
+     "linear input must be rank 1 or 2, got rank 0"),
+    (lambda: fuse_bn_into_linear(np.float32(1), None, BnParams.identity(1)),
+     "fuse_bn_into_linear weight must have an output axis, got rank 0"),
+    (lambda cfg=RepSOConfig(2): repso_forward(
+        np.zeros((2, 4, 4), np.float32), random_repso_weights(cfg, np.random.default_rng(0)), cfg),
+     "repso_forward expects a rank-4 input, got rank 3"),
 ], ids=["conv-channels", "conv-stride", "conv-padding", "conv-groups-in", "conv-groups-out",
         "linear-input-rank", "linear-weight-rank", "linear-features", "linear-bias",
-        "pool-rank", "pool-empty", "fuse-bn-channels", "fuse-bn-bias"])
+        "pool-rank", "pool-empty", "fuse-bn-channels", "fuse-bn-bias",
+        "linear-input-rank-0", "fuse-bn-weight-rank-0", "repso-input-rank"])
 def test_invalid_argument_is_shape_error(call, message):
     with pytest.raises(ShapeError) as e:
         call()
