@@ -604,7 +604,9 @@ class TestAnalyzeMagnitude:
      "weights incomplete for model: missing 'stem.conv.weight' and 1 more"),
     (("analyze-range", "--kind", "channelwise", "--c-in", "8"),
      "analyze-range --kind channelwise requires --window"),
-], ids=["incomplete-weights", "channelwise-without-window"])
+    (("analyze-range", "--kind", "sf", "--c-in", "0"),
+     "choose_kernel_size arguments must be positive"),
+], ids=["incomplete-weights", "channelwise-without-window", "sf-zero-channels"])
 def test_invalid_request_is_one_error_line(workdir, capsys, argv, message):
     tmp_path, _, cfg_path, weights_path = workdir
     incomplete = tmp_path / "incomplete.falc"

@@ -3,9 +3,9 @@
 import pytest
 from fractions import Fraction
 
-from falconnet import (BlockConfig, ChannelSlot, ModelConfig, ShapeError, SpatialSlot,
-                       build_model, count_flops, count_params, fuse_model, init_weights,
-                       preset_config)
+from falconnet import (BlockConfig, ChannelSlot, LayerGraph, ModelConfig, ShapeError,
+                       SpatialSlot, build_model, count_flops, count_params, fuse_model,
+                       init_weights, preset_config)
 from falconnet.costs import cost_report
 
 
@@ -114,6 +114,13 @@ def test_head_excluded_from_category_split():
     assert sum(shares.values()) == pytest.approx(100.0, abs=1e-6)
     # Channel mixing dominates the spatial share in this family.
     assert shares["channel"] > shares["spatial"]
+
+
+def test_empty_graph_has_zero_totals_and_shares():
+    report = cost_report(LayerGraph(tiny(), ()))
+    assert report.layers == ()
+    assert (report.total_params, report.total_flops) == (0, 0)
+    assert report.param_shares() == {"spatial": 0.0, "channel": 0.0, "other": 0.0}
 
 
 def test_inference_mode_has_no_norm_params():

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falconnet import (BnParams, ConvSpec, RepSOConfig, ShapeError, add, batch_norm_infer,
-                       conv2d, fuse_bn_into_linear, global_avg_pool, linear, random_repso_weights,
-                       relu, repso_forward)
+from falconnet import (BnParams, ConvSpec, RepSOConfig, SFConvSpec, SFConvWeights, ShapeError,
+                       add, batch_norm_infer, conv2d, fuse_bn_into_linear, global_avg_pool,
+                       linear, random_repso_weights, relu, repso_forward, sfconv_forward)
 from falconnet import ops
 from reference_kernels import conv2d_per_tap
 
@@ -403,8 +403,8 @@ def test_channels_last_einsum_sums_taps_in_index_order():
 def test_nchw_tap_axes_are_off_the_unit_stride(spec, h, w):
     # einsum keeps the (i, j) order of the taps only while neither tap axis
     # has a row's unit stride: tap columns are a copy of the tile apart, tap
-    # rows a row of the copy apart, and a row of one column is padded to two
-    # floats.
+    # rows a row of the copy apart at stride 1 and a row of copies apart at a
+    # larger stride, and a row of one column is padded to two floats.
     x = np.zeros((1, spec.in_channels, h, w), np.float32)
     planes = ops._bind_branch_sum(spec, x.shape[1:], ())
     _, grid = ops._plane_taps(planes)
@@ -829,10 +829,15 @@ def test_all_outputs_finite_on_finite_inputs():
     (lambda cfg=RepSOConfig(2): repso_forward(
         np.zeros((2, 4, 4), np.float32), random_repso_weights(cfg, np.random.default_rng(0)), cfg),
      "repso_forward expects a rank-4 input, got rank 3"),
+    (lambda: sfconv_forward(np.zeros((1, 8, 2, 2), np.float32), SFConvSpec(8, 8, 4),
+                            SFConvWeights(SFConvSpec(8, 16, 4), np.zeros((2, 2, 4)),
+                                          np.zeros((16, 2)))),
+     "weights were built for a different SFConvSpec"),
 ], ids=["conv-channels", "conv-stride", "conv-padding", "conv-groups-in", "conv-groups-out",
         "linear-input-rank", "linear-weight-rank", "linear-features", "linear-bias",
         "pool-rank", "pool-empty", "fuse-bn-channels", "fuse-bn-bias",
-        "linear-input-rank-0", "fuse-bn-weight-rank-0", "repso-input-rank"])
+        "linear-input-rank-0", "fuse-bn-weight-rank-0", "repso-input-rank",
+        "sfconv-other-spec"])
 def test_invalid_argument_is_shape_error(call, message):
     with pytest.raises(ShapeError) as e:
         call()

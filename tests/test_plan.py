@@ -346,6 +346,18 @@ def test_graphs_that_differ_only_in_resolution_share_one_plan(falcon_store):
         assert str(info.value) == f"model input is {other}x{other}, expected {res}x{res}"
 
 
+def test_a_graph_of_listed_nodes_runs_as_its_tuple(falcon_store):
+    """Nodes given as a list give the logits of the same nodes as a tuple,
+    and both graphs share one plan."""
+    graph = build_model(FALCON_32)
+    listed = LayerGraph(graph.config, list(graph.nodes))
+    x = images(2, 20)
+    expected = cold(graph, falcon_store, x).tobytes()
+    assert forward(listed, falcon_store, x).tobytes() == expected
+    assert forward(graph, falcon_store, x).tobytes() == expected
+    assert len(model_mod._PLANS[falcon_store]) == 1
+
+
 def test_train_and_fused_graphs_on_one_store_get_two_plans(falcon_store, small_presets,
                                                            monkeypatch):
     """One store holds the entries of both forms (the train values where a

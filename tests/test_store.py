@@ -35,6 +35,12 @@ def test_round_trip_is_bitwise(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_equal_arrays_under_other_names_are_not_bitwise_equal():
+    a = np.arange(4, dtype=np.float32)
+    assert WeightStore({"x": a}).equals_bitwise(WeightStore({"x": a.copy()}))
+    assert not WeightStore({"x": a}).equals_bitwise(WeightStore({"y": a}))
+
+
 def test_load_holds_one_entry_beside_the_loaded_arrays(tmp_path):
     # Sixteen 256 KiB entries: reading the whole file before parsing it would
     # hold the file's bytes and the arrays at once, twice the arrays' size.
